@@ -35,7 +35,7 @@ from .bitvec import (
     segment,
     xor_all,
 )
-from .distribution import DispatchTable, DistributionPlan, build_plan, dispatch
+from .distribution import DistributionPlan, build_plan
 from .protocol import (
     RunOutcome,
     Scenario,
@@ -50,7 +50,6 @@ from .statevec import PureState, ghz_layers, prepare_ghz
 __all__ = [
     "BitVector",
     "CorrelationStat",
-    "DispatchTable",
     "DistributionPlan",
     "EveRecord",
     "EveStrategy",
@@ -69,7 +68,6 @@ __all__ = [
     "concat_secrets",
     "decoy_correlation_stat",
     "detection_experiment",
-    "dispatch",
     "eve_postprocess",
     "execute_run",
     "explicit_kickback_oracle",

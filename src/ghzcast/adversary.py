@@ -3,7 +3,7 @@
 Eve sits on the broker-to-agent channels and processes every tuple in transit
 the same way, because nothing in the stream marks which tuples are decoys.
 The attack interface enforces that: attack_tuple sees only the in-flight
-state, never the tuple kind or the broker's decoy records.
+stream batch, never the tuple kinds or the broker's decoy records.
 
 Three attacks are modeled:
 
@@ -33,12 +33,14 @@ from .statevec import (
     COMPUTATIONAL,
     HADAMARD,
     PureState,
-    apply_cnot,
+    append_rows,
+    cnot_rows,
     measure_qubits,
+    measure_rows,
     prepare_basis,
     prepare_ghz,
-    swap_qubits,
-    tensor,
+    swap_rows,
+    width,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +55,6 @@ __all__ = [
     "RANDOM_BASIS",
     "STRATEGY_TAGS",
     "EveStrategy",
-    "EveTupleEntry",
     "EveRecord",
     "attack_tuple",
     "eve_postprocess",
@@ -111,6 +112,14 @@ class EveStrategy:
             raise ValueError(f"targets must be agent slots 0..{n - 2}")
         return tuple(targets)
 
+    def extra_qubits(self, n: int) -> int:
+        """Qubits Eve appends to every n-qubit tuple she attacks."""
+        if self.tag == INTERCEPT_REPLACE:
+            return n
+        if self.tag == ENTANGLE_ANCILLA:
+            return self.k
+        return 0
+
     def validate_for(self, n: int) -> None:
         if self.active:
             if self.k > n - 1:
@@ -119,104 +128,101 @@ class EveStrategy:
 
 
 @dataclass
-class EveTupleEntry:
-    """Eve's bookkeeping for one stream position.
+class EveRecord:
+    """Eve's bookkeeping for one tuple stream, one row per stream position.
 
-    measured holds in-transit measurement results as (slot, basis, outcome).
-    intercepted and ancillas map the extra qubit indices Eve holds in the
-    tuple state to the agent slot they relate to; unforwarded lists members
-    of her replacement tuple that never left her lab. final_state is filled
-    in after the run so she can measure what she kept, and post_outcomes
-    records those late measurements as qubit -> bit.
+    bases and outcomes hold her in-transit measurements, one row per tuple
+    and one column per target slot. intercepted and ancillas map the extra
+    qubit indices Eve holds in every tuple to the agent slot they relate to;
+    unforwarded lists members of her replacement tuple that never left her
+    lab. final_states is the stream batch after the run, so she can measure
+    what she kept, and post_outcomes records those late measurements as
+    stream position -> qubit -> bit.
     """
 
-    stream_position: int
-    measured: tuple[tuple[int, str, int], ...] = ()
+    strategy: EveStrategy
+    n: int
+    targets: tuple[int, ...] = ()
+    bases: np.ndarray | None = None
+    outcomes: np.ndarray | None = None
     intercepted: tuple[tuple[int, int], ...] = ()
     unforwarded: tuple[int, ...] = ()
     ancillas: tuple[tuple[int, int], ...] = ()
-    final_state: PureState | None = None
-    post_outcomes: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class EveRecord:
-    strategy: EveStrategy
-    n: int
-    entries: list[EveTupleEntry] = field(default_factory=list)
-
-
-_ghz_cache: dict[int, PureState] = {}
-
-
-def _fresh_ghz(n: int) -> PureState:
-    if n not in _ghz_cache:
-        _ghz_cache[n] = prepare_ghz(n)
-    return _ghz_cache[n]
+    final_states: np.ndarray | None = None
+    post_outcomes: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 def attack_tuple(
-    strategy: EveStrategy,
-    state: PureState,
-    rng: np.random.Generator,
-    stream_position: int = -1,
-) -> tuple[PureState, EveTupleEntry]:
-    """Apply the attack to one in-flight tuple.
+    strategy: EveStrategy, batch: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, EveRecord]:
+    """Apply the attack to every tuple of the in-flight (T, 2**n) stream batch.
 
-    The returned state keeps the protocol slots on qubits 0..n-1; any qubits
+    The returned batch keeps the protocol slots on qubits 0..n-1; any qubits
     Eve retains are appended above them. Positions and kinds of tuples are
-    deliberately absent from this interface.
+    deliberately absent from this interface: every row gets the same
+    treatment.
     """
     if not strategy.active:
         raise ValueError("attack_tuple called with the inactive strategy")
-    n = state.num_qubits
+    n = width(batch)
     targets = strategy.resolved_targets(n)
-    entry = EveTupleEntry(stream_position=stream_position)
+    k = len(targets)
+    record = EveRecord(strategy=strategy, n=n, targets=targets)
 
     if strategy.tag == MEASURE_RESEND:
+        rows = batch.shape[0]
         if strategy.basis_policy == ALWAYS_COMPUTATIONAL:
-            bases = [COMPUTATIONAL] * len(targets)
+            bases = np.full((rows, k), COMPUTATIONAL)
+            u = rng.random(rows)
         else:
-            bases = [
-                HADAMARD if rng.integers(0, 2) else COMPUTATIONAL for _ in targets
-            ]
-        bits, state = measure_qubits(state, targets, bases, rng)
-        entry.measured = tuple(
-            (slot, basis, bit) for slot, basis, bit in zip(targets, bases, bits)
-        )
-        return state, entry
+            # per tuple: one basis coin per target, then the sample draw
+            coins = np.empty((rows, k), dtype=bool)
+            u = np.empty(rows)
+            for t in range(rows):
+                for j in range(k):
+                    coins[t, j] = rng.integers(0, 2)
+                u[t] = rng.random()
+            bases = np.where(coins, HADAMARD, COMPUTATIONAL)
+        record.bases = bases
+        record.outcomes, batch = measure_rows(batch, targets, bases, u)
+        return batch, record
 
     if strategy.tag == INTERCEPT_REPLACE:
-        joint = tensor(state, _fresh_ghz(n))
+        joint = append_rows(batch, prepare_ghz(n).amplitudes)
         for j, slot in enumerate(targets):
-            joint = swap_qubits(joint, slot, n + j)
-        entry.intercepted = tuple((n + j, slot) for j, slot in enumerate(targets))
-        entry.unforwarded = tuple(range(n + len(targets), 2 * n))
-        return joint, entry
+            joint = swap_rows(joint, slot, n + j)
+        record.intercepted = tuple((n + j, slot) for j, slot in enumerate(targets))
+        record.unforwarded = tuple(range(n + k, 2 * n))
+        return joint, record
 
     if strategy.tag == ENTANGLE_ANCILLA:
-        joint = tensor(state, prepare_basis(BitVector.zeros(len(targets))))
+        joint = append_rows(batch, prepare_basis(BitVector.zeros(k)).amplitudes)
         for j, slot in enumerate(targets):
-            joint = apply_cnot(joint, slot, n + j)
-        entry.ancillas = tuple((n + j, slot) for j, slot in enumerate(targets))
-        return joint, entry
+            joint = cnot_rows(joint, slot, n + j)
+        record.ancillas = tuple((n + j, slot) for j, slot in enumerate(targets))
+        return joint, record
 
     raise AssertionError("unreachable")
 
 
 def _measure_kept(
-    entry: EveTupleEntry, qubits: tuple[int, ...], basis: str, rng: np.random.Generator
+    record: EveRecord,
+    pos: int,
+    qubits: tuple[int, ...],
+    basis: str,
+    rng: np.random.Generator,
 ) -> dict[int, int]:
     """Measure Eve's retained qubits of one tuple, at most once."""
-    pending = [q for q in qubits if q not in entry.post_outcomes]
-    if pending and entry.final_state is not None:
+    outcomes = record.post_outcomes.setdefault(pos, {})
+    pending = [q for q in qubits if q not in outcomes]
+    if pending:
+        row = record.final_states[pos]
         bits, collapsed = measure_qubits(
-            entry.final_state, pending, [basis] * len(pending), rng
+            PureState(row, width(row)), pending, [basis] * len(pending), rng
         )
-        entry.final_state = collapsed
-        for q, b in zip(pending, bits):
-            entry.post_outcomes[q] = b
-    return entry.post_outcomes
+        record.final_states[pos] = collapsed.amplitudes
+        outcomes.update(zip(pending, bits))
+    return outcomes
 
 
 def _public_segments(transcript: "Transcript") -> tuple[dict, dict] | None:
@@ -245,34 +251,34 @@ def eve_postprocess(
     """Eve's best reconstruction of every agent's secret.
 
     Works from her in-transit records, late measurements of anything she
-    kept, and all classical traffic. Aborted runs carry no exchange traffic,
-    so every guessed bit is then a fair coin.
+    kept, and all classical traffic. Aborted runs carry no exchange traffic
+    and an inactive Eve holds no records, so every guessed bit is then a
+    fair coin.
     """
     layout = transcript.layout
     n_agents = layout.segments
+    attacked = record.final_states is not None
+    public = None if transcript.aborted or not attacked else _public_segments(transcript)
+    if public is None:
+        # nothing to go on: every bit is a fair coin, drawn in payload order
+        coins = rng.integers(0, 2, size=layout.total).tolist()
+        return tuple(
+            BitVector.from_bits(coins[slice(*layout.bounds(t))]) for t in range(n_agents)
+        )
+
+    broker_segments, cross_segments = public
     decoys = set(transcript.decoy_positions)
-    stream_length = transcript.stream_length
-    info_positions = [p for p in range(stream_length) if p not in decoys]
-
-    public = None if transcript.aborted else _public_segments(transcript)
-    entries = {e.stream_position: e for e in record.entries}
-
+    info_positions = [p for p in range(transcript.stream_length) if p not in decoys]
     guesses: list[BitVector] = []
     for t in range(n_agents):
         lo, hi = layout.bounds(t)
         bits: list[int] = []
         for j in range(lo, hi):
-            guess = None
-            if public is not None:
-                broker_segments, cross_segments = public
-                jj = j - lo
-                known = broker_segments[t].bit(jj)
-                for i in range(n_agents):
-                    if i != t:
-                        known ^= cross_segments[(i, t)].bit(jj)
-                entry = entries.get(info_positions[j])
-                if entry is not None:
-                    guess = _strategy_guess(record.strategy, entry, t, known, rng)
+            known = broker_segments[t].bit(j - lo)
+            for i in range(n_agents):
+                if i != t:
+                    known ^= cross_segments[(i, t)].bit(j - lo)
+            guess = _strategy_guess(record, info_positions[j], t, known, rng)
             if guess is None:
                 guess = int(rng.integers(0, 2))
             bits.append(guess)
@@ -281,27 +287,29 @@ def eve_postprocess(
 
 
 def _strategy_guess(
-    strategy: EveStrategy,
-    entry: EveTupleEntry,
+    record: EveRecord,
+    pos: int,
     owner: int,
     known: int,
     rng: np.random.Generator,
 ) -> int | None:
-    """Guess one payload bit from Eve's records, or None for a coin flip."""
+    """Guess one payload bit from Eve's records of the tuple at stream
+    position pos, or None for a coin flip."""
+    strategy = record.strategy
     if strategy.tag == MEASURE_RESEND:
         # a qubit resent in the Hadamard basis passes decryption unchanged,
         # so its owner's register bit equals Eve's outcome
-        for slot, basis, outcome in entry.measured:
-            if slot == owner and basis == HADAMARD:
-                return known ^ outcome
+        for j, slot in enumerate(record.targets):
+            if slot == owner and record.bases[pos, j] == HADAMARD:
+                return known ^ int(record.outcomes[pos, j])
         return None
 
     if strategy.tag == ENTANGLE_ANCILLA:
         # the ancillas extend the tuple to a larger GHZ state, so the parity
         # of all Hadamard outcomes, hers included, equals the payload bit;
         # the known sum still lacks the owner's withheld register bit
-        qubits = tuple(q for q, _ in entry.ancillas)
-        outcomes = _measure_kept(entry, qubits, HADAMARD, rng)
+        qubits = tuple(q for q, _ in record.ancillas)
+        outcomes = _measure_kept(record, pos, qubits, HADAMARD, rng)
         parity = 0
         for q in qubits:
             parity ^= outcomes[q]
@@ -310,8 +318,8 @@ def _strategy_guess(
     if strategy.tag == INTERCEPT_REPLACE:
         # computational outcomes of the kept qubits are branch labels with no
         # dependence on the embedded payload
-        qubits = tuple(q for q, _ in entry.intercepted) + entry.unforwarded
-        _measure_kept(entry, qubits, COMPUTATIONAL, rng)
+        qubits = tuple(q for q, _ in record.intercepted) + record.unforwarded
+        _measure_kept(record, pos, qubits, COMPUTATIONAL, rng)
         return None
 
     return None

@@ -6,115 +6,65 @@ random, keeps qubit n-1 of every tuple and sends qubit i of every tuple to
 agent i. Decoy positions and preparations are recorded so the validation
 stage can compare reported outcomes against them.
 
-Tuples are modeled as independent per-tuple states rather than one joint
-register, which keeps memory linear in the stream length; the joint picture
-is recovered exactly by the analysis oracles.
+The stream is one (m + d, 2**n) batch with one tuple per row in transmission
+order. Tuples are never entangled with each other, so rows stay separate
+states rather than one joint register, which keeps memory linear in the
+stream length; the joint picture is recovered exactly by the analysis
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, prepare_ghz, prepare_hadamard_product
+from .statevec import hadamard_product_rows, prepare_ghz
 
-__all__ = [
-    "KIND_INFORMATION",
-    "KIND_DECOY",
-    "SIGN_TEXT",
-    "TupleRecord",
-    "DistributionPlan",
-    "QubitAddress",
-    "DispatchTable",
-    "make_decoy_tuple",
-    "build_plan",
-    "dispatch",
-]
-
-KIND_INFORMATION = "information"
-KIND_DECOY = "decoy"
-
-# decoy preparation signs: 0 is the plus state, 1 is the minus state
-SIGN_TEXT = ("+", "-")
-
-
-def render_signs(signs: Sequence[int]) -> str:
-    return "".join(SIGN_TEXT[s] for s in signs)
-
-
-@dataclass
-class TupleRecord:
-    """One position of the tuple stream."""
-
-    stream_position: int
-    kind: str
-    decoy_prep: tuple[int, ...] | None
-    tuple_state: PureState
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_INFORMATION, KIND_DECOY):
-            raise ValueError(f"unknown tuple kind {self.kind!r}")
-        if (self.decoy_prep is not None) != (self.kind == KIND_DECOY):
-            raise ValueError("decoy_prep must be present exactly for decoy tuples")
+__all__ = ["DistributionPlan", "build_plan"]
 
 
 @dataclass
 class DistributionPlan:
     """Stream of m information tuples and d decoys in transmission order.
 
-    order[pos] identifies the logical tuple at stream position pos: values
-    0..m-1 are information tuples in payload-bit order, values m..m+d-1 are
-    decoys. position_map is the broker's private record of decoy positions
-    and their preparations.
+    states holds the prepared tuples, one row per stream position, and
+    is_decoy marks the decoy rows. signs is the broker's private record of
+    the decoy preparations: row i holds the signs (0 plus, 1 minus) of the
+    i-th decoy in stream order. order[pos] identifies the logical tuple at
+    stream position pos: values 0..m-1 are information tuples in payload-bit
+    order, values m..m+d-1 are decoys.
     """
 
     n: int
     m: int
     d: int
     order: tuple[int, ...]
-    tuples: list[TupleRecord]
-    position_map: dict[int, tuple[int, ...]]
+    is_decoy: np.ndarray
+    signs: np.ndarray
+    states: np.ndarray
 
     @property
     def information_positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, t in enumerate(self.tuples) if t.kind == KIND_INFORMATION)
+        return tuple(np.flatnonzero(~self.is_decoy).tolist())
 
     @property
     def decoy_positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.position_map))
+        return tuple(np.flatnonzero(self.is_decoy).tolist())
 
-
-def make_decoy_tuple(
-    n: int,
-    rng: np.random.Generator,
-    signs: Sequence[int] | None = None,
-    stream_position: int = -1,
-) -> TupleRecord:
-    """Fresh decoy tuple of n independently random plus/minus qubits.
-
-    signs may be forced for tests; otherwise each qubit is plus or minus with
-    probability one half.
-    """
-    if n < 2:
-        raise ValueError("a tuple needs at least two qubits")
-    if signs is None:
-        signs = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    else:
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != n:
-            raise ValueError(f"need {n} signs, got {len(signs)}")
-    return TupleRecord(
-        stream_position=stream_position,
-        kind=KIND_DECOY,
-        decoy_prep=signs,
-        tuple_state=prepare_hadamard_product(signs),
-    )
+    @property
+    def position_map(self) -> dict[int, tuple[int, ...]]:
+        """Decoy preparation by stream position."""
+        return {
+            pos: tuple(signs) for pos, signs in zip(self.decoy_positions, self.signs.tolist())
+        }
 
 
 def build_plan(m: int, d: int, n: int, rng: np.random.Generator) -> DistributionPlan:
-    """Interleave m information tuples and d decoys uniformly at random."""
+    """Interleave m information tuples and d decoys uniformly at random.
+
+    Each decoy qubit is plus or minus with probability one half.
+    """
     if m < 1:
         raise ValueError("need at least one information tuple")
     if d < 0:
@@ -122,80 +72,23 @@ def build_plan(m: int, d: int, n: int, rng: np.random.Generator) -> Distribution
     if n < 2:
         raise ValueError("need at least two parties")
 
-    logical = np.arange(m + d)
-    order = tuple(int(v) for v in rng.permutation(logical))
+    logical = rng.permutation(m + d)
+    is_decoy = logical >= m
+    signs = rng.integers(0, 2, size=(d, n))
 
-    # information tuples all start in the same GHZ state; the instance is
-    # shared because gate application never mutates a state
-    ghz = prepare_ghz(n)
-    tuples: list[TupleRecord] = []
-    position_map: dict[int, tuple[int, ...]] = {}
-    info_seen = 0
-    for pos, logical_id in enumerate(order):
-        if logical_id < m:
-            tuples.append(
-                TupleRecord(
-                    stream_position=pos,
-                    kind=KIND_INFORMATION,
-                    decoy_prep=None,
-                    tuple_state=ghz,
-                )
-            )
-            info_seen += 1
-        else:
-            record = make_decoy_tuple(n, rng, stream_position=pos)
-            tuples.append(record)
-            position_map[pos] = record.decoy_prep
-    assert info_seen == m
+    states = np.empty((m + d, 1 << n), dtype=np.complex128)
+    states[~is_decoy] = prepare_ghz(n).amplitudes
+    states[is_decoy] = hadamard_product_rows(signs)
 
     # renumber information tuples so payload bit j rides the j-th information
     # position in stream order
-    fixed_order = []
-    next_info = 0
-    for logical_id in order:
-        if logical_id < m:
-            fixed_order.append(next_info)
-            next_info += 1
-        else:
-            fixed_order.append(logical_id)
-
+    order = np.where(is_decoy, logical, np.cumsum(~is_decoy) - 1)
     return DistributionPlan(
         n=n,
         m=m,
         d=d,
-        order=tuple(fixed_order),
-        tuples=tuples,
-        position_map=position_map,
+        order=tuple(order.tolist()),
+        is_decoy=is_decoy,
+        signs=signs,
+        states=states,
     )
-
-
-@dataclass(frozen=True)
-class QubitAddress:
-    stream_position: int
-    qubit: int
-
-
-@dataclass
-class DispatchTable:
-    """Who holds which qubit of which tuple after transmission."""
-
-    n: int
-    broker: tuple[QubitAddress, ...]
-    agents: tuple[tuple[QubitAddress, ...], ...]
-
-    @property
-    def transmitted(self) -> tuple[QubitAddress, ...]:
-        out: list[QubitAddress] = []
-        for stream in self.agents:
-            out.extend(stream)
-        return tuple(out)
-
-
-def dispatch(plan: DistributionPlan) -> DispatchTable:
-    """Assign qubit n-1 of every tuple to the broker and qubit i to agent i."""
-    positions = range(len(plan.tuples))
-    broker = tuple(QubitAddress(pos, plan.n - 1) for pos in positions)
-    agents = tuple(
-        tuple(QubitAddress(pos, i) for pos in positions) for i in range(plan.n - 1)
-    )
-    return DispatchTable(n=plan.n, broker=broker, agents=agents)

@@ -17,14 +17,14 @@ all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
 from .bitvec import BitVector, SegmentLayout, concat_secrets, segment, xor_all
-from .distribution import DispatchTable, DistributionPlan, build_plan, dispatch
-from .statevec import HADAMARD, PureState, apply_phase_flip, measure_qubits
+from .distribution import DistributionPlan, build_plan
+from .statevec import HADAMARD, MAX_QUBITS, check_rows, measure_rows, phase_flip_rows
 
 __all__ = [
     "Scenario",
@@ -90,6 +90,11 @@ class Scenario:
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must lie strictly between 0 and 1")
         self.eve.validate_for(self.n)
+        qubits = self.n + self.eve.extra_qubits(self.n)
+        if qubits > MAX_QUBITS:
+            raise ValueError(
+                f"tuples of {qubits} qubits, Eve's included, exceed the cap of {MAX_QUBITS}"
+            )
 
     @property
     def payload_length(self) -> int:
@@ -163,7 +168,6 @@ class RunOutcome:
     payload: BitVector
     layout: SegmentLayout
     transcript: Transcript
-    dispatch_table: DispatchTable
     eve_record: EveRecord
     eve_rng: np.random.Generator
 
@@ -171,51 +175,41 @@ class RunOutcome:
         return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
 
 
-def embed_secret(
-    states: Sequence[PureState], payload: BitVector, n: int
-) -> list[PureState]:
-    """Embed payload bit j into information tuple j.
+def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
+    """Embed payload bit j into information tuple j, row j of the batch.
 
     The broker's output qubit stays in the minus state while each of her
     tuple qubits controls a CNOT onto it, which kicks a phase of -1 onto the
     branch where tuple qubit j is 1 whenever payload bit j is 1. The oracle
     module keeps an explicit-output-qubit variant for cross-checking.
     """
-    if len(states) != payload.length:
-        raise ValueError(f"need {payload.length} tuples, got {len(states)}")
-    out = []
-    for j, state in enumerate(states):
-        out.append(apply_phase_flip(state, n - 1) if payload.bit(j) else state)
+    if batch.shape[0] != payload.length:
+        raise ValueError(f"need {payload.length} tuples, got {batch.shape[0]}")
+    flips = np.array(payload.bits(), dtype=bool)
+    out = batch.copy()
+    out[flips] = phase_flip_rows(batch[flips], n - 1)
     return out
 
 
 def decrypt_and_measure(
-    states: Sequence[PureState], n: int, rng: np.random.Generator
-) -> tuple[Registers, list[PureState]]:
+    batch: np.ndarray, n: int, rng: np.random.Generator
+) -> tuple[Registers, np.ndarray]:
     """Hadamard every protocol qubit of every tuple and measure.
 
-    Returns the assembled registers and the collapsed tuple states (any
-    adversary-held qubits in them remain unmeasured).
+    Returns the assembled registers and the collapsed tuple batch (any
+    adversary-held qubits in it remain unmeasured).
     """
-    slots = list(range(n))
-    bases = [HADAMARD] * n
-    per_slot_bits: list[list[int]] = [[] for _ in range(n)]
-    collapsed: list[PureState] = []
-    for state in states:
-        bits, state_after = measure_qubits(state, slots, bases, rng)
-        collapsed.append(state_after)
-        for slot, bit in zip(slots, bits):
-            per_slot_bits[slot].append(bit)
+    bits, collapsed = measure_rows(batch, range(n), [HADAMARD] * n, rng.random(batch.shape[0]))
     registers = Registers(
-        broker=BitVector.from_bits(per_slot_bits[n - 1]),
-        agents=tuple(BitVector.from_bits(per_slot_bits[i]) for i in range(n - 1)),
+        broker=BitVector.from_bits(bits[:, n - 1].tolist()),
+        agents=tuple(BitVector.from_bits(bits[:, i].tolist()) for i in range(n - 1)),
     )
     return registers, collapsed
 
 
 def run_validation(
     plan: DistributionPlan,
-    states: list[PureState],
+    batch: np.ndarray,
     noise_p: float,
     threshold_fraction: float,
     rng: np.random.Generator,
@@ -225,34 +219,43 @@ def run_validation(
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The collapsed decoy states are written back into states.
+    independently. The collapsed decoy rows are written back into batch.
     """
     n = plan.n
+    decoys = plan.decoy_positions
     messages = [
         ClassicalMessage(
             stage=STAGE_VALIDATION,
             sender=BROKER,
             receiver=ALL_AGENTS,
             label="decoy_positions",
-            payload=",".join(str(p) for p in plan.decoy_positions),
+            payload=",".join(str(p) for p in decoys),
         )
     ]
-    agent_reports: list[list[int]] = [[] for _ in range(n - 1)]
-    check_results: list[tuple[int, int, int, int, bool]] = []
-    errors = 0
-    for pos in plan.decoy_positions:
-        prep = plan.position_map[pos]
-        slots = list(range(n - 1))
-        bits, collapsed = measure_qubits(states[pos], slots, [HADAMARD] * (n - 1), rng)
-        states[pos] = collapsed
-        for slot, bit in zip(slots, bits):
-            reported = bit ^ int(rng.random() < noise_p)
-            agent_reports[slot].append(reported)
-            wrong = reported != prep[slot]
-            errors += wrong
-            check_results.append((pos, slot, prep[slot], reported, wrong))
+    # per decoy in stream order: the measurement's sample draw, then one
+    # noise draw per agent slot
+    draws = rng.random((plan.d, n))
+    bits, collapsed = measure_rows(
+        batch[plan.is_decoy], range(n - 1), [HADAMARD] * (n - 1), draws[:, 0]
+    )
+    batch[plan.is_decoy] = collapsed
+    reported = bits ^ (draws[:, 1:] < noise_p)
+    expected = plan.signs[:, : n - 1]
+    wrong = reported != expected
+    positions = np.repeat(np.flatnonzero(plan.is_decoy), n - 1)
+    slots = np.tile(np.arange(n - 1), plan.d)
+    check_results = tuple(
+        zip(
+            positions.tolist(),
+            slots.tolist(),
+            expected.ravel().tolist(),
+            reported.ravel().tolist(),
+            wrong.ravel().tolist(),
+        )
+    )
 
-    for i, report in enumerate(agent_reports):
+    for i in range(n - 1):
+        report = reported[:, i].tolist()
         messages.append(
             ClassicalMessage(
                 stage=STAGE_VALIDATION,
@@ -263,6 +266,7 @@ def run_validation(
             )
         )
 
+    errors = int(wrong.sum())
     decoy_checks = plan.d * (n - 1)
     threshold = threshold_fraction * decoy_checks
     verdict = "fail" if decoy_checks > 0 and errors >= threshold else "pass"
@@ -271,7 +275,7 @@ def run_validation(
         errors=errors,
         threshold=threshold,
         verdict=verdict,
-        check_results=tuple(check_results),
+        check_results=check_results,
     )
     return report, messages
 
@@ -359,35 +363,31 @@ def execute_run(scenario: Scenario) -> RunOutcome:
     ]
 
     plan = build_plan(payload.length, d, n, rng_protocol)
-    states = [record.tuple_state for record in plan.tuples]
-    table = dispatch(plan)
+    batch = plan.states
+    if scenario.eve.active:
+        batch, eve_record = attack_tuple(scenario.eve, batch, rng_eve)
+    else:
+        eve_record = EveRecord(strategy=scenario.eve, n=n)
+    check_rows(batch)
     stages.append(STAGE_DISTRIBUTION)
 
-    eve_record = EveRecord(strategy=scenario.eve, n=n)
-    if scenario.eve.active:
-        for pos in range(len(states)):
-            states[pos], entry = attack_tuple(
-                scenario.eve, states[pos], rng_eve, stream_position=pos
-            )
-            eve_record.entries.append(entry)
-
     report, vt_messages = run_validation(
-        plan, states, scenario.noise_p, scenario.threshold_fraction, rng_protocol
+        plan, batch, scenario.noise_p, scenario.threshold_fraction, rng_protocol
     )
+    check_rows(batch)
     messages.extend(vt_messages)
     stages.append(STAGE_VALIDATION)
 
     registers: Registers | None = None
     recovered: tuple[BitVector, ...] | None = None
     if not report.failed:
-        info_positions = plan.information_positions
-        info_states = [states[pos] for pos in info_positions]
-        info_states = embed_secret(info_states, payload, n)
+        info = ~plan.is_decoy
+        embedded = embed_secret(batch[info], payload, n)
         stages.append(STAGE_EMBEDDING)
 
-        registers, collapsed = decrypt_and_measure(info_states, n, rng_protocol)
-        for pos, state in zip(info_positions, collapsed):
-            states[pos] = state
+        registers, collapsed = decrypt_and_measure(embedded, n, rng_protocol)
+        batch[info] = collapsed
+        check_rows(batch)
         stages.append(STAGE_DECRYPTION)
 
         exchange_messages, received = classical_exchange(registers, layout)
@@ -400,8 +400,8 @@ def execute_run(scenario: Scenario) -> RunOutcome:
         )
         stages.append(STAGE_RECOVERY)
 
-    for entry in eve_record.entries:
-        entry.final_state = states[entry.stream_position]
+    if scenario.eve.active:
+        eve_record.final_states = batch
 
     transcript = Transcript(
         n=n,
@@ -420,7 +420,6 @@ def execute_run(scenario: Scenario) -> RunOutcome:
         payload=payload,
         layout=layout,
         transcript=transcript,
-        dispatch_table=table,
         eve_record=eve_record,
         eve_rng=rng_eve,
     )

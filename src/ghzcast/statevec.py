@@ -1,8 +1,10 @@
-"""Dense pure-state simulation of few-qubit registers.
+"""Dense pure-state simulation of few-qubit registers, one state or a batch.
 
 Conventions used throughout the package:
 
-- A state over k qubits is a flat complex array of 2**k amplitudes.
+- A state over k qubits is a flat complex array of 2**k amplitudes. A batch
+  of T states of the same width is one (T, 2**k) array, one state per row;
+  the protocol simulates a whole tuple stream as one batch.
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
@@ -10,15 +12,16 @@ Conventions used throughout the package:
   measuring in the computational basis; outcome 0 means the plus state and
   outcome 1 means the minus state.
 
-Operations never mutate their input state; they return new PureState values,
-so a state may safely be shared between protocol tuples.
+The *_rows kernels act on every row of a batch at once and never mutate
+their input; they do not check norms, so callers check a batch with
+check_rows at stage boundaries. The single-state functions (apply_hadamard,
+measure_qubits, ...) are the T=1 case of the same kernels and return
+norm-checked PureState values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +33,15 @@ __all__ = [
     "HADAMARD",
     "MAX_QUBITS",
     "PureState",
+    "width",
+    "check_rows",
+    "hadamard_product_rows",
+    "hadamard_rows",
+    "cnot_rows",
+    "phase_flip_rows",
+    "swap_rows",
+    "append_rows",
+    "measure_rows",
     "prepare_basis",
     "prepare_hadamard_product",
     "apply_hadamard",
@@ -54,6 +66,18 @@ HADAMARD = "hadamard"
 _SQRT_HALF = np.sqrt(0.5)
 
 
+def _check_width(num_qubits: int) -> None:
+    if not 0 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"qubit count {num_qubits} outside 0..{MAX_QUBITS}")
+
+
+def _check_norms(amplitudes: np.ndarray) -> None:
+    norms = np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=-1)
+    worst = np.max(np.abs(norms - 1.0), initial=0.0)
+    if worst > NORM_TOL:
+        raise ValueError(f"state norm deviates from 1 by {worst} beyond {NORM_TOL}")
+
+
 @dataclass
 class PureState:
     """Normalized state vector over num_qubits qubits."""
@@ -63,25 +87,177 @@ class PureState:
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if not 0 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"qubit count {self.num_qubits} outside 0..{MAX_QUBITS}")
+        _check_width(self.num_qubits)
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"amplitude array of shape {self.amplitudes.shape} does not match "
                 f"{self.num_qubits} qubits"
             )
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        _check_norms(self.amplitudes)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-def _axis(state: PureState, qubit: int) -> int:
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-    return state.num_qubits - 1 - qubit
+def width(batch: np.ndarray) -> int:
+    """Qubit count of the states in a (T, 2**k) batch."""
+    return batch.shape[-1].bit_length() - 1
+
+
+def check_rows(batch: np.ndarray) -> None:
+    """Validate a batch: power-of-two rows within the qubit cap, each of norm 1."""
+    if batch.ndim != 2 or batch.shape[1] != 1 << width(batch):
+        raise ValueError(f"batch of shape {batch.shape} is not (T, 2**k)")
+    _check_width(width(batch))
+    _check_norms(batch)
+
+
+def _check_qubit(num_qubits: int, qubit: int) -> None:
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
+
+
+def _one(kernel, state: PureState, *args) -> PureState:
+    """Apply a batch kernel to a single state as a batch of one row."""
+    out = kernel(state.amplitudes[None], *args)[0]
+    return PureState(out, width(out))
+
+
+def hadamard_product_rows(signs: np.ndarray) -> np.ndarray:
+    """One product state per row of signs: qubit j plus (0) or minus (1)."""
+    signs = np.asarray(signs, dtype=np.uint32)
+    n = signs.shape[1]
+    minus_masks = signs @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
+    idx = np.arange(1 << n, dtype=np.uint32)
+    sign = 1.0 - 2.0 * (np.bitwise_count(idx & minus_masks[:, None]) & 1)
+    return (sign * (0.5 ** (n / 2))).astype(np.complex128)
+
+
+def _hadamard_axis(x: np.ndarray, qubit: int) -> np.ndarray:
+    """H on one qubit of the amplitude axis of an (outer, 2**k, inner) array."""
+    outer, dim, inner = x.shape
+    _check_qubit(dim.bit_length() - 1, qubit)
+    view = x.reshape(outer * (dim >> (qubit + 1)), 2, (1 << qubit) * inner)
+    out = np.empty_like(view)
+    np.add(view[:, 0], view[:, 1], out=out[:, 0])
+    np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+    out *= _SQRT_HALF
+    return out.reshape(x.shape)
+
+
+def hadamard_rows(batch: np.ndarray, qubit: int) -> np.ndarray:
+    return _hadamard_axis(batch[:, :, None], qubit)[:, :, 0]
+
+
+def cnot_rows(batch: np.ndarray, control: int, target: int) -> np.ndarray:
+    if control == target:
+        raise ValueError("control and target must differ")
+    num_qubits = width(batch)
+    _check_qubit(num_qubits, control)
+    _check_qubit(num_qubits, target)
+    idx = np.arange(batch.shape[1])
+    return batch[:, idx ^ (((idx >> control) & 1) << target)]
+
+
+def phase_flip_rows(batch: np.ndarray, qubit: int) -> np.ndarray:
+    """Pauli Z: negate every amplitude where the qubit is 1."""
+    _check_qubit(width(batch), qubit)
+    out = batch.copy()
+    out.reshape(batch.shape[0], batch.shape[1] >> (qubit + 1), 2, 1 << qubit)[:, :, 1] *= -1.0
+    return out
+
+
+def swap_rows(batch: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Relabel two qubits of every row."""
+    num_qubits = width(batch)
+    _check_qubit(num_qubits, a)
+    _check_qubit(num_qubits, b)
+    # axis 0 is the batch; axis 1 + i holds qubit num_qubits - 1 - i
+    view = batch.reshape((batch.shape[0],) + (2,) * num_qubits)
+    return np.swapaxes(view, num_qubits - a, num_qubits - b).copy().reshape(batch.shape)
+
+
+def append_rows(batch: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Join every row with the register extra, whose qubits go above the row's."""
+    if width(batch) + width(extra) > MAX_QUBITS:
+        raise ValueError("combined state exceeds the qubit cap")
+    joint = extra[None, :, None] * batch[:, None, :]
+    return joint.reshape(batch.shape[0], extra.shape[0] * batch.shape[1])
+
+
+def _subset_key(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
+    """Maps each basis index to the packed bits of the given qubits."""
+    idx = np.arange(1 << num_qubits, dtype=np.int64)
+    key = np.zeros_like(idx)
+    for b, q in enumerate(qubits):
+        key |= ((idx >> q) & 1) << b
+    return key
+
+
+def _rotate_rows(batch: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) -> np.ndarray:
+    """Hadamard on qubit j of the rows where hadamard[:, j] is set, in qubit order.
+
+    The passes run on the transposed (2**k, T) layout, where the innermost
+    loop of every pass spans whole columns of rows rather than runs of
+    2**qubit amplitudes.
+    """
+    if not hadamard.any():
+        return batch
+    cols = np.ascontiguousarray(batch.T)[None]
+    for j, q in enumerate(qubits):
+        rows = hadamard[:, j]
+        if rows.all():
+            cols = _hadamard_axis(cols, q)
+        elif rows.any():
+            cols = cols.copy()
+            cols[:, :, rows] = _hadamard_axis(cols[:, :, rows], q)
+    return np.ascontiguousarray(cols[0].T)
+
+
+def measure_rows(
+    batch: np.ndarray, qubits: Sequence[int], bases, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the same qubits of every row; returns (T, k) bits and collapsed rows.
+
+    bases holds one basis per measured qubit, or a (T, k) array of them for
+    bases that differ between rows. u holds one uniform draw in [0, 1) per
+    row: the outcome is the first whose cumulative marginal probability
+    exceeds u times the row's total. Collapsed rows are returned in the
+    physical frame: a qubit measured in the Hadamard basis is left in the
+    plus or minus state, so later gates act on what a receiver would hold.
+    """
+    num_qubits = width(batch)
+    rows, k = batch.shape[0], len(qubits)
+    if len(set(qubits)) != k:
+        raise ValueError("measured qubits must be distinct")
+    for q in qubits:
+        _check_qubit(num_qubits, q)
+    names = np.asarray(bases, dtype=str)
+    if names.shape[-1:] != (k,):
+        raise ValueError("need one basis per measured qubit")
+    unknown = set(names.ravel().tolist()) - {COMPUTATIONAL, HADAMARD}
+    if unknown:
+        raise ValueError(f"unknown basis {sorted(unknown)[0]!r}")
+    hadamard = np.broadcast_to(names == HADAMARD, (rows, k))
+
+    work = _rotate_rows(batch, qubits, hadamard)
+    outcomes = 1 << k
+    key = _subset_key(num_qubits, qubits)
+    # bincount sums each row's probabilities per outcome in index order
+    row_keys = np.arange(rows)[:, None] * outcomes + key
+    marginal = np.bincount(
+        row_keys.ravel(),
+        weights=(work.real**2 + work.imag**2).ravel(),
+        minlength=rows * outcomes,
+    ).reshape(rows, outcomes)
+    cum = np.cumsum(marginal, axis=1)
+    r = np.asarray(u) * cum[:, -1]
+    picked = np.minimum(np.sum(cum <= r[:, None], axis=1), outcomes - 1)
+    bits = (picked[:, None] >> np.arange(k)) & 1
+
+    kept = np.where(key == picked[:, None], work, 0.0)
+    kept /= np.sqrt(marginal[np.arange(rows), picked])[:, None]
+    return bits, _rotate_rows(kept, qubits, hadamard)
 
 
 def prepare_basis(labels: BitVector) -> PureState:
@@ -95,59 +271,20 @@ def prepare_hadamard_product(signs: Sequence[int]) -> PureState:
     """Product state of plus (sign 0) and minus (sign 1) qubits."""
     if any(s not in (0, 1) for s in signs):
         raise ValueError(f"signs must be 0 or 1, got {tuple(signs)!r}")
-    return _hadamard_product_cached(tuple(signs))
-
-
-@lru_cache(maxsize=256)
-def _hadamard_product_cached(signs: tuple[int, ...]) -> PureState:
-    n = len(signs)
-    minus_mask = sum(s << q for q, s in enumerate(signs))
-    idx = np.arange(1 << n, dtype=np.uint32)
-    par = (np.bitwise_count(idx & np.uint32(minus_mask)) & 1).astype(np.float64)
-    amps = ((-1.0) ** par) * (0.5 ** (n / 2))
-    return PureState(amps.astype(np.complex128), n)
-
-
-def _hadamard_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
-    view = amps.reshape(-1, 2, 1 << qubit)
-    a0 = view[:, 0, :]
-    a1 = view[:, 1, :]
-    out = np.empty_like(view)
-    out[:, 0, :] = a0 + a1
-    out[:, 1, :] = a0 - a1
-    return (out * _SQRT_HALF).reshape(-1)
+    return PureState(hadamard_product_rows([signs])[0], len(signs))
 
 
 def apply_hadamard(state: PureState, qubit: int) -> PureState:
-    return PureState(
-        _hadamard_raw(state.amplitudes, state.num_qubits, qubit), state.num_qubits
-    )
+    return _one(hadamard_rows, state, qubit)
 
 
 def apply_cnot(state: PureState, control: int, target: int) -> PureState:
-    if control == target:
-        raise ValueError("control and target must differ")
-    cax = _axis(state, control)
-    tax = _axis(state, target)
-    view = state.amplitudes.reshape((2,) * state.num_qubits).copy()
-    sel: list = [slice(None)] * state.num_qubits
-    sel[cax] = 1
-    # integer-indexing drops the control axis, shifting later axes down by one
-    sub_tax = tax - 1 if tax > cax else tax
-    view[tuple(sel)] = np.flip(view[tuple(sel)], axis=sub_tax)
-    return PureState(view.reshape(-1), state.num_qubits)
+    return _one(cnot_rows, state, control, target)
 
 
 def apply_phase_flip(state: PureState, qubit: int) -> PureState:
     """Pauli Z: negate every amplitude where the qubit is 1."""
-    ax = _axis(state, qubit)
-    view = state.amplitudes.reshape((2,) * state.num_qubits).copy()
-    sel: list = [slice(None)] * state.num_qubits
-    sel[ax] = 1
-    view[tuple(sel)] *= -1.0
-    return PureState(view.reshape(-1), state.num_qubits)
+    return _one(phase_flip_rows, state, qubit)
 
 
 def ghz_layers(n: int, topology: str = "linear") -> list[list[tuple[int, int]]]:
@@ -172,67 +309,30 @@ def ghz_layers(n: int, topology: str = "linear") -> list[list[tuple[int, int]]]:
 
 
 def prepare_ghz(n: int, topology: str = "linear") -> PureState:
-    state = apply_hadamard(prepare_basis(BitVector.zeros(n)), 0)
-    for layer in ghz_layers(n, topology):
+    layers = ghz_layers(n, topology)
+    batch = hadamard_rows(prepare_basis(BitVector.zeros(n)).amplitudes[None], 0)
+    for layer in layers:
         for control, target in layer:
-            state = apply_cnot(state, control, target)
-    return state
-
-
-def _rotate(state: PureState, bases: Sequence[str]) -> PureState:
-    if len(bases) != state.num_qubits:
-        raise ValueError("need one basis per qubit")
-    for q, b in enumerate(bases):
-        if b == HADAMARD:
-            state = apply_hadamard(state, q)
-        elif b != COMPUTATIONAL:
-            raise ValueError(f"unknown basis {b!r}")
-    return state
+            batch = cnot_rows(batch, control, target)
+    return PureState(batch[0], n)
 
 
 def distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
     """Exact Born probabilities for measuring every qubit in the given bases."""
-    return _rotate(state, bases).probabilities()
-
-
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    r = rng.random() * float(cum[-1])
-    return min(int(np.searchsorted(cum, r, side="right")), len(weights) - 1)
-
-
-_KEY_CACHE_QUBIT_CAP = 16
-
-
-def _subset_key(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Maps each basis index to the packed bits of the given qubits."""
-    if num_qubits <= _KEY_CACHE_QUBIT_CAP:
-        return _subset_key_cached(num_qubits, qubits)
-    return _subset_key_build(num_qubits, qubits)
-
-
-def _subset_key_build(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(1 << num_qubits, dtype=np.uint64)
-    key = np.zeros_like(idx)
-    for b, q in enumerate(qubits):
-        key |= ((idx >> np.uint64(q)) & np.uint64(1)) << np.uint64(b)
-    return key.astype(np.int64)
-
-
-@lru_cache(maxsize=64)
-def _subset_key_cached(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
-    key = _subset_key_build(num_qubits, qubits)
-    key.setflags(write=False)
-    return key
+    if len(bases) != state.num_qubits:
+        raise ValueError("need one basis per qubit")
+    if set(bases) - {COMPUTATIONAL, HADAMARD}:
+        raise ValueError(f"unknown basis in {tuple(bases)!r}")
+    hadamard = np.array([[b == HADAMARD for b in bases]])
+    return np.abs(_rotate_rows(state.amplitudes[None], range(state.num_qubits), hadamard)[0]) ** 2
 
 
 def measure_all(
     state: PureState, bases: Sequence[str], rng: np.random.Generator
 ) -> tuple[BitVector, PureState]:
     """Measure every qubit; the collapsed state is kept in the measured frame."""
-    probs = distribution(state, bases)
-    idx = _sample_index(probs, rng)
-    outcome = BitVector(idx, state.num_qubits)
+    bits, _ = measure_qubits(state, range(state.num_qubits), bases, rng)
+    outcome = BitVector.from_bits(bits)
     return outcome, prepare_basis(outcome)
 
 
@@ -242,56 +342,23 @@ def measure_qubits(
     bases: Sequence[str],
     rng: np.random.Generator,
 ) -> tuple[tuple[int, ...], PureState]:
-    """Measure a subset of qubits, returning their bits and the collapsed state.
-
-    The collapsed state is returned in the physical frame: a qubit measured in
-    the Hadamard basis is left in the plus or minus state, so later gates act
-    on what a receiver would actually hold.
-    """
-    if len(qubits) != len(bases):
-        raise ValueError("need one basis per measured qubit")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits must be distinct")
-    nq = state.num_qubits
-    work = state.amplitudes
-    for q, b in zip(qubits, bases):
-        if b == HADAMARD:
-            work = _hadamard_raw(work, nq, q)
-        elif b == COMPUTATIONAL:
-            if not 0 <= q < nq:
-                raise ValueError(f"qubit {q} out of range for {nq}-qubit state")
-        else:
-            raise ValueError(f"unknown basis {b!r}")
-
-    probs = work.real**2 + work.imag**2
-    key = _subset_key(nq, tuple(qubits))
-    marginal = np.bincount(key, weights=probs, minlength=1 << len(qubits))
-    picked = _sample_index(marginal, rng)
-    bits = tuple((picked >> b) & 1 for b in range(len(qubits)))
-
-    amps = np.where(key == picked, work, 0.0)
-    amps = amps / math.sqrt(np.vdot(amps, amps).real)
-    for q, b in zip(qubits, bases):
-        if b == HADAMARD:
-            amps = _hadamard_raw(amps, nq, q)
-    return bits, PureState(amps, nq)
+    """Measure a subset of qubits of one state: measure_rows on one row."""
+    bits, collapsed = measure_rows(
+        state.amplitudes[None], list(qubits), bases, np.array([rng.random()])
+    )
+    return tuple(bits[0].tolist()), PureState(collapsed[0], state.num_qubits)
 
 
 def tensor(state: PureState, extra: PureState) -> PureState:
     """Join two registers; qubits of extra are appended above those of state."""
-    if state.num_qubits + extra.num_qubits > MAX_QUBITS:
-        raise ValueError("combined state exceeds the qubit cap")
-    amps = np.kron(extra.amplitudes, state.amplitudes)
-    return PureState(amps, state.num_qubits + extra.num_qubits)
+    return _one(append_rows, state, extra.amplitudes)
 
 
 def swap_qubits(state: PureState, a: int, b: int) -> PureState:
     """Relabel two qubits of the state."""
     if a == b:
         return state
-    view = state.amplitudes.reshape((2,) * state.num_qubits)
-    view = np.swapaxes(view, _axis(state, a), _axis(state, b))
-    return PureState(view.reshape(-1).copy(), state.num_qubits)
+    return _one(swap_rows, state, a, b)
 
 
 def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:

@@ -17,7 +17,7 @@ from ghzcast.protocol import Scenario, execute_run
 from ghzcast.statevec import (
     COMPUTATIONAL,
     HADAMARD,
-    measure_qubits,
+    measure_rows,
     prepare_ghz,
     prepare_hadamard_product,
 )
@@ -57,58 +57,60 @@ class TestStrategyValidation:
 
     def test_inactive_attack_rejected(self, rng):
         with pytest.raises(ValueError):
-            attack_tuple(EveStrategy(), prepare_ghz(3), rng)
+            attack_tuple(EveStrategy(), ghz_batch(3), rng)
+
+
+def ghz_batch(n, rows=1):
+    return np.tile(prepare_ghz(n).amplitudes, (rows, 1))
 
 
 class TestAttackStates:
     def test_measure_resend_keeps_width(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        state, entry = attack_tuple(eve, prepare_ghz(3), rng)
-        assert state.num_qubits == 3
-        assert len(entry.measured) == 1
-        slot, basis, outcome = entry.measured[0]
-        assert slot == 0 and basis == COMPUTATIONAL and outcome in (0, 1)
+        batch, record = attack_tuple(eve, ghz_batch(3, rows=4), rng)
+        assert batch.shape == (4, 8)
+        assert record.targets == (0,)
+        assert record.bases.shape == record.outcomes.shape == (4, 1)
+        assert set(record.bases.ravel()) == {COMPUTATIONAL}
+        assert set(record.outcomes.ravel()) <= {0, 1}
 
     def test_measure_resend_collapses_ghz_computationally(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        for _ in range(20):
-            state, entry = attack_tuple(eve, prepare_ghz(3), rng)
-            c = entry.measured[0][2]
+        batch, record = attack_tuple(eve, ghz_batch(3, rows=20), rng)
+        for row, c in zip(batch, record.outcomes[:, 0]):
             # GHZ collapses to the all-c product state
-            assert abs(state.amplitudes[c * 7]) == pytest.approx(1.0)
+            assert abs(row[c * 7]) == pytest.approx(1.0)
 
     def test_random_basis_uses_both(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS)
-        bases = {attack_tuple(eve, prepare_ghz(3), rng)[1].measured[0][1] for _ in range(50)}
-        assert bases == {COMPUTATIONAL, HADAMARD}
+        _, record = attack_tuple(eve, ghz_batch(3, rows=50), rng)
+        assert set(record.bases[:, 0]) == {COMPUTATIONAL, HADAMARD}
 
     def test_intercept_replace_structure(self, rng):
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2)
-        state, entry = attack_tuple(eve, prepare_ghz(3), rng)
-        assert state.num_qubits == 6
-        assert entry.intercepted == ((3, 0), (4, 1))
-        assert entry.unforwarded == (5,)
+        batch, record = attack_tuple(eve, ghz_batch(3), rng)
+        assert batch.shape == (1, 64)
+        assert record.intercepted == ((3, 0), (4, 1))
+        assert record.unforwarded == (5,)
 
     def test_intercept_replace_forwards_fresh_members(self, rng):
         # the forwarded replacement qubits read uniform in the Hadamard basis
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=1)
-        ones = 0
         trials = 400
-        for _ in range(trials):
-            state, _ = attack_tuple(eve, prepare_hadamard_product((0, 0, 0)), rng)
-            (bit,), _ = measure_qubits(state, (0,), (HADAMARD,), rng)
-            ones += bit
-        assert abs(ones / trials - 0.5) < 0.07
+        plus = np.tile(prepare_hadamard_product((0, 0, 0)).amplitudes, (trials, 1))
+        batch, _ = attack_tuple(eve, plus, rng)
+        bits, _ = measure_rows(batch, (0,), (HADAMARD,), rng.random(trials))
+        assert abs(bits.mean() - 0.5) < 0.07
 
     def test_entangle_ancilla_extends_ghz(self, rng):
         eve = EveStrategy(tag=ENTANGLE_ANCILLA, k=1)
-        state, entry = attack_tuple(eve, prepare_ghz(3), rng)
-        assert state.num_qubits == 4
-        assert entry.ancillas == ((3, 0),)
+        batch, record = attack_tuple(eve, ghz_batch(3), rng)
+        assert batch.shape == (1, 16)
+        assert record.ancillas == ((3, 0),)
         # CNOT from a GHZ member onto |0> grows the GHZ by one qubit
         expect = np.zeros(16, dtype=complex)
         expect[0] = expect[15] = math.sqrt(0.5)
-        assert np.allclose(state.amplitudes, expect)
+        assert np.allclose(batch[0], expect)
 
 
 def _rates(secrets, eve, trials, d, n=3, seed=5):

@@ -205,6 +205,25 @@ class TestRunCommand:
         matches = [entry["match"] for entry in report["recovery"].values()]
         assert not all(matches)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 13 protocol qubits plus Eve's 13-qubit replacement tuple
+            'n: 13\npivs: ["1","0","1","1","0","0","1","0","1","1","0","1"]\n'
+            "eve: {strategy: intercept_replace, k: 2}\n",
+            "n: 25\npivs: [" + ", ".join(['"1"'] * 24) + "]\n",
+        ],
+        ids=["intercept_replace_n13", "honest_n25"],
+    )
+    def test_tuples_over_the_qubit_cap_are_usage_errors(self, tmp_path, capsys, text):
+        code = main(["run", str(write_scenario(tmp_path, text))])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ghzcast: error:") and "cap" in err
+        assert "\n" not in err
+
     def test_missing_scenario_is_usage_error(self, capsys):
         code = main(["run", "/does/not/exist.yaml"])
         assert code == EXIT_USAGE

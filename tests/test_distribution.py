@@ -1,41 +1,29 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcast.distribution import (
-    KIND_DECOY,
-    KIND_INFORMATION,
-    TupleRecord,
-    build_plan,
-    dispatch,
-    make_decoy_tuple,
-    render_signs,
-)
-from ghzcast.statevec import prepare_ghz, states_equal
+from ghzcast.distribution import build_plan
+from ghzcast.statevec import prepare_ghz, prepare_hadamard_product
 
 
 def test_decoy_tuple_records_preparation(rng):
-    record = make_decoy_tuple(3, rng, signs=(0, 1, 0))
-    assert record.kind == KIND_DECOY
-    assert record.decoy_prep == (0, 1, 0)
-    assert record.tuple_state.num_qubits == 3
-    assert render_signs(record.decoy_prep) == "+-+"
+    plan = build_plan(2, 6, 3, rng)
+    for pos, signs in plan.position_map.items():
+        assert plan.is_decoy[pos]
+        assert np.array_equal(plan.states[pos], prepare_hadamard_product(signs).amplitudes)
 
 
 def test_decoy_tuple_random_signs(rng):
-    seen = {make_decoy_tuple(2, rng).decoy_prep for _ in range(100)}
-    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    plan = build_plan(1, 100, 2, rng)
+    assert set(plan.position_map.values()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_tuple_record_kind_guard(rng):
-    state = prepare_ghz(3)
-    with pytest.raises(ValueError):
-        TupleRecord(0, "noise", None, state)
-    with pytest.raises(ValueError):
-        TupleRecord(0, KIND_INFORMATION, (0, 1, 0), state)
-    with pytest.raises(ValueError):
-        TupleRecord(0, KIND_DECOY, None, state)
+    # a preparation record exists exactly for the decoy positions
+    plan = build_plan(5, 7, 3, rng)
+    assert plan.signs.shape == (7, 3)
+    assert set(plan.position_map) == set(np.flatnonzero(plan.is_decoy).tolist())
+    assert not set(plan.position_map) & set(plan.information_positions)
 
 
 class TestBuildPlan:
@@ -47,7 +35,7 @@ class TestBuildPlan:
 
     def test_counts(self, rng):
         plan = build_plan(6, 4, 3, rng)
-        assert len(plan.tuples) == 10
+        assert plan.states.shape == (10, 8)
         assert len(plan.position_map) == 4
         assert len(plan.information_positions) == 6
         assert set(plan.decoy_positions) | set(plan.information_positions) == set(range(10))
@@ -56,7 +44,7 @@ class TestBuildPlan:
         plan = build_plan(4, 2, 3, rng)
         ghz = prepare_ghz(3)
         for pos in plan.information_positions:
-            assert states_equal(plan.tuples[pos].tuple_state, ghz)
+            assert np.array_equal(plan.states[pos], ghz.amplitudes)
 
     def test_payload_bit_order_follows_stream(self, rng):
         # information tuple j in stream order carries payload bit j
@@ -71,7 +59,7 @@ class TestBuildPlan:
         draws = 10_000
         for _ in range(draws):
             plan = build_plan(1, 1, 2, rng)
-            first_is_decoy += plan.tuples[0].kind == KIND_DECOY
+            first_is_decoy += plan.is_decoy[0]
         assert abs(first_is_decoy / draws - 0.5) < 0.02
 
     @given(st.integers(1, 8), st.integers(0, 8), st.integers(2, 4), st.integers(0, 2**16))
@@ -79,27 +67,8 @@ class TestBuildPlan:
     def test_plan_invariants(self, m, d, n, seed):
         plan = build_plan(m, d, n, np.random.default_rng(seed))
         assert sorted(plan.order) == list(range(m + d))
-        assert all(t.stream_position == pos for pos, t in enumerate(plan.tuples))
-        decoys = [pos for pos, t in enumerate(plan.tuples) if t.kind == KIND_DECOY]
+        assert plan.states.shape == (m + d, 1 << n)
+        decoys = [pos for pos in range(m + d) if plan.order[pos] >= m]
         assert tuple(decoys) == plan.decoy_positions
-        for pos in decoys:
-            assert plan.position_map[pos] == plan.tuples[pos].decoy_prep
-
-
-class TestDispatch:
-    def test_three_party_addressing(self, rng):
-        plan = build_plan(1, 0, 3, rng)
-        table = dispatch(plan)
-        assert table.broker[0].qubit == 2
-        assert table.agents[1][0].qubit == 1
-        assert table.agents[0][0].qubit == 0
-
-    def test_transmitted_count(self, rng):
-        m, d, n = 6, 4, 3
-        plan = build_plan(m, d, n, rng)
-        table = dispatch(plan)
-        assert len(table.transmitted) == (m + d) * (n - 1)
-        decoy_addresses = [
-            a for a in table.transmitted if a.stream_position in plan.position_map
-        ]
-        assert len(decoy_addresses) == d * (n - 1)
+        for pos, signs in plan.position_map.items():
+            assert np.array_equal(plan.states[pos], prepare_hadamard_product(signs).amplitudes)

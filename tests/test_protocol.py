@@ -18,7 +18,6 @@ from ghzcast.protocol import (
     Scenario,
     Transcript,
     check_transcript_secrecy,
-    execute_run,
     recover_secret,
     run_protocol,
 )
@@ -282,9 +281,3 @@ class TestSecrecyChecker:
         assert len(violations) == 1
         assert "own segment" in violations[0]
 
-
-def test_run_outcome_carries_dispatch(example_secrets):
-    outcome = execute_run(Scenario(n=3, secrets=example_secrets, seed=12))
-    table = outcome.dispatch_table
-    assert table.broker[0].qubit == 2
-    assert len(table.transmitted) == 12 * 2

@@ -11,18 +11,25 @@ from ghzcast.statevec import (
     HADAMARD,
     MAX_QUBITS,
     PureState,
+    append_rows,
     apply_cnot,
     apply_hadamard,
     apply_phase_flip,
+    check_rows,
+    cnot_rows,
     distribution,
     ghz_layers,
+    hadamard_rows,
     measure_all,
     measure_qubits,
+    measure_rows,
+    phase_flip_rows,
     prepare_basis,
     prepare_ghz,
     prepare_hadamard_product,
     states_equal,
     swap_qubits,
+    swap_rows,
     tensor,
 )
 
@@ -243,6 +250,73 @@ class TestCombinators:
     def test_swap_same_is_identity(self):
         ghz = prepare_ghz(2)
         assert swap_qubits(ghz, 1, 1) is ghz
+
+
+def random_batch(rng, rows, num_qubits):
+    batch = rng.normal(size=(rows, 1 << num_qubits)) + 1j * rng.normal(size=(rows, 1 << num_qubits))
+    return batch / np.linalg.norm(batch, axis=1, keepdims=True)
+
+
+KERNEL_CASES = [
+    (hadamard_rows, (1,)),
+    (cnot_rows, (2, 0)),
+    (phase_flip_rows, (3,)),
+    (swap_rows, (0, 3)),
+    (append_rows, (np.array([0.6, 0.8j]),)),
+]
+
+
+class TestBatchKernels:
+    """Every row of a batch evolves exactly as it would alone."""
+
+    @pytest.mark.parametrize("kernel, args", KERNEL_CASES)
+    def test_gates_act_row_by_row(self, kernel, args):
+        batch = random_batch(np.random.default_rng(1), 5, 4)
+        before = batch.copy()
+        out = kernel(batch, *args)
+        assert np.array_equal(batch, before)
+        for t in range(5):
+            assert np.array_equal(out[t], kernel(batch[t : t + 1], *args)[0])
+
+    def test_empty_batch(self):
+        # a payload with no 1 bits embeds into no rows, a stream without
+        # decoys validates none
+        empty = np.zeros((0, 16), dtype=complex)
+        for kernel, args in KERNEL_CASES:
+            assert kernel(empty, *args).shape[0] == 0
+        bits, collapsed = measure_rows(empty, (0, 1), (HADAMARD,) * 2, np.zeros(0))
+        assert bits.shape == (0, 2) and collapsed.shape == (0, 16)
+
+    def test_measurement_acts_row_by_row(self):
+        rng = np.random.default_rng(2)
+        batch = random_batch(rng, 8, 4)
+        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        u = rng.random(8)
+        bits, collapsed = measure_rows(batch, (2, 0), bases, u)
+        assert bits.shape == (8, 2)
+        for t in range(8):
+            row_bits, row = measure_rows(batch[t : t + 1], (2, 0), bases[t], u[t : t + 1])
+            assert np.array_equal(bits[t], row_bits[0])
+            assert np.array_equal(collapsed[t], row[0])
+        check_rows(collapsed)
+
+    def test_single_state_is_the_one_row_case(self):
+        state = prepare_ghz(3)
+        bits, collapsed = measure_qubits(state, (0, 2), (HADAMARD, COMPUTATIONAL), np.random.default_rng(4))
+        row_bits, rows = measure_rows(
+            state.amplitudes[None], (0, 2), (HADAMARD, COMPUTATIONAL), np.random.default_rng(4).random(1)
+        )
+        assert bits == tuple(row_bits[0])
+        assert np.array_equal(collapsed.amplitudes, rows[0])
+
+    def test_check_rows_rejects_a_bad_row(self):
+        batch = np.tile(prepare_ghz(2).amplitudes, (3, 1))
+        check_rows(batch)
+        batch[1] *= 1.001
+        with pytest.raises(ValueError, match="norm"):
+            check_rows(batch)
+        with pytest.raises(ValueError):
+            check_rows(np.ones((2, 3)) / np.sqrt(3))
 
 
 @settings(max_examples=30, deadline=None)
