@@ -23,19 +23,18 @@ agent's secret; bits she has no handle on are filled with fair coin flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .bitvec import BitVector
+from .messages import BROKER, STAGE_EXCHANGE
 from .statevec import (
     COMPUTATIONAL,
     HADAMARD,
-    PureState,
     append_rows,
     cnot_rows,
-    measure_qubits,
     measure_rows,
     prepare_basis,
     prepare_ghz,
@@ -135,9 +134,11 @@ class EveRecord:
     and one column per target slot. intercepted and ancillas map the extra
     qubit indices Eve holds in every tuple to the agent slot they relate to;
     unforwarded lists members of her replacement tuple that never left her
-    lab. final_states is the stream batch after the run, so she can measure
-    what she kept, and post_outcomes records those late measurements as
-    stream position -> qubit -> bit.
+    lab. final_states holds, for a run that got through decryption, what is
+    left of information tuple j in row j: the qubits Eve kept, qubit n + i
+    of the tuple as qubit i of the row, so she can measure them late;
+    post_outcomes records those late measurements as payload bit -> qubit ->
+    bit.
     """
 
     strategy: EveStrategy
@@ -151,16 +152,30 @@ class EveRecord:
     final_states: np.ndarray | None = None
     post_outcomes: dict[int, dict[int, int]] = field(default_factory=dict)
 
+    def run_record(self, t: int, rows: int) -> "EveRecord":
+        """Record of run t, when this one covers a stack of runs of rows tuples each."""
+        span = slice(t * rows, (t + 1) * rows)
+        return replace(
+            self,
+            bases=None if self.bases is None else self.bases[span],
+            outcomes=None if self.outcomes is None else self.outcomes[span],
+            post_outcomes={},
+        )
+
 
 def attack_tuple(
-    strategy: EveStrategy, batch: np.ndarray, rng: np.random.Generator
+    strategy: EveStrategy,
+    batch: np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, EveRecord]:
     """Apply the attack to every tuple of the in-flight (T, 2**n) stream batch.
 
     The returned batch keeps the protocol slots on qubits 0..n-1; any qubits
     Eve retains are appended above them. Positions and kinds of tuples are
     deliberately absent from this interface: every row gets the same
-    treatment.
+    treatment. A batch stacking the streams of several runs comes with one
+    generator per run, and each run's rows draw from their own generator;
+    the record then covers the whole stack.
     """
     if not strategy.active:
         raise ValueError("attack_tuple called with the inactive strategy")
@@ -170,18 +185,16 @@ def attack_tuple(
     record = EveRecord(strategy=strategy, n=n, targets=targets)
 
     if strategy.tag == MEASURE_RESEND:
+        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         rows = batch.shape[0]
+        per_run = rows // len(rngs)
         if strategy.basis_policy == ALWAYS_COMPUTATIONAL:
             bases = np.full((rows, k), COMPUTATIONAL)
-            u = rng.random(rows)
+            u = np.concatenate([r.random(per_run) for r in rngs])
         else:
-            # per tuple: one basis coin per target, then the sample draw
-            coins = np.empty((rows, k), dtype=bool)
-            u = np.empty(rows)
-            for t in range(rows):
-                for j in range(k):
-                    coins[t, j] = rng.integers(0, 2)
-                u[t] = rng.random()
+            draws = [_coins_then_uniform(r, per_run, k) for r in rngs]
+            coins = np.concatenate([c for c, _ in draws])
+            u = np.concatenate([x for _, x in draws])
             bases = np.where(coins, HADAMARD, COMPUTATIONAL)
         record.bases = bases
         record.outcomes, batch = measure_rows(batch, targets, bases, u)
@@ -205,23 +218,67 @@ def attack_tuple(
     raise AssertionError("unreachable")
 
 
+def _coins_then_uniform(
+    rng: np.random.Generator, tuples: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What a loop drawing, per tuple, k rng.integers(0, 2) coins and then
+    one rng.random() draws, from one call to the bit generator.
+
+    Generator.integers(0, 2) maps a 32-bit output to its top bit. The bit
+    generator makes 32-bit outputs from the low half of a fresh 64-bit
+    output, or from the high half left over by the previous one; random()
+    takes a fresh 64-bit output and ignores the leftover. The leftover
+    state at the end is set as the loop would leave it, so later draws
+    continue the same stream.
+    """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    t = np.arange(tuples)
+    # whether a leftover half is waiting when tuple t starts
+    leftover = before["has_uint32"] ^ (t & 1) * (k & 1)
+    fresh = (k - leftover + 1) // 2
+    used = np.cumsum(fresh + 1)
+    # two slots in front: the leftover half from before the call, as the
+    # high half of a word, and a dummy for the uniform before tuple 0
+    head = np.array([before["uinteger"] << 32, 0], dtype=np.uint64)
+    words = np.concatenate((head, bitgen.random_raw(int(used[-1]) if tuples else 0)))
+    start = used - fresh + 1
+    u = (words[start + fresh] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    # coin i of tuple t: a waiting leftover is the high half of the last
+    # coin word of the tuple before, two words back; the others take
+    # fresh words, low half first
+    j = np.arange(k) - leftover[:, None]
+    word = np.where(j < 0, start[:, None] - 2, start[:, None] + j // 2)
+    shift = np.where(j % 2 == 1, 63, 31).astype(np.uint64)
+    coins = (words[word] >> shift) & np.uint64(1) == 1
+    if tuples:
+        after = bitgen.state
+        after["has_uint32"] = int(before["has_uint32"] ^ (tuples & 1) * (k & 1))
+        if after["has_uint32"]:
+            after["uinteger"] = int(words[-2] >> np.uint64(32))
+        bitgen.state = after
+    return coins, u
+
+
 def _measure_kept(
     record: EveRecord,
-    pos: int,
+    j: int,
     qubits: tuple[int, ...],
     basis: str,
     rng: np.random.Generator,
 ) -> dict[int, int]:
-    """Measure Eve's retained qubits of one tuple, at most once."""
-    outcomes = record.post_outcomes.setdefault(pos, {})
+    """Measure Eve's retained qubits of information tuple j, at most once."""
+    outcomes = record.post_outcomes.setdefault(j, {})
     pending = [q for q in qubits if q not in outcomes]
     if pending:
-        row = record.final_states[pos]
-        bits, collapsed = measure_qubits(
-            PureState(row, width(row)), pending, [basis] * len(pending), rng
+        bits, collapsed = measure_rows(
+            record.final_states[j : j + 1],
+            [q - record.n for q in pending],
+            [basis] * len(pending),
+            np.array([rng.random()]),
         )
-        record.final_states[pos] = collapsed.amplitudes
-        outcomes.update(zip(pending, bits))
+        record.final_states[j] = collapsed[0]
+        outcomes.update(zip(pending, bits[0].tolist()))
     return outcomes
 
 
@@ -231,11 +288,11 @@ def _public_segments(transcript: "Transcript") -> tuple[dict, dict] | None:
     cross_segments: dict[tuple[int, int], BitVector] = {}
     saw_exchange = False
     for msg in transcript.messages:
-        if msg.stage != "exchange" or msg.segment_index is None:
+        if msg.stage != STAGE_EXCHANGE or msg.segment_index is None:
             continue
         saw_exchange = True
         payload = BitVector.from_text(msg.payload)
-        if msg.sender == "broker":
+        if msg.sender == BROKER:
             broker_segments[msg.segment_index] = payload
         else:
             sender_idx = int(msg.sender.split("_")[1])
@@ -257,7 +314,7 @@ def eve_postprocess(
     """
     layout = transcript.layout
     n_agents = layout.segments
-    attacked = record.final_states is not None
+    attacked = record.strategy.active
     public = None if transcript.aborted or not attacked else _public_segments(transcript)
     if public is None:
         # nothing to go on: every bit is a fair coin, drawn in payload order
@@ -278,7 +335,7 @@ def eve_postprocess(
             for i in range(n_agents):
                 if i != t:
                     known ^= cross_segments[(i, t)].bit(j - lo)
-            guess = _strategy_guess(record, info_positions[j], t, known, rng)
+            guess = _strategy_guess(record, info_positions[j], j, t, known, rng)
             if guess is None:
                 guess = int(rng.integers(0, 2))
             bits.append(guess)
@@ -289,19 +346,20 @@ def eve_postprocess(
 def _strategy_guess(
     record: EveRecord,
     pos: int,
+    j: int,
     owner: int,
     known: int,
     rng: np.random.Generator,
 ) -> int | None:
-    """Guess one payload bit from Eve's records of the tuple at stream
-    position pos, or None for a coin flip."""
+    """Guess payload bit j from Eve's records of the tuple carrying it, at
+    stream position pos, or None for a coin flip."""
     strategy = record.strategy
     if strategy.tag == MEASURE_RESEND:
         # a qubit resent in the Hadamard basis passes decryption unchanged,
         # so its owner's register bit equals Eve's outcome
-        for j, slot in enumerate(record.targets):
-            if slot == owner and record.bases[pos, j] == HADAMARD:
-                return known ^ int(record.outcomes[pos, j])
+        for col, slot in enumerate(record.targets):
+            if slot == owner and record.bases[pos, col] == HADAMARD:
+                return known ^ int(record.outcomes[pos, col])
         return None
 
     if strategy.tag == ENTANGLE_ANCILLA:
@@ -309,7 +367,7 @@ def _strategy_guess(
         # of all Hadamard outcomes, hers included, equals the payload bit;
         # the known sum still lacks the owner's withheld register bit
         qubits = tuple(q for q, _ in record.ancillas)
-        outcomes = _measure_kept(record, pos, qubits, HADAMARD, rng)
+        outcomes = _measure_kept(record, j, qubits, HADAMARD, rng)
         parity = 0
         for q in qubits:
             parity ^= outcomes[q]
@@ -319,7 +377,7 @@ def _strategy_guess(
         # computational outcomes of the kept qubits are branch labels with no
         # dependence on the embedded payload
         qubits = tuple(q for q, _ in record.intercepted) + record.unforwarded
-        _measure_kept(record, pos, qubits, COMPUTATIONAL, rng)
+        _measure_kept(record, j, qubits, COMPUTATIONAL, rng)
         return None
 
     return None

@@ -19,13 +19,15 @@ and the adversary's per-bit guess accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from .adversary import EveStrategy
 from .bitvec import BitVector
-from .protocol import Registers, Scenario, check_transcript_secrecy, execute_run
+from .protocol import Registers, RunOutcome, Scenario, check_transcript_secrecy, run_trials
 from .statevec import HADAMARD, apply_phase_flip, distribution, prepare_ghz
 
 __all__ = [
@@ -362,18 +364,22 @@ class ExperimentStats:
     rows: list[TrialRow] | None = None
 
 
+def _trial_stacks(scenario: Scenario, trials: int) -> Iterator[list[RunOutcome]]:
+    """Outcomes of the scenario's trials, stack by stack; trial t runs at
+    the t-th seed drawn from the scenario's own seed."""
+    master = np.random.default_rng(scenario.seed)
+    trial_seeds = master.integers(0, 2**63, size=trials)
+    return run_trials(scenario, trial_seeds.tolist())
+
+
 def detection_experiment(
     scenario: Scenario, trials: int, collect_rows: bool = False
 ) -> ExperimentStats:
     """Run a scenario many times with independent per-trial seed streams."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    master = np.random.default_rng(scenario.seed)
-    trial_seeds = master.integers(0, 2**63, size=trials)
 
-    targets = (
-        set(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else set()
-    )
+    targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
     aborts = 0
     all_checks = all_errors = 0
     attacked_checks = attacked_errors = 0
@@ -382,46 +388,47 @@ def detection_experiment(
     secrecy_violations = 0
     rows: list[TrialRow] | None = [] if collect_rows else None
 
-    for t in range(trials):
-        outcome = execute_run(replace(scenario, seed=int(trial_seeds[t])))
-        transcript = outcome.transcript
-        report = transcript.validation
-        secrecy_violations += len(check_transcript_secrecy(transcript))
-
-        aborts += transcript.aborted
-        all_checks += report.decoy_checks
-        all_errors += report.errors
-
+    t = 0
+    for stack in _trial_stacks(scenario, trials):
         if targets:
-            per_tuple_error: dict[int, bool] = {}
-            for pos, slot, _expected, _reported, wrong in report.check_results:
-                if slot in targets:
-                    attacked_checks += 1
-                    attacked_errors += wrong
-                    per_tuple_error[pos] = per_tuple_error.get(pos, False) or wrong
-            attacked_tuples += len(per_tuple_error)
-            tuples_with_error += sum(per_tuple_error.values())
+            wrong = np.stack([o.transcript.validation.wrong for o in stack])
+            # (trials, d, k): the checks of the targeted slots
+            attacked = wrong[:, :, targets]
+            attacked_checks += attacked.size
+            attacked_errors += int(np.count_nonzero(attacked))
+            attacked_tuples += attacked.shape[0] * attacked.shape[1]
+            tuples_with_error += int(np.count_nonzero(attacked.any(axis=2)))
 
-        guesses = outcome.eve_guesses()
-        trial_bits = trial_correct = 0
-        for guess, truth in zip(guesses, outcome.scenario.secrets):
-            trial_bits += len(truth)
-            trial_correct += sum(
-                guess.bit(j) == truth.bit(j) for j in range(len(truth))
-            )
-        eve_bits += trial_bits
-        eve_correct += trial_correct
+        for outcome in stack:
+            transcript = outcome.transcript
+            report = transcript.validation
+            secrecy_violations += len(check_transcript_secrecy(transcript))
 
-        if rows is not None:
-            rows.append(
-                TrialRow(
-                    trial=t,
-                    errors=report.errors,
-                    decoy_checks=report.decoy_checks,
-                    verdict=report.verdict,
-                    eve_bit_accuracy=trial_correct / trial_bits if trial_bits else 0.0,
+            aborts += transcript.aborted
+            all_checks += report.decoy_checks
+            all_errors += report.errors
+
+            guesses = outcome.eve_guesses()
+            trial_bits = trial_correct = 0
+            for guess, truth in zip(guesses, outcome.scenario.secrets):
+                trial_bits += len(truth)
+                trial_correct += sum(
+                    guess.bit(j) == truth.bit(j) for j in range(len(truth))
                 )
-            )
+            eve_bits += trial_bits
+            eve_correct += trial_correct
+
+            if rows is not None:
+                rows.append(
+                    TrialRow(
+                        trial=t,
+                        errors=report.errors,
+                        decoy_checks=report.decoy_checks,
+                        verdict=report.verdict,
+                        eve_bit_accuracy=trial_correct / trial_bits if trial_bits else 0.0,
+                    )
+                )
+            t += 1
 
     _, abort_radius = wilson_interval(aborts, trials)
     attacked_rate, attacked_radius = (
@@ -483,25 +490,17 @@ def decoy_correlation_stat(scenario: Scenario, trials: int) -> CorrelationStat:
     if not scenario.eve.active or scenario.eve.k < 2:
         raise ValueError("correlation statistic needs an attack on k >= 2 qubits")
 
-    def agreement(sc: Scenario, slots: set[int]) -> tuple[int, int]:
-        master = np.random.default_rng(sc.seed)
-        trial_seeds = master.integers(0, 2**63, size=trials)
+    def agreement(sc: Scenario, slots: list[int]) -> tuple[int, int]:
         pairs = agree = 0
-        for t in range(trials):
-            outcome = execute_run(replace(sc, seed=int(trial_seeds[t])))
-            by_pos: dict[int, dict[int, int]] = {}
-            for pos, slot, _exp, reported, _wrong in outcome.transcript.validation.check_results:
-                if slot in slots:
-                    by_pos.setdefault(pos, {})[slot] = reported
-            for outcomes in by_pos.values():
-                values = sorted(outcomes.items())
-                for a in range(len(values)):
-                    for b in range(a + 1, len(values)):
-                        pairs += 1
-                        agree += values[a][1] == values[b][1]
+        for stack in _trial_stacks(sc, trials):
+            reported = np.stack([o.transcript.validation.reported for o in stack])
+            reported = reported[:, :, slots]
+            for a, b in combinations(range(len(slots)), 2):
+                pairs += reported[:, :, a].size
+                agree += int(np.count_nonzero(reported[:, :, a] == reported[:, :, b]))
         return pairs, agree
 
-    slots = set(scenario.eve.resolved_targets(scenario.n))
+    slots = sorted(scenario.eve.resolved_targets(scenario.n))
     attacked_pairs, attacked_agree = agreement(scenario, slots)
     honest_pairs, honest_agree = agreement(
         replace(scenario, eve=EveStrategy()), slots

@@ -10,12 +10,14 @@ The stream is one (m + d, 2**n) batch with one tuple per row in transmission
 order. Tuples are never entangled with each other, so rows stay separate
 states rather than one joint register, which keeps memory linear in the
 stream length; the joint picture is recovered exactly by the analysis
-oracles.
+oracles. A plan may also stack the streams of several independent runs,
+one generator each, into one (trials * (m + d), 2**n) batch, run after run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +35,9 @@ class DistributionPlan:
     the decoy preparations: row i holds the signs (0 plus, 1 minus) of the
     i-th decoy in stream order. order[pos] identifies the logical tuple at
     stream position pos: values 0..m-1 are information tuples in payload-bit
-    order, values m..m+d-1 are decoys.
+    order, values m..m+d-1 are decoys. A plan of several runs stacks their
+    streams one after another, so every field and position then counts
+    over the whole stack and run t owns rows t*(m+d) .. (t+1)*(m+d)-1.
     """
 
     n: int
@@ -43,6 +47,10 @@ class DistributionPlan:
     is_decoy: np.ndarray
     signs: np.ndarray
     states: np.ndarray
+
+    @property
+    def trials(self) -> int:
+        return self.is_decoy.size // (self.m + self.d)
 
     @property
     def information_positions(self) -> tuple[int, ...]:
@@ -60,10 +68,14 @@ class DistributionPlan:
         }
 
 
-def build_plan(m: int, d: int, n: int, rng: np.random.Generator) -> DistributionPlan:
+def build_plan(
+    m: int, d: int, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> DistributionPlan:
     """Interleave m information tuples and d decoys uniformly at random.
 
-    Each decoy qubit is plus or minus with probability one half.
+    Each decoy qubit is plus or minus with probability one half. Given one
+    generator per run instead of a single one, every run draws its own
+    stream from its own generator and the plan stacks them.
     """
     if m < 1:
         raise ValueError("need at least one information tuple")
@@ -72,17 +84,25 @@ def build_plan(m: int, d: int, n: int, rng: np.random.Generator) -> Distribution
     if n < 2:
         raise ValueError("need at least two parties")
 
-    logical = rng.permutation(m + d)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    # per run: the interleaving permutation, then the decoy signs
+    logical = []
+    signs = []
+    for r in rngs:
+        logical.append(r.permutation(m + d))
+        signs.append(r.integers(0, 2, size=(d, n)))
+    logical = np.concatenate(logical)
+    signs = np.concatenate(signs)
     is_decoy = logical >= m
-    signs = rng.integers(0, 2, size=(d, n))
 
-    states = np.empty((m + d, 1 << n), dtype=np.complex128)
+    states = np.empty((logical.size, 1 << n), dtype=np.complex128)
     states[~is_decoy] = prepare_ghz(n).amplitudes
     states[is_decoy] = hadamard_product_rows(signs)
 
     # renumber information tuples so payload bit j rides the j-th information
-    # position in stream order
-    order = np.where(is_decoy, logical, np.cumsum(~is_decoy) - 1)
+    # position of its run in stream order
+    info_rank = np.cumsum((~is_decoy).reshape(len(rngs), m + d), axis=1).ravel() - 1
+    order = np.where(is_decoy, logical, info_rank)
     return DistributionPlan(
         n=n,
         m=m,

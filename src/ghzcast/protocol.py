@@ -12,24 +12,46 @@ never routes agent data back to the broker.
 Ordering is load bearing: an abort happens strictly before the embedding
 stage, so an aborted run contains no secret-dependent quantum operation at
 all.
+
+run_trials simulates many runs of one scenario, each from its own seed, by
+stacking their tuple streams into one batch: every stage makes one kernel
+call per stack, and each run still draws from its own generators in the
+order a lone run would, so a stacked run is the run execute_run makes at the
+same seed. Measured decoy tuples are not kept, and decryption keeps of each
+information tuple only the qubits an adversary holds, the part her late
+measurements need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
 from .bitvec import BitVector, SegmentLayout, concat_secrets, segment, xor_all
 from .distribution import DistributionPlan, build_plan
-from .statevec import HADAMARD, MAX_QUBITS, check_rows, measure_rows, phase_flip_rows
+from .messages import (
+    ALL_AGENTS,
+    BROKER,
+    STAGE_DECRYPTION,
+    STAGE_DISTRIBUTION,
+    STAGE_EMBEDDING,
+    STAGE_EXCHANGE,
+    STAGE_PREAMBLE,
+    STAGE_RECOVERY,
+    STAGE_VALIDATION,
+    ClassicalMessage,
+    agent_name,
+)
+from .statevec import HADAMARD, MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
 
 __all__ = [
     "Scenario",
     "ClassicalMessage",
     "ValidationReport",
+    "ValidationBatch",
     "Registers",
     "Transcript",
     "RunOutcome",
@@ -38,25 +60,28 @@ __all__ = [
     "run_validation",
     "classical_exchange",
     "recover_secret",
+    "run_trials",
     "execute_run",
     "run_protocol",
     "check_transcript_secrecy",
 ]
 
-BROKER = "broker"
-ALL_AGENTS = "all_agents"
+# A run's whole tuple stream is one batch of amplitudes; scenarios whose
+# stream would need more than this many are refused (2**25 complex
+# amplitudes are 512 MiB).
+MAX_STREAM_AMPLITUDES = 1 << 25
+# run_trials simulates as many runs together as fit in this many amplitudes,
+# at least one: enough rows to spread per-call overhead, few enough that the
+# stack and the temporaries of a measurement stay in cache.
+STACK_AMPLITUDES = 1 << 15
 
-STAGE_PREAMBLE = "preamble"
-STAGE_DISTRIBUTION = "distribution"
-STAGE_VALIDATION = "validation"
-STAGE_EMBEDDING = "embedding"
-STAGE_DECRYPTION = "decryption"
-STAGE_EXCHANGE = "exchange"
-STAGE_RECOVERY = "recovery"
-
-
-def agent_name(i: int) -> str:
-    return f"agent_{i}"
+ABORTED_STAGES = (STAGE_PREAMBLE, STAGE_DISTRIBUTION, STAGE_VALIDATION)
+COMPLETED_STAGES = ABORTED_STAGES + (
+    STAGE_EMBEDDING,
+    STAGE_DECRYPTION,
+    STAGE_EXCHANGE,
+    STAGE_RECOVERY,
+)
 
 
 @dataclass(frozen=True)
@@ -90,10 +115,16 @@ class Scenario:
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must lie strictly between 0 and 1")
         self.eve.validate_for(self.n)
-        qubits = self.n + self.eve.extra_qubits(self.n)
+        qubits = self.tuple_qubits
         if qubits > MAX_QUBITS:
             raise ValueError(
                 f"tuples of {qubits} qubits, Eve's included, exceed the cap of {MAX_QUBITS}"
+            )
+        if self.stream_amplitudes > MAX_STREAM_AMPLITUDES:
+            raise ValueError(
+                f"a stream of {self.payload_length + self.resolved_d} tuples of {qubits} "
+                f"qubits needs {self.stream_amplitudes} amplitudes, over the cap of "
+                f"{MAX_STREAM_AMPLITUDES}"
             )
 
     @property
@@ -104,36 +135,83 @@ class Scenario:
     def resolved_d(self) -> int:
         return self.payload_length if self.d is None else self.d
 
+    @property
+    def tuple_qubits(self) -> int:
+        """Qubits of one tuple in flight, Eve's included."""
+        return self.n + self.eve.extra_qubits(self.n)
 
-@dataclass(frozen=True)
-class ClassicalMessage:
-    stage: str
-    sender: str
-    receiver: str
-    label: str
-    payload: str
-    segment_index: int | None = None
+    @property
+    def stream_amplitudes(self) -> int:
+        """Amplitudes of one run's whole tuple stream."""
+        return (self.payload_length + self.resolved_d) << self.tuple_qubits
 
 
-@dataclass
+@dataclass(eq=False)
 class ValidationReport:
-    """Outcome of the decoy comparison.
+    """Outcome of one run's decoy comparison.
 
-    decoy_checks counts every transmitted decoy qubit, d * (n - 1); the
-    threshold is threshold_fraction times that count and the verdict is fail
-    exactly when errors reach it. check_results holds one entry per check as
-    (stream position, agent slot, expected, reported, error).
+    expected, reported and wrong are (d, n - 1) bit arrays: one row per
+    decoy in stream order, one column per agent slot. decoy_checks counts
+    every transmitted decoy qubit, d * (n - 1); the threshold is
+    threshold_fraction times that count and the verdict is fail exactly when
+    errors reach it.
     """
 
     decoy_checks: int
     errors: int
     threshold: float
     verdict: str
-    check_results: tuple[tuple[int, int, int, int, bool], ...] = ()
+    expected: np.ndarray
+    reported: np.ndarray
+    wrong: np.ndarray
 
     @property
     def failed(self) -> bool:
         return self.verdict == "fail"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+@dataclass
+class ValidationBatch:
+    """Decoy comparison of a stack of runs, as run_validation returns it.
+
+    expected, reported and wrong are (trials, d, n - 1) bit arrays; the
+    threshold applies to each run on its own. decoy_checks and errors total
+    the whole stack.
+    """
+
+    expected: np.ndarray
+    reported: np.ndarray
+    wrong: np.ndarray
+    threshold: float
+
+    @property
+    def decoy_checks(self) -> int:
+        return self.wrong.size
+
+    @property
+    def errors(self) -> int:
+        return int(np.count_nonzero(self.wrong))
+
+    def report(self, t: int) -> ValidationReport:
+        """Run t's own report."""
+        errors = int(np.count_nonzero(self.wrong[t]))
+        checks = self.wrong[t].size
+        return ValidationReport(
+            decoy_checks=checks,
+            errors=errors,
+            threshold=self.threshold,
+            verdict="fail" if checks > 0 and errors >= self.threshold else "pass",
+            expected=self.expected[t],
+            reported=self.reported[t],
+            wrong=self.wrong[t],
+        )
 
 
 @dataclass
@@ -175,36 +253,55 @@ class RunOutcome:
         return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
 
 
+def _bit_texts(bits: np.ndarray) -> list[str]:
+    """Text of every row of a (rows, length) bit array, last bit first, as
+    BitVector renders the bits listed least significant first."""
+    chars = (bits[:, ::-1] + ord("0")).astype(np.uint8)
+    return [row.tobytes().decode() for row in chars]
+
+
 def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
     """Embed payload bit j into information tuple j, row j of the batch.
 
-    The broker's output qubit stays in the minus state while each of her
-    tuple qubits controls a CNOT onto it, which kicks a phase of -1 onto the
-    branch where tuple qubit j is 1 whenever payload bit j is 1. The oracle
-    module keeps an explicit-output-qubit variant for cross-checking.
+    A batch may hold the information tuples of several runs, run after run,
+    and every run gets the same payload. The broker's output qubit stays in
+    the minus state while each of her tuple qubits controls a CNOT onto it,
+    which kicks a phase of -1 onto the branch where tuple qubit j is 1
+    whenever payload bit j is 1. The oracle module keeps an
+    explicit-output-qubit variant for cross-checking.
     """
-    if batch.shape[0] != payload.length:
-        raise ValueError(f"need {payload.length} tuples, got {batch.shape[0]}")
-    flips = np.array(payload.bits(), dtype=bool)
+    runs, rest = divmod(batch.shape[0], payload.length)
+    if rest:
+        raise ValueError(f"need a multiple of {payload.length} tuples, got {batch.shape[0]}")
+    flips = np.tile(np.array(payload.bits(), dtype=bool), runs)
     out = batch.copy()
     out[flips] = phase_flip_rows(batch[flips], n - 1)
     return out
 
 
 def decrypt_and_measure(
-    batch: np.ndarray, n: int, rng: np.random.Generator
-) -> tuple[Registers, np.ndarray]:
+    batch: np.ndarray, n: int, rngs: Sequence[np.random.Generator]
+) -> tuple[list[Registers], np.ndarray]:
     """Hadamard every protocol qubit of every tuple and measure.
 
-    Returns the assembled registers and the collapsed tuple batch (any
-    adversary-held qubits in it remain unmeasured).
+    The batch holds the embedded information tuples of one run per
+    generator, run after run. Returns every run's registers and the
+    residual of every tuple: the qubits above n, which only an adversary
+    holds, or one amplitude per tuple when there are none.
     """
-    bits, collapsed = measure_rows(batch, range(n), [HADAMARD] * n, rng.random(batch.shape[0]))
-    registers = Registers(
-        broker=BitVector.from_bits(bits[:, n - 1].tolist()),
-        agents=tuple(BitVector.from_bits(bits[:, i].tolist()) for i in range(n - 1)),
-    )
-    return registers, collapsed
+    per_run = batch.shape[0] // len(rngs)
+    u = np.concatenate([r.random(per_run) for r in rngs])
+    bits, residual = sample_rows(batch, range(n), [HADAMARD] * n, u)
+    # texts[p][t]: party p's register of run t
+    texts = [_bit_texts(bits[:, p].reshape(len(rngs), per_run)) for p in range(n)]
+    registers = [
+        Registers(
+            broker=BitVector.from_text(texts[n - 1][t]),
+            agents=tuple(BitVector.from_text(texts[i][t]) for i in range(n - 1)),
+        )
+        for t in range(len(rngs))
+    ]
+    return registers, residual
 
 
 def run_validation(
@@ -212,72 +309,59 @@ def run_validation(
     batch: np.ndarray,
     noise_p: float,
     threshold_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[ValidationReport, list[ClassicalMessage]]:
+    rngs: Sequence[np.random.Generator],
+) -> tuple[ValidationBatch, list[list[ClassicalMessage]]]:
     """Measure every transmitted decoy qubit and compare with the records.
 
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The collapsed decoy rows are written back into batch.
+    independently. The plan and batch may stack several runs, one generator
+    each; returns the comparison of the stack and every run's messages.
+    Decoy tuples are never read again, so their post-measurement states are
+    not kept.
     """
-    n = plan.n
-    decoys = plan.decoy_positions
-    messages = [
-        ClassicalMessage(
-            stage=STAGE_VALIDATION,
-            sender=BROKER,
-            receiver=ALL_AGENTS,
-            label="decoy_positions",
-            payload=",".join(str(p) for p in decoys),
-        )
-    ]
+    n, d, runs = plan.n, plan.d, plan.trials
     # per decoy in stream order: the measurement's sample draw, then one
     # noise draw per agent slot
-    draws = rng.random((plan.d, n))
-    bits, collapsed = measure_rows(
-        batch[plan.is_decoy], range(n - 1), [HADAMARD] * (n - 1), draws[:, 0]
-    )
-    batch[plan.is_decoy] = collapsed
-    reported = bits ^ (draws[:, 1:] < noise_p)
-    expected = plan.signs[:, : n - 1]
-    wrong = reported != expected
-    positions = np.repeat(np.flatnonzero(plan.is_decoy), n - 1)
-    slots = np.tile(np.arange(n - 1), plan.d)
-    check_results = tuple(
-        zip(
-            positions.tolist(),
-            slots.tolist(),
-            expected.ravel().tolist(),
-            reported.ravel().tolist(),
-            wrong.ravel().tolist(),
-        )
+    draws = np.concatenate([r.random((d, n)) for r in rngs])
+    bits, _ = sample_rows(batch[plan.is_decoy], range(n - 1), [HADAMARD] * (n - 1), draws[:, 0])
+    shape = (runs, d, n - 1)
+    reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
+    expected = plan.signs[:, : n - 1].reshape(shape)
+    checks = ValidationBatch(
+        expected=expected,
+        reported=reported,
+        wrong=reported != expected,
+        threshold=threshold_fraction * (d * (n - 1)),
     )
 
-    for i in range(n - 1):
-        report = reported[:, i].tolist()
-        messages.append(
+    # texts[t * (n - 1) + i]: agent i's outcomes in run t
+    texts = _bit_texts(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
+    messages = []
+    for t, is_decoy in enumerate(plan.is_decoy.reshape(runs, plan.m + d)):
+        positions = np.flatnonzero(is_decoy).tolist()
+        run_messages = [
             ClassicalMessage(
                 stage=STAGE_VALIDATION,
-                sender=agent_name(i),
-                receiver=BROKER,
-                label="decoy_outcomes",
-                payload=str(BitVector.from_bits(report)) if report else "",
+                sender=BROKER,
+                receiver=ALL_AGENTS,
+                label="decoy_positions",
+                payload=",".join(map(str, positions)),
             )
-        )
-
-    errors = int(wrong.sum())
-    decoy_checks = plan.d * (n - 1)
-    threshold = threshold_fraction * decoy_checks
-    verdict = "fail" if decoy_checks > 0 and errors >= threshold else "pass"
-    report = ValidationReport(
-        decoy_checks=decoy_checks,
-        errors=errors,
-        threshold=threshold,
-        verdict=verdict,
-        check_results=check_results,
-    )
-    return report, messages
+        ]
+        for i in range(n - 1):
+            run_messages.append(
+                ClassicalMessage(
+                    stage=STAGE_VALIDATION,
+                    sender=agent_name(i),
+                    receiver=BROKER,
+                    label="decoy_outcomes",
+                    payload=texts[t * (n - 1) + i],
+                )
+            )
+        messages.append(run_messages)
+    return checks, messages
 
 
 def classical_exchange(
@@ -343,86 +427,106 @@ def recover_secret(
     return xor_all(parts)
 
 
-def execute_run(scenario: Scenario) -> RunOutcome:
-    """Run the protocol once and return the transcript plus Eve's records."""
-    seed_seq = np.random.SeedSequence(scenario.seed)
-    rng_protocol, rng_eve = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
+def run_trials(scenario: Scenario, seeds: Sequence[int]) -> Iterator[list[RunOutcome]]:
+    """Run the scenario once per seed, simulating several runs as one stack.
+
+    A stack holds as many runs as fit in STACK_AMPLITUDES amplitudes, and at
+    least one; yields the outcomes of each stack in seed order. Every run
+    draws only from the two generators spawned from its own seed, in the
+    order a lone run draws, so it matches execute_run at that seed.
+    """
+    size = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
+    for start in range(0, len(seeds), size):
+        yield _run_stack(scenario, seeds[start : start + size])
+
+
+def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
+    eve_rngs = [np.random.default_rng(eve) for _protocol, eve in streams]
 
     payload, layout = concat_secrets(scenario.secrets)
     n = scenario.n
-    d = scenario.resolved_d
-    stages: list[str] = [STAGE_PREAMBLE]
-    messages: list[ClassicalMessage] = [
-        ClassicalMessage(
-            stage=STAGE_PREAMBLE,
-            sender=BROKER,
-            receiver=ALL_AGENTS,
-            label="segment_lengths",
-            payload=",".join(str(m) for m in layout.lengths),
-        )
-    ]
+    m, d = payload.length, scenario.resolved_d
+    preamble = ClassicalMessage(
+        stage=STAGE_PREAMBLE,
+        sender=BROKER,
+        receiver=ALL_AGENTS,
+        label="segment_lengths",
+        payload=",".join(str(length) for length in layout.lengths),
+    )
 
-    plan = build_plan(payload.length, d, n, rng_protocol)
+    plan = build_plan(m, d, n, rngs)
     batch = plan.states
     if scenario.eve.active:
-        batch, eve_record = attack_tuple(scenario.eve, batch, rng_eve)
+        batch, eve_record = attack_tuple(scenario.eve, batch, eve_rngs)
     else:
         eve_record = EveRecord(strategy=scenario.eve, n=n)
     check_rows(batch)
-    stages.append(STAGE_DISTRIBUTION)
 
-    report, vt_messages = run_validation(
-        plan, batch, scenario.noise_p, scenario.threshold_fraction, rng_protocol
+    validation, validation_messages = run_validation(
+        plan, batch, scenario.noise_p, scenario.threshold_fraction, rngs
     )
-    check_rows(batch)
-    messages.extend(vt_messages)
-    stages.append(STAGE_VALIDATION)
-
-    registers: Registers | None = None
-    recovered: tuple[BitVector, ...] | None = None
-    if not report.failed:
-        info = ~plan.is_decoy
-        embedded = embed_secret(batch[info], payload, n)
-        stages.append(STAGE_EMBEDDING)
-
-        registers, collapsed = decrypt_and_measure(embedded, n, rng_protocol)
-        batch[info] = collapsed
-        check_rows(batch)
-        stages.append(STAGE_DECRYPTION)
-
-        exchange_messages, received = classical_exchange(registers, layout)
-        messages.extend(exchange_messages)
-        stages.append(STAGE_EXCHANGE)
-
-        recovered = tuple(
-            recover_secret(t, registers.agents[t], received[t], layout)
-            for t in range(n - 1)
+    reports = [validation.report(t) for t in range(len(seeds))]
+    passed = np.array([not report.failed for report in reports])
+    registers: list[Registers] = []
+    if passed.any():
+        # the information tuples of the runs that passed, run after run
+        info = (~plan.is_decoy).reshape(len(seeds), m + d) & passed[:, None]
+        embedded = embed_secret(batch[info.ravel()], payload, n)
+        registers, residual = decrypt_and_measure(
+            embedded, n, [r for r, ok in zip(rngs, passed) if ok]
         )
-        stages.append(STAGE_RECOVERY)
+        check_rows(residual)
 
-    if scenario.eve.active:
-        eve_record.final_states = batch
+    # run t's place among the runs that passed
+    completed = np.cumsum(passed) - 1
+    outcomes = []
+    for t, seed in enumerate(seeds):
+        stream = slice(t * (m + d), (t + 1) * (m + d))
+        record = eve_record.run_record(t, m + d)
+        messages = [preamble, *validation_messages[t]]
+        run_registers = recovered = None
+        if passed[t]:
+            p = completed[t]
+            run_registers = registers[p]
+            exchange_messages, received = classical_exchange(run_registers, layout)
+            messages.extend(exchange_messages)
+            recovered = tuple(
+                recover_secret(i, run_registers.agents[i], received[i], layout)
+                for i in range(n - 1)
+            )
+            if scenario.eve.active:
+                record.final_states = residual[p * m : (p + 1) * m]
 
-    transcript = Transcript(
-        n=n,
-        layout=layout,
-        stream_length=payload.length + d,
-        decoy_positions=plan.decoy_positions,
-        stages=tuple(stages),
-        messages=tuple(messages),
-        validation=report,
-        aborted=report.failed,
-        registers=registers,
-        recovered=recovered,
-    )
-    return RunOutcome(
-        scenario=scenario,
-        payload=payload,
-        layout=layout,
-        transcript=transcript,
-        eve_record=eve_record,
-        eve_rng=rng_eve,
-    )
+        transcript = Transcript(
+            n=n,
+            layout=layout,
+            stream_length=m + d,
+            decoy_positions=tuple(np.flatnonzero(plan.is_decoy[stream]).tolist()),
+            stages=COMPLETED_STAGES if passed[t] else ABORTED_STAGES,
+            messages=tuple(messages),
+            validation=reports[t],
+            aborted=not passed[t],
+            registers=run_registers,
+            recovered=recovered,
+        )
+        outcomes.append(
+            RunOutcome(
+                scenario=replace(scenario, seed=seed),
+                payload=payload,
+                layout=layout,
+                transcript=transcript,
+                eve_record=record,
+                eve_rng=eve_rngs[t],
+            )
+        )
+    return outcomes
+
+
+def execute_run(scenario: Scenario) -> RunOutcome:
+    """Run the protocol once and return the transcript plus Eve's records."""
+    return next(run_trials(scenario, [scenario.seed]))[0]
 
 
 def run_protocol(scenario: Scenario) -> Transcript:

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 - A state over k qubits is a flat complex array of 2**k amplitudes. A batch
   of T states of the same width is one (T, 2**k) array, one state per row;
-  the protocol simulates a whole tuple stream as one batch.
+  the protocol simulates a whole tuple stream, or the streams of several
+  runs stacked, as one batch.
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
@@ -14,7 +15,11 @@ Conventions used throughout the package:
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
-check_rows at stage boundaries. The single-state functions (apply_hadamard,
+check_rows at stage boundaries. Measurement comes in two forms:
+sample_rows returns the outcome bits and the normalised residual state of
+the unmeasured qubits, which is all the protocol reads; measure_rows also
+rebuilds every whole collapsed row in the physical frame, for gates that
+act after the measurement. The single-state functions (apply_hadamard,
 measure_qubits, ...) are the T=1 case of the same kernels and return
 norm-checked PureState values.
 """
@@ -41,6 +46,7 @@ __all__ = [
     "phase_flip_rows",
     "swap_rows",
     "append_rows",
+    "sample_rows",
     "measure_rows",
     "prepare_basis",
     "prepare_hadamard_product",
@@ -194,16 +200,43 @@ def _subset_key(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
     return key
 
 
-def _rotate_rows(batch: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) -> np.ndarray:
-    """Hadamard on qubit j of the rows where hadamard[:, j] is set, in qubit order.
+def _kept_index(num_qubits: int, qubits: Sequence[int], bits: np.ndarray) -> np.ndarray:
+    """Basis indices consistent with each row's outcome bits, one row each.
 
-    The passes run on the transposed (2**k, T) layout, where the innermost
+    Column r of a row spreads r over the unmeasured qubits in ascending
+    order, so it is the index of residual amplitude r.
+    """
+    rest = [q for q in range(num_qubits) if q not in qubits]
+    free = np.arange(1 << len(rest), dtype=np.int64)
+    index = np.zeros((bits.shape[0], free.size), dtype=np.int64)
+    for b, q in enumerate(rest):
+        index |= ((free >> b) & 1) << q
+    for b, q in enumerate(qubits):
+        index |= bits[:, b : b + 1] << q
+    return index
+
+
+def _hadamard_mask(bases, rows: int, k: int) -> np.ndarray:
+    """(T, k) mask of the measurements made in the Hadamard basis."""
+    names = np.asarray(bases, dtype=str)
+    if names.shape[-1:] != (k,):
+        raise ValueError("need one basis per measured qubit")
+    unknown = set(names.ravel().tolist()) - {COMPUTATIONAL, HADAMARD}
+    if unknown:
+        raise ValueError(f"unknown basis {sorted(unknown)[0]!r}")
+    return np.broadcast_to(names == HADAMARD, (rows, k))
+
+
+def _rotate_cols(cols: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) -> np.ndarray:
+    """Hadamard on qubit j of column t wherever hadamard[t, j] is set, in qubit order.
+
+    cols is a batch in the transposed (2**k, T) layout, where the innermost
     loop of every pass spans whole columns of rows rather than runs of
     2**qubit amplitudes.
     """
     if not hadamard.any():
-        return batch
-    cols = np.ascontiguousarray(batch.T)[None]
+        return cols
+    cols = np.ascontiguousarray(cols)[None]
     for j, q in enumerate(qubits):
         rows = hadamard[:, j]
         if rows.all():
@@ -211,43 +244,38 @@ def _rotate_rows(batch: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray)
         elif rows.any():
             cols = cols.copy()
             cols[:, :, rows] = _hadamard_axis(cols[:, :, rows], q)
-    return np.ascontiguousarray(cols[0].T)
+    return cols[0]
 
 
-def measure_rows(
+def sample_rows(
     batch: np.ndarray, qubits: Sequence[int], bases, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the same qubits of every row; returns (T, k) bits and collapsed rows.
+    """Measure the same qubits of every row; returns (T, k) bits and the residual.
 
     bases holds one basis per measured qubit, or a (T, k) array of them for
     bases that differ between rows. u holds one uniform draw in [0, 1) per
     row: the outcome is the first whose cumulative marginal probability
-    exceeds u times the row's total. Collapsed rows are returned in the
-    physical frame: a qubit measured in the Hadamard basis is left in the
-    plus or minus state, so later gates act on what a receiver would hold.
+    exceeds u times the row's total. The residual is the normalised state
+    each row leaves on its unmeasured qubits, in ascending qubit order: a
+    (T, 2**(q - k)) batch, one amplitude per row when every qubit is
+    measured. The measured qubits are simply gone from it, so no
+    measurement frame has to be undone.
     """
+    qubits = list(qubits)
     num_qubits = width(batch)
     rows, k = batch.shape[0], len(qubits)
     if len(set(qubits)) != k:
         raise ValueError("measured qubits must be distinct")
     for q in qubits:
         _check_qubit(num_qubits, q)
-    names = np.asarray(bases, dtype=str)
-    if names.shape[-1:] != (k,):
-        raise ValueError("need one basis per measured qubit")
-    unknown = set(names.ravel().tolist()) - {COMPUTATIONAL, HADAMARD}
-    if unknown:
-        raise ValueError(f"unknown basis {sorted(unknown)[0]!r}")
-    hadamard = np.broadcast_to(names == HADAMARD, (rows, k))
+    cols = _rotate_cols(batch.T, qubits, _hadamard_mask(bases, rows, k))
 
-    work = _rotate_rows(batch, qubits, hadamard)
     outcomes = 1 << k
-    key = _subset_key(num_qubits, qubits)
     # bincount sums each row's probabilities per outcome in index order
-    row_keys = np.arange(rows)[:, None] * outcomes + key
+    col_keys = _subset_key(num_qubits, qubits)[:, None] + np.arange(rows) * outcomes
     marginal = np.bincount(
-        row_keys.ravel(),
-        weights=(work.real**2 + work.imag**2).ravel(),
+        col_keys.ravel(),
+        weights=(cols.real**2 + cols.imag**2).ravel(),
         minlength=rows * outcomes,
     ).reshape(rows, outcomes)
     cum = np.cumsum(marginal, axis=1)
@@ -255,9 +283,28 @@ def measure_rows(
     picked = np.minimum(np.sum(cum <= r[:, None], axis=1), outcomes - 1)
     bits = (picked[:, None] >> np.arange(k)) & 1
 
-    kept = np.where(key == picked[:, None], work, 0.0)
-    kept /= np.sqrt(marginal[np.arange(rows), picked])[:, None]
-    return bits, _rotate_rows(kept, qubits, hadamard)
+    row = np.arange(rows)
+    residual = cols[_kept_index(num_qubits, qubits, bits), row[:, None]]
+    residual /= np.sqrt(marginal[row, picked])[:, None]
+    return bits, residual
+
+
+def measure_rows(
+    batch: np.ndarray, qubits: Sequence[int], bases, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_rows, returning each row's whole collapsed state instead.
+
+    Collapsed rows are returned in the physical frame: a qubit measured in
+    the Hadamard basis is left in the plus or minus state, so later gates
+    act on what a receiver would hold.
+    """
+    qubits = list(qubits)
+    bits, residual = sample_rows(batch, qubits, bases, u)
+    rows = batch.shape[0]
+    kept = np.zeros((batch.shape[1], rows), dtype=np.complex128)
+    kept[_kept_index(width(batch), qubits, bits), np.arange(rows)[:, None]] = residual
+    frame = _rotate_cols(kept, qubits, _hadamard_mask(bases, rows, len(qubits)))
+    return bits, np.ascontiguousarray(frame.T)
 
 
 def prepare_basis(labels: BitVector) -> PureState:
@@ -324,7 +371,8 @@ def distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
     if set(bases) - {COMPUTATIONAL, HADAMARD}:
         raise ValueError(f"unknown basis in {tuple(bases)!r}")
     hadamard = np.array([[b == HADAMARD for b in bases]])
-    return np.abs(_rotate_rows(state.amplitudes[None], range(state.num_qubits), hadamard)[0]) ** 2
+    cols = _rotate_cols(state.amplitudes[:, None], range(state.num_qubits), hadamard)
+    return np.abs(cols[:, 0]) ** 2
 
 
 def measure_all(

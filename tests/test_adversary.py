@@ -10,6 +10,7 @@ from ghzcast.adversary import (
     MEASURE_RESEND,
     RANDOM_BASIS,
     EveStrategy,
+    _coins_then_uniform,
     attack_tuple,
 )
 from ghzcast.bitvec import BitVector
@@ -111,6 +112,32 @@ class TestAttackStates:
         expect = np.zeros(16, dtype=complex)
         expect[0] = expect[15] = math.sqrt(0.5)
         assert np.allclose(batch[0], expect)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("leftover", [False, True])
+def test_random_basis_draws_match_a_per_tuple_loop(k, leftover):
+    # the random-basis attack draws, per tuple, k basis coins and then the
+    # sample draw; it makes those draws in one call
+    loop_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
+    if leftover:  # a 32-bit half of the generator's last output is pending
+        loop_rng.integers(0, 2)
+        batch_rng.integers(0, 2)
+    tuples = 7
+    coins = np.empty((tuples, k), dtype=bool)
+    u = np.empty(tuples)
+    for t in range(tuples):
+        for j in range(k):
+            coins[t, j] = loop_rng.integers(0, 2)
+        u[t] = loop_rng.random()
+    got_coins, got_u = _coins_then_uniform(batch_rng, tuples, k)
+    assert np.array_equal(got_coins, coins) and np.array_equal(got_u, u)
+    # and the generator continues where the loop would leave it
+    tails = [
+        (r.integers(0, 2, size=3).tolist(), r.random(), r.integers(0, 2))
+        for r in (loop_rng, batch_rng)
+    ]
+    assert tails[0] == tails[1]
 
 
 def _rates(secrets, eve, trials, d, n=3, seed=5):

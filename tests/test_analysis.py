@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from ghzcast.adversary import (
     ALWAYS_COMPUTATIONAL,
+    ENTANGLE_ANCILLA,
     INTERCEPT_REPLACE,
     MEASURE_RESEND,
+    RANDOM_BASIS,
     EveStrategy,
 )
 from ghzcast.analysis import (
@@ -25,7 +28,7 @@ from ghzcast.analysis import (
     wilson_interval,
 )
 from ghzcast.bitvec import BitVector, concat_secrets, xor_all
-from ghzcast.protocol import Registers, Scenario
+from ghzcast.protocol import STACK_AMPLITUDES, Registers, Scenario, execute_run, run_trials
 
 
 def fold(registers: Registers) -> BitVector:
@@ -231,6 +234,78 @@ class TestDetectionExperiment:
         a = detection_experiment(sc, trials=20)
         b = detection_experiment(sc, trials=20)
         assert a == b
+
+
+EXAMPLE = (BitVector.from_text("010"), BitVector.from_text("101"))
+BROADCAST = tuple(BitVector(v, 4) for v in (3, 12, 5, 10, 6, 9, 15))
+STACKED_SCENARIOS = {
+    "honest_n8": Scenario(n=8, secrets=BROADCAST, noise_p=0.02, seed=8),
+    "measure_resend/computational": Scenario(
+        n=3,
+        secrets=EXAMPLE,
+        d=200,
+        eve=EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL, k=1),
+        seed=101,
+    ),
+    "measure_resend/random": Scenario(
+        n=3,
+        secrets=EXAMPLE,
+        d=200,
+        eve=EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS, k=2),
+        seed=102,
+    ),
+    "intercept_replace": Scenario(
+        n=3, secrets=EXAMPLE, d=200, eve=EveStrategy(tag=INTERCEPT_REPLACE, k=1), seed=103
+    ),
+    "entangle_ancilla": Scenario(
+        n=3, secrets=EXAMPLE, d=200, eve=EveStrategy(tag=ENTANGLE_ANCILLA, k=1), seed=104
+    ),
+    "ancilla_d0": Scenario(
+        n=3, secrets=EXAMPLE, d=0, eve=EveStrategy(tag=ENTANGLE_ANCILLA, k=1), seed=9
+    ),
+}
+
+
+class TestStackedRuns:
+    """Runs simulated as one stack match the same runs made one at a time."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SCENARIOS))
+    def test_experiment_is_the_aggregate_of_lone_runs(self, name):
+        scenario = STACKED_SCENARIOS[name]
+        per_stack = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
+        trials = 2 * per_stack + 1
+        assert per_stack > 1 and trials % per_stack
+
+        seeds = np.random.default_rng(scenario.seed).integers(0, 2**63, size=trials).tolist()
+        stacks = list(run_trials(scenario, seeds))
+        assert [len(stack) for stack in stacks] == [per_stack, per_stack, 1]
+        stacked = [outcome for stack in stacks for outcome in stack]
+        alone = [execute_run(replace(scenario, seed=seed)) for seed in seeds]
+        for a, b in zip(stacked, alone):
+            assert a.scenario == b.scenario
+            assert a.transcript == b.transcript
+
+        stats = detection_experiment(scenario, trials, collect_rows=True)
+        targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
+        reports = [o.transcript.validation for o in alone]
+        attacked = [r.wrong[:, targets] for r in reports]
+        guesses = [o.eve_guesses() for o in alone]
+        assert stats.aborts == sum(o.transcript.aborted for o in alone)
+        assert stats.all_checks == sum(r.decoy_checks for r in reports)
+        assert stats.all_errors == sum(r.errors for r in reports)
+        assert stats.attacked_checks == sum(w.size for w in attacked)
+        assert stats.attacked_errors == sum(int(w.sum()) for w in attacked)
+        assert stats.attacked_tuples == (scenario.resolved_d * trials if targets else 0)
+        assert stats.tuples_with_error == sum(int(w.any(axis=1).sum()) for w in attacked)
+        assert stats.eve_correct == sum(
+            g.bit(j) == s.bit(j)
+            for run in guesses
+            for g, s in zip(run, scenario.secrets)
+            for j in range(len(s))
+        )
+        assert [(row.errors, row.verdict) for row in stats.rows] == [
+            (r.errors, r.verdict) for r in reports
+        ]
 
 
 class TestDecoyCorrelation:

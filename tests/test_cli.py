@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,22 @@ class TestRunCommand:
         assert captured.out == ""
         err = captured.err.strip()
         assert err.startswith("ghzcast: error:") and "cap" in err
+        assert "\n" not in err
+
+    def test_streams_over_the_amplitude_cap_are_refused_before_allocating(self, tmp_path, capsys):
+        # 42 tuples of 22 qubits fit the qubit cap, but the stream would need
+        # 42 * 2**22 amplitudes (2.6 GiB)
+        path = write_scenario(tmp_path, "n: 22\npivs: [" + ", ".join(['"1"'] * 21) + "]\n")
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert peak < 1 << 20
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ghzcast: error:") and "amplitudes" in err and "cap" in err
         assert "\n" not in err
 
     def test_missing_scenario_is_usage_error(self, capsys):

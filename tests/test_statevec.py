@@ -27,6 +27,7 @@ from ghzcast.statevec import (
     prepare_basis,
     prepare_ghz,
     prepare_hadamard_product,
+    sample_rows,
     states_equal,
     swap_qubits,
     swap_rows,
@@ -308,6 +309,40 @@ class TestBatchKernels:
         )
         assert bits == tuple(row_bits[0])
         assert np.array_equal(collapsed.amplitudes, rows[0])
+
+    def test_sampling_draws_the_outcomes_of_a_measurement(self):
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, 8, 4)
+        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        u = rng.random(8)
+        bits, _ = sample_rows(batch, (2, 0), bases, u)
+        measured, _ = measure_rows(batch, (2, 0), bases, u)
+        assert np.array_equal(bits, measured)
+
+    def test_residual_is_the_unmeasured_part_of_the_collapsed_rows(self):
+        rng = np.random.default_rng(6)
+        batch = random_batch(rng, 8, 4)
+        qubits = (2, 0)
+        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        u = rng.random(8)
+        bits, residual = sample_rows(batch, qubits, bases, u)
+        _, collapsed = measure_rows(batch, qubits, bases, u)
+        # qubits 1 and 3 remain, as residual qubits 0 and 1
+        assert residual.shape == (8, 4)
+        assert np.allclose(np.linalg.norm(residual, axis=1), 1.0, atol=1e-12)
+        for t in range(8):
+            row = collapsed[t : t + 1]
+            for j, q in enumerate(qubits):
+                if bases[t, j] == HADAMARD:  # back to the measurement frame
+                    row = hadamard_rows(row, q)
+            kept = [i for i in range(16) if ((i >> 2) & 1, i & 1) == tuple(bits[t])]
+            assert np.allclose(row[0, kept], residual[t], atol=1e-12)
+
+    def test_residual_of_a_full_measurement_is_a_phase(self):
+        batch = random_batch(np.random.default_rng(7), 5, 3)
+        bits, residual = sample_rows(batch, range(3), (HADAMARD,) * 3, np.full(5, 0.5))
+        assert bits.shape == (5, 3) and residual.shape == (5, 1)
+        assert np.allclose(np.abs(residual), 1.0, atol=1e-12)
 
     def test_check_rows_rejects_a_bad_row(self):
         batch = np.tile(prepare_ghz(2).amplitudes, (3, 1))
