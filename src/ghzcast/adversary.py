@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bitvec import BitVector
-from .messages import BROKER, STAGE_EXCHANGE
+from .bitvec import BitVector, xor_all
+from .messages import STAGE_EXCHANGE
 from .statevec import (
     COMPUTATIONAL,
     HADAMARD,
@@ -282,24 +282,14 @@ def _measure_kept(
     return outcomes
 
 
-def _public_segments(transcript: "Transcript") -> tuple[dict, dict] | None:
-    """Broker and agent segments that crossed the classical channel."""
-    broker_segments: dict[int, BitVector] = {}
-    cross_segments: dict[tuple[int, int], BitVector] = {}
-    saw_exchange = False
+def _public_segments(transcript: "Transcript") -> dict[int, list[BitVector]]:
+    """Segments of each agent's secret that crossed the classical channel,
+    by segment index: the broker's and every other agent's."""
+    public: dict[int, list[BitVector]] = {}
     for msg in transcript.messages:
-        if msg.stage != STAGE_EXCHANGE or msg.segment_index is None:
-            continue
-        saw_exchange = True
-        payload = BitVector.from_text(msg.payload)
-        if msg.sender == BROKER:
-            broker_segments[msg.segment_index] = payload
-        else:
-            sender_idx = int(msg.sender.split("_")[1])
-            cross_segments[(sender_idx, msg.segment_index)] = payload
-    if not saw_exchange:
-        return None
-    return broker_segments, cross_segments
+        if msg.stage == STAGE_EXCHANGE:
+            public.setdefault(msg.segment_index, []).append(msg.payload)
+    return public
 
 
 def eve_postprocess(
@@ -315,26 +305,25 @@ def eve_postprocess(
     layout = transcript.layout
     n_agents = layout.segments
     attacked = record.strategy.active
-    public = None if transcript.aborted or not attacked else _public_segments(transcript)
-    if public is None:
+    public = {} if transcript.aborted or not attacked else _public_segments(transcript)
+    if not public:
         # nothing to go on: every bit is a fair coin, drawn in payload order
         coins = rng.integers(0, 2, size=layout.total).tolist()
         return tuple(
             BitVector.from_bits(coins[slice(*layout.bounds(t))]) for t in range(n_agents)
         )
 
-    broker_segments, cross_segments = public
     decoys = set(transcript.decoy_positions)
     info_positions = [p for p in range(transcript.stream_length) if p not in decoys]
     guesses: list[BitVector] = []
     for t in range(n_agents):
         lo, hi = layout.bounds(t)
+        # the fold of every public share of secret t lacks only the owner's
+        # withheld segment
+        folded = xor_all(public[t])
         bits: list[int] = []
         for j in range(lo, hi):
-            known = broker_segments[t].bit(j - lo)
-            for i in range(n_agents):
-                if i != t:
-                    known ^= cross_segments[(i, t)].bit(j - lo)
+            known = folded.bit(j - lo)
             guess = _strategy_guess(record, info_positions[j], j, t, known, rng)
             if guess is None:
                 guess = int(rng.integers(0, 2))

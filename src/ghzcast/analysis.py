@@ -8,8 +8,9 @@ each other honest:
   gate-level simulator.
 - factorized_oracle multiplies exact per-tuple Born distributions computed by
   the gate-level simulator.
-- analytic_sample draws register outcomes from the closed-form solution set:
-  uniform agent bits with the broker bit fixed by the payload parity.
+- analytic_sample_keys draws register outcomes from the closed-form
+  solution set: uniform agent bits with the broker bit fixed by the payload
+  parity.
 
 The experiment helpers quantify detection and secrecy: per-decoy-qubit error
 rates under each attack, abort frequency against the validation threshold,
@@ -36,7 +37,6 @@ __all__ = [
     "joint_oracle",
     "explicit_kickback_oracle",
     "factorized_oracle",
-    "analytic_sample",
     "analytic_sample_keys",
     "support_violations",
     "sample_pvalue",
@@ -243,29 +243,12 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
     return OutcomeDistribution(n=n, m=m, entries=entries)
 
 
-def analytic_sample(payload: BitVector, n: int, rng: np.random.Generator) -> Registers:
-    """One register outcome drawn from the closed-form distribution.
-
-    Agent bits are uniform and independent; each broker bit is set so that
-    the bitwise fold of all registers equals the payload.
-    """
-    m = payload.length
-    agent_bits = rng.integers(0, 2, size=(n - 1, m))
-    broker_bits = agent_bits.sum(axis=0) % 2
-    agents = tuple(BitVector.from_bits(agent_bits[p].tolist()) for p in range(n - 1))
-    broker = BitVector.from_bits(
-        [int(broker_bits[j]) ^ payload.bit(j) for j in range(m)]
-    )
-    return Registers(broker=broker, agents=agents)
-
-
 def analytic_sample_keys(
     payload: BitVector, n: int, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """Vectorized batch of outcome keys from the closed-form distribution.
 
-    Keys are packed into uint64, so n*m is capped at 64; analytic_sample has
-    no such cap.
+    Keys are packed into uint64, so n*m is capped at 64.
     """
     m = payload.length
     if n * m > 64:
@@ -408,13 +391,10 @@ def detection_experiment(
             all_checks += report.decoy_checks
             all_errors += report.errors
 
-            guesses = outcome.eve_guesses()
             trial_bits = trial_correct = 0
-            for guess, truth in zip(guesses, outcome.scenario.secrets):
+            for guess, truth in zip(outcome.eve_guesses(), outcome.scenario.secrets):
                 trial_bits += len(truth)
-                trial_correct += sum(
-                    guess.bit(j) == truth.bit(j) for j in range(len(truth))
-                )
+                trial_correct += len(truth) - (guess.value ^ truth.value).bit_count()
             eve_bits += trial_bits
             eve_correct += trial_correct
 

@@ -18,7 +18,7 @@ __all__ = [
     "xor",
     "xor_all",
     "concat_secrets",
-    "segment",
+    "split",
     "parity_census",
 ]
 
@@ -144,15 +144,6 @@ class SegmentLayout:
         b = self.boundaries
         return (b[j - 1] if j else 0, b[j])
 
-    def owner_of(self, position: int) -> int:
-        """Index of the segment containing the given bit position."""
-        if not 0 <= position < self.total:
-            raise IndexError(f"bit position {position} out of range")
-        for j, hi in enumerate(self.boundaries):
-            if position < hi:
-                return j
-        raise AssertionError("unreachable")
-
 
 def concat_secrets(secrets: Sequence[BitVector]) -> tuple[BitVector, SegmentLayout]:
     """Concatenate per-agent secrets into one payload.
@@ -173,12 +164,16 @@ def concat_secrets(secrets: Sequence[BitVector]) -> tuple[BitVector, SegmentLayo
     return BitVector(value, shift), layout
 
 
-def segment(v: BitVector, layout: SegmentLayout, j: int) -> BitVector:
-    """Extract segment j of a payload-length vector."""
+def split(v: BitVector, layout: SegmentLayout) -> tuple[BitVector, ...]:
+    """Every segment of a payload-length vector, segment 0 first."""
     if v.length != layout.total:
         raise ValueError(f"vector length {v.length} does not match layout total {layout.total}")
-    lo, hi = layout.bounds(j)
-    return BitVector((v.value >> lo) & ((1 << (hi - lo)) - 1), hi - lo)
+    out = []
+    value = v.value
+    for m in layout.lengths:
+        out.append(BitVector(value & ((1 << m) - 1), m))
+        value >>= m
+    return tuple(out)
 
 
 def parity_census(c: BitVector) -> tuple[int, int]:

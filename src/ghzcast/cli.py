@@ -403,9 +403,23 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_from(low: int):
+    """argparse type: an integer of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[], help="run one protocol instance")
     p_run.add_argument("scenario", help="scenario file (YAML)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_int_from(0), default=None, help="override the scenario seed")
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser("experiment", help="repeat a scenario and aggregate statistics")
     p_exp.add_argument("scenario")
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--trials", type=int, default=None)
+    p_exp.add_argument("--seed", type=_int_from(0), default=None)
+    p_exp.add_argument("--trials", type=_int_from(1), default=None)
     p_exp.add_argument("--output", default=None, help="write per-trial rows to this CSV")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -435,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=cmd_distribution)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-check the three oracle routes")
-    p_oracle.add_argument("--seed", type=int, default=None)
-    p_oracle.add_argument("--trials", type=int, default=None, help="samples per configuration")
+    p_oracle.add_argument("--seed", type=_int_from(0), default=None)
+    p_oracle.add_argument(
+        "--trials", type=_int_from(1), default=None, help="samples per configuration"
+    )
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -31,19 +31,17 @@ class DistributionPlan:
     """Stream of m information tuples and d decoys in transmission order.
 
     states holds the prepared tuples, one row per stream position, and
-    is_decoy marks the decoy rows. signs is the broker's private record of
-    the decoy preparations: row i holds the signs (0 plus, 1 minus) of the
-    i-th decoy in stream order. order[pos] identifies the logical tuple at
-    stream position pos: values 0..m-1 are information tuples in payload-bit
-    order, values m..m+d-1 are decoys. A plan of several runs stacks their
-    streams one after another, so every field and position then counts
-    over the whole stack and run t owns rows t*(m+d) .. (t+1)*(m+d)-1.
+    is_decoy marks the decoy rows; the j-th information row of a run
+    carries payload bit j. signs is the broker's private record of the
+    decoy preparations: row i holds the signs (0 plus, 1 minus) of the i-th
+    decoy in stream order. A plan of several runs stacks their streams one
+    after another, so every field then counts over the whole stack and run
+    t owns rows t*(m+d) .. (t+1)*(m+d)-1.
     """
 
     n: int
     m: int
     d: int
-    order: tuple[int, ...]
     is_decoy: np.ndarray
     signs: np.ndarray
     states: np.ndarray
@@ -51,21 +49,6 @@ class DistributionPlan:
     @property
     def trials(self) -> int:
         return self.is_decoy.size // (self.m + self.d)
-
-    @property
-    def information_positions(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(~self.is_decoy).tolist())
-
-    @property
-    def decoy_positions(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.is_decoy).tolist())
-
-    @property
-    def position_map(self) -> dict[int, tuple[int, ...]]:
-        """Decoy preparation by stream position."""
-        return {
-            pos: tuple(signs) for pos, signs in zip(self.decoy_positions, self.signs.tolist())
-        }
 
 
 def build_plan(
@@ -85,30 +68,17 @@ def build_plan(
         raise ValueError("need at least two parties")
 
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    # per run: the interleaving permutation, then the decoy signs
-    logical = []
+    # per run: the interleaving permutation, of which the values m and up
+    # mark decoys, then the decoy signs
+    is_decoy = []
     signs = []
     for r in rngs:
-        logical.append(r.permutation(m + d))
+        is_decoy.append(r.permutation(m + d) >= m)
         signs.append(r.integers(0, 2, size=(d, n)))
-    logical = np.concatenate(logical)
+    is_decoy = np.concatenate(is_decoy)
     signs = np.concatenate(signs)
-    is_decoy = logical >= m
 
-    states = np.empty((logical.size, 1 << n), dtype=np.complex128)
+    states = np.empty((is_decoy.size, 1 << n), dtype=np.complex128)
     states[~is_decoy] = prepare_ghz(n).amplitudes
     states[is_decoy] = hadamard_product_rows(signs)
-
-    # renumber information tuples so payload bit j rides the j-th information
-    # position of its run in stream order
-    info_rank = np.cumsum((~is_decoy).reshape(len(rngs), m + d), axis=1).ravel() - 1
-    order = np.where(is_decoy, logical, info_rank)
-    return DistributionPlan(
-        n=n,
-        m=m,
-        d=d,
-        order=tuple(order.tolist()),
-        is_decoy=is_decoy,
-        signs=signs,
-        states=states,
-    )
+    return DistributionPlan(n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states)

@@ -1,13 +1,19 @@
 """Parties, stage names and the message type of the classical channel.
 
-Both the protocol, which writes transcripts, and the adversary, which reads
-the public part of them, use these names; keeping them here lets both import
+Parties are integers: agent i is i, and the broker and the broadcast
+address are the negative sentinels BROKER and ALL_AGENTS. Payloads are
+data, not text: decoy outcomes and exchanged register segments are bit
+vectors, decoy positions and segment lengths are tuples of ints. Both the
+protocol, which writes transcripts, and the adversary, which reads the
+public part of them, use these names; keeping them here lets both import
 them without importing each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .bitvec import BitVector
 
 __all__ = [
     "BROKER",
@@ -19,12 +25,11 @@ __all__ = [
     "STAGE_DECRYPTION",
     "STAGE_EXCHANGE",
     "STAGE_RECOVERY",
-    "agent_name",
     "ClassicalMessage",
 ]
 
-BROKER = "broker"
-ALL_AGENTS = "all_agents"
+BROKER = -1
+ALL_AGENTS = -2
 
 STAGE_PREAMBLE = "preamble"
 STAGE_DISTRIBUTION = "distribution"
@@ -35,15 +40,11 @@ STAGE_EXCHANGE = "exchange"
 STAGE_RECOVERY = "recovery"
 
 
-def agent_name(i: int) -> str:
-    return f"agent_{i}"
-
-
 @dataclass(frozen=True)
 class ClassicalMessage:
     stage: str
-    sender: str
-    receiver: str
+    sender: int
+    receiver: int
     label: str
-    payload: str
+    payload: BitVector | tuple[int, ...]
     segment_index: int | None = None

@@ -13,6 +13,10 @@ Ordering is load bearing: an abort happens strictly before the embedding
 stage, so an aborted run contains no secret-dependent quantum operation at
 all.
 
+The transcript is typed data: its messages name parties by index (see
+messages) and carry bit vectors and int tuples, so the secrecy check and
+the adversary read them without parsing; only the CLI renders text.
+
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams into one batch: every stage makes one kernel
 call per stack, and each run still draws from its own generators in the
@@ -30,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
-from .bitvec import BitVector, SegmentLayout, concat_secrets, segment, xor_all
+from .bitvec import BitVector, SegmentLayout, concat_secrets, split, xor_all
 from .distribution import DistributionPlan, build_plan
 from .messages import (
     ALL_AGENTS,
@@ -43,7 +47,6 @@ from .messages import (
     STAGE_RECOVERY,
     STAGE_VALIDATION,
     ClassicalMessage,
-    agent_name,
 )
 from .statevec import HADAMARD, MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
 
@@ -76,12 +79,8 @@ MAX_STREAM_AMPLITUDES = 1 << 25
 STACK_AMPLITUDES = 1 << 15
 
 ABORTED_STAGES = (STAGE_PREAMBLE, STAGE_DISTRIBUTION, STAGE_VALIDATION)
-COMPLETED_STAGES = ABORTED_STAGES + (
-    STAGE_EMBEDDING,
-    STAGE_DECRYPTION,
-    STAGE_EXCHANGE,
-    STAGE_RECOVERY,
-)
+POST_VALIDATION_STAGES = (STAGE_EMBEDDING, STAGE_DECRYPTION, STAGE_EXCHANGE, STAGE_RECOVERY)
+COMPLETED_STAGES = ABORTED_STAGES + POST_VALIDATION_STAGES
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,8 @@ class Scenario:
             raise ValueError("every secret must be non-empty")
         if self.d is not None and self.d < 0:
             raise ValueError("d must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
         if not 0.0 < self.threshold_fraction < 1.0:
@@ -226,7 +227,6 @@ class Registers:
 class Transcript:
     """Everything observable about one run, including all classical traffic."""
 
-    n: int
     layout: SegmentLayout
     stream_length: int
     decoy_positions: tuple[int, ...]
@@ -243,8 +243,6 @@ class RunOutcome:
     """Transcript plus the simulator-private adversary bookkeeping."""
 
     scenario: Scenario
-    payload: BitVector
-    layout: SegmentLayout
     transcript: Transcript
     eve_record: EveRecord
     eve_rng: np.random.Generator
@@ -253,11 +251,10 @@ class RunOutcome:
         return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
 
 
-def _bit_texts(bits: np.ndarray) -> list[str]:
-    """Text of every row of a (rows, length) bit array, last bit first, as
-    BitVector renders the bits listed least significant first."""
-    chars = (bits[:, ::-1] + ord("0")).astype(np.uint8)
-    return [row.tobytes().decode() for row in chars]
+def _bit_vectors(bits: np.ndarray) -> list[BitVector]:
+    """One vector per row of a (rows, length) bit array, column j as bit j."""
+    packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    return [BitVector(int.from_bytes(row.tobytes(), "little"), bits.shape[1]) for row in packed]
 
 
 def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
@@ -289,17 +286,17 @@ def decrypt_and_measure(
     residual of every tuple: the qubits above n, which only an adversary
     holds, or one amplitude per tuple when there are none.
     """
-    per_run = batch.shape[0] // len(rngs)
+    runs = len(rngs)
+    per_run = batch.shape[0] // runs
     u = np.concatenate([r.random(per_run) for r in rngs])
     bits, residual = sample_rows(batch, range(n), [HADAMARD] * n, u)
-    # texts[p][t]: party p's register of run t
-    texts = [_bit_texts(bits[:, p].reshape(len(rngs), per_run)) for p in range(n)]
+    # vectors[t * n + p]: party p's register of run t
+    vectors = _bit_vectors(
+        bits.reshape(runs, per_run, n).transpose(0, 2, 1).reshape(runs * n, per_run)
+    )
     registers = [
-        Registers(
-            broker=BitVector.from_text(texts[n - 1][t]),
-            agents=tuple(BitVector.from_text(texts[i][t]) for i in range(n - 1)),
-        )
-        for t in range(len(rngs))
+        Registers(broker=vectors[t * n + n - 1], agents=tuple(vectors[t * n : t * n + n - 1]))
+        for t in range(runs)
     ]
     return registers, residual
 
@@ -336,95 +333,66 @@ def run_validation(
         threshold=threshold_fraction * (d * (n - 1)),
     )
 
-    # texts[t * (n - 1) + i]: agent i's outcomes in run t
-    texts = _bit_texts(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
+    # outcomes[t * (n - 1) + i]: agent i's outcomes in run t
+    outcomes = _bit_vectors(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
     messages = []
     for t, is_decoy in enumerate(plan.is_decoy.reshape(runs, plan.m + d)):
-        positions = np.flatnonzero(is_decoy).tolist()
-        run_messages = [
-            ClassicalMessage(
-                stage=STAGE_VALIDATION,
-                sender=BROKER,
-                receiver=ALL_AGENTS,
-                label="decoy_positions",
-                payload=",".join(map(str, positions)),
-            )
-        ]
-        for i in range(n - 1):
-            run_messages.append(
+        positions = tuple(np.flatnonzero(is_decoy).tolist())
+        messages.append(
+            [ClassicalMessage(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", positions)]
+            + [
                 ClassicalMessage(
-                    stage=STAGE_VALIDATION,
-                    sender=agent_name(i),
-                    receiver=BROKER,
-                    label="decoy_outcomes",
-                    payload=texts[t * (n - 1) + i],
+                    STAGE_VALIDATION, i, BROKER, "decoy_outcomes", outcomes[t * (n - 1) + i]
                 )
-            )
-        messages.append(run_messages)
+                for i in range(n - 1)
+            ]
+        )
     return checks, messages
 
 
 def classical_exchange(
     registers: Registers, layout: SegmentLayout
-) -> tuple[list[ClassicalMessage], dict[int, dict[str | int, BitVector]]]:
+) -> tuple[list[ClassicalMessage], dict[int, dict[int, BitVector]]]:
     """Send every register segment to the agent it belongs to.
 
     The broker sends agent t her segment t; every agent i sends agent t the
     segment t of their own register, for t != i, and keeps segment i private.
     Nothing flows towards the broker. Returns the messages and, per agent,
-    the received segments keyed by sender.
+    the segments of their secret they then hold, keyed by the party they
+    came from: their own withheld segment under their own index.
     """
-    n_agents = layout.segments
-    messages: list[ClassicalMessage] = []
-    received: dict[int, dict[str | int, BitVector]] = {t: {} for t in range(n_agents)}
-    for t in range(n_agents):
-        seg = segment(registers.broker, layout, t)
-        received[t][BROKER] = seg
-        messages.append(
-            ClassicalMessage(
-                stage=STAGE_EXCHANGE,
-                sender=BROKER,
-                receiver=agent_name(t),
-                label="broker_segment",
-                payload=str(seg),
-                segment_index=t,
-            )
+    # segments[p][t]: segment t of party p's register, the broker first
+    owned = {BROKER: registers.broker, **dict(enumerate(registers.agents))}
+    segments = {p: split(register, layout) for p, register in owned.items()}
+    parties = list(segments)
+    messages = [
+        ClassicalMessage(
+            STAGE_EXCHANGE,
+            p,
+            t,
+            "broker_segment" if p == BROKER else "register_segment",
+            segments[p][t],
+            segment_index=t,
         )
-    for i in range(n_agents):
-        for t in range(n_agents):
-            if t == i:
-                continue
-            seg = segment(registers.agents[i], layout, t)
-            received[t][i] = seg
-            messages.append(
-                ClassicalMessage(
-                    stage=STAGE_EXCHANGE,
-                    sender=agent_name(i),
-                    receiver=agent_name(t),
-                    label="register_segment",
-                    payload=str(seg),
-                    segment_index=t,
-                )
-            )
-    return messages, received
+        for p in parties
+        for t in range(layout.segments)
+        if t != p
+    ]
+    held = {t: {p: segments[p][t] for p in parties} for t in range(layout.segments)}
+    return messages, held
 
 
 def recover_secret(
-    agent: int,
-    own_register: BitVector,
-    received: Mapping[str | int, BitVector],
-    layout: SegmentLayout,
+    agent: int, held: Mapping[int, BitVector], layout: SegmentLayout
 ) -> BitVector:
-    """Fold the received segments with the agent's own withheld segment."""
-    parts = [received[BROKER]]
-    for i in range(layout.segments):
-        if i == agent:
-            parts.append(segment(own_register, layout, agent))
-        else:
-            if i not in received:
-                raise ValueError(f"missing segment from agent {i}")
-            parts.append(received[i])
-    return xor_all(parts)
+    """Fold the segments of the agent's secret: the broker's, one received
+    from every other agent, and the agent's own withheld one."""
+    parties = {BROKER, *range(layout.segments)}
+    if held.keys() != parties:
+        raise ValueError(
+            f"agent {agent} holds segments from {sorted(held)}, needs {sorted(parties)}"
+        )
+    return xor_all(list(held.values()))
 
 
 def run_trials(scenario: Scenario, seeds: Sequence[int]) -> Iterator[list[RunOutcome]]:
@@ -449,11 +417,7 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
     n = scenario.n
     m, d = payload.length, scenario.resolved_d
     preamble = ClassicalMessage(
-        stage=STAGE_PREAMBLE,
-        sender=BROKER,
-        receiver=ALL_AGENTS,
-        label="segment_lengths",
-        payload=",".join(str(length) for length in layout.lengths),
+        STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths", layout.lengths
     )
 
     plan = build_plan(m, d, n, rngs)
@@ -490,17 +454,13 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
         if passed[t]:
             p = completed[t]
             run_registers = registers[p]
-            exchange_messages, received = classical_exchange(run_registers, layout)
+            exchange_messages, held = classical_exchange(run_registers, layout)
             messages.extend(exchange_messages)
-            recovered = tuple(
-                recover_secret(i, run_registers.agents[i], received[i], layout)
-                for i in range(n - 1)
-            )
+            recovered = tuple(recover_secret(i, held[i], layout) for i in range(n - 1))
             if scenario.eve.active:
                 record.final_states = residual[p * m : (p + 1) * m]
 
         transcript = Transcript(
-            n=n,
             layout=layout,
             stream_length=m + d,
             decoy_positions=tuple(np.flatnonzero(plan.is_decoy[stream]).tolist()),
@@ -514,8 +474,6 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
         outcomes.append(
             RunOutcome(
                 scenario=replace(scenario, seed=seed),
-                payload=payload,
-                layout=layout,
                 transcript=transcript,
                 eve_record=record,
                 eve_rng=eve_rngs[t],
@@ -537,21 +495,15 @@ def check_transcript_secrecy(transcript: Transcript) -> list[str]:
     """Structural secrecy checks on the classical traffic.
 
     Returns a description of every violation found: an agent sending their
-    own withheld segment, or any agent-to-broker message after validation.
+    own withheld segment, or any message to the broker after validation.
     """
     violations: list[str] = []
-    post_validation = {STAGE_EMBEDDING, STAGE_DECRYPTION, STAGE_EXCHANGE, STAGE_RECOVERY}
     for msg in transcript.messages:
-        if msg.stage in post_validation and msg.receiver == BROKER:
+        if msg.stage in POST_VALIDATION_STAGES and msg.receiver == BROKER:
             violations.append(
-                f"{msg.sender} sent {msg.label!r} to the broker during {msg.stage}"
+                f"party {msg.sender} sent {msg.label!r} to the broker during {msg.stage}"
             )
-        if (
-            msg.sender.startswith("agent_")
-            and msg.segment_index is not None
-            and msg.segment_index == int(msg.sender.split("_")[1])
-        ):
-            violations.append(
-                f"{msg.sender} transmitted their own segment {msg.segment_index}"
-            )
+        # segment indices are agent indices, so only an agent sender can match
+        if msg.sender == msg.segment_index:
+            violations.append(f"agent {msg.sender} transmitted their own segment {msg.sender}")
     return violations

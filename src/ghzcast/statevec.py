@@ -15,13 +15,13 @@ Conventions used throughout the package:
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
-check_rows at stage boundaries. Measurement comes in two forms:
+check_rows at stage boundaries. A single state is a batch of one row; there
+are no single-state gate wrappers. Measurement comes in two forms:
 sample_rows returns the outcome bits and the normalised residual state of
 the unmeasured qubits, which is all the protocol reads; measure_rows also
 rebuilds every whole collapsed row in the physical frame, for gates that
-act after the measurement. The single-state functions (apply_hadamard,
-measure_qubits, ...) are the T=1 case of the same kernels and return
-norm-checked PureState values.
+act after the measurement. PureState is a norm-checked single state, as the
+GHZ and basis preparations and the exact distribution use it.
 """
 
 from __future__ import annotations
@@ -49,18 +49,10 @@ __all__ = [
     "sample_rows",
     "measure_rows",
     "prepare_basis",
-    "prepare_hadamard_product",
-    "apply_hadamard",
-    "apply_cnot",
     "apply_phase_flip",
     "ghz_layers",
     "prepare_ghz",
     "distribution",
-    "measure_all",
-    "measure_qubits",
-    "tensor",
-    "swap_qubits",
-    "states_equal",
 ]
 
 MAX_QUBITS = 24
@@ -121,12 +113,6 @@ def check_rows(batch: np.ndarray) -> None:
 def _check_qubit(num_qubits: int, qubit: int) -> None:
     if not 0 <= qubit < num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
-
-
-def _one(kernel, state: PureState, *args) -> PureState:
-    """Apply a batch kernel to a single state as a batch of one row."""
-    out = kernel(state.amplitudes[None], *args)[0]
-    return PureState(out, width(out))
 
 
 def hadamard_product_rows(signs: np.ndarray) -> np.ndarray:
@@ -314,24 +300,9 @@ def prepare_basis(labels: BitVector) -> PureState:
     return PureState(amps, labels.length)
 
 
-def prepare_hadamard_product(signs: Sequence[int]) -> PureState:
-    """Product state of plus (sign 0) and minus (sign 1) qubits."""
-    if any(s not in (0, 1) for s in signs):
-        raise ValueError(f"signs must be 0 or 1, got {tuple(signs)!r}")
-    return PureState(hadamard_product_rows([signs])[0], len(signs))
-
-
-def apply_hadamard(state: PureState, qubit: int) -> PureState:
-    return _one(hadamard_rows, state, qubit)
-
-
-def apply_cnot(state: PureState, control: int, target: int) -> PureState:
-    return _one(cnot_rows, state, control, target)
-
-
 def apply_phase_flip(state: PureState, qubit: int) -> PureState:
     """Pauli Z: negate every amplitude where the qubit is 1."""
-    return _one(phase_flip_rows, state, qubit)
+    return PureState(phase_flip_rows(state.amplitudes[None], qubit)[0], state.num_qubits)
 
 
 def ghz_layers(n: int, topology: str = "linear") -> list[list[tuple[int, int]]]:
@@ -373,44 +344,3 @@ def distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
     hadamard = np.array([[b == HADAMARD for b in bases]])
     cols = _rotate_cols(state.amplitudes[:, None], range(state.num_qubits), hadamard)
     return np.abs(cols[:, 0]) ** 2
-
-
-def measure_all(
-    state: PureState, bases: Sequence[str], rng: np.random.Generator
-) -> tuple[BitVector, PureState]:
-    """Measure every qubit; the collapsed state is kept in the measured frame."""
-    bits, _ = measure_qubits(state, range(state.num_qubits), bases, rng)
-    outcome = BitVector.from_bits(bits)
-    return outcome, prepare_basis(outcome)
-
-
-def measure_qubits(
-    state: PureState,
-    qubits: Sequence[int],
-    bases: Sequence[str],
-    rng: np.random.Generator,
-) -> tuple[tuple[int, ...], PureState]:
-    """Measure a subset of qubits of one state: measure_rows on one row."""
-    bits, collapsed = measure_rows(
-        state.amplitudes[None], list(qubits), bases, np.array([rng.random()])
-    )
-    return tuple(bits[0].tolist()), PureState(collapsed[0], state.num_qubits)
-
-
-def tensor(state: PureState, extra: PureState) -> PureState:
-    """Join two registers; qubits of extra are appended above those of state."""
-    return _one(append_rows, state, extra.amplitudes)
-
-
-def swap_qubits(state: PureState, a: int, b: int) -> PureState:
-    """Relabel two qubits of the state."""
-    if a == b:
-        return state
-    return _one(swap_rows, state, a, b)
-
-
-def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Amplitude-wise comparison, no global-phase allowance."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)

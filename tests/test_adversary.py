@@ -18,9 +18,9 @@ from ghzcast.protocol import Scenario, execute_run
 from ghzcast.statevec import (
     COMPUTATIONAL,
     HADAMARD,
+    hadamard_product_rows,
     measure_rows,
     prepare_ghz,
-    prepare_hadamard_product,
 )
 
 
@@ -98,7 +98,7 @@ class TestAttackStates:
         # the forwarded replacement qubits read uniform in the Hadamard basis
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=1)
         trials = 400
-        plus = np.tile(prepare_hadamard_product((0, 0, 0)).amplitudes, (trials, 1))
+        plus = np.tile(hadamard_product_rows([(0, 0, 0)])[0], (trials, 1))
         batch, _ = attack_tuple(eve, plus, rng)
         bits, _ = measure_rows(batch, (0,), (HADAMARD,), rng.random(trials))
         assert abs(bits.mean() - 0.5) < 0.07

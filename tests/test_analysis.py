@@ -16,7 +16,6 @@ from ghzcast.adversary import (
 )
 from ghzcast.analysis import (
     OutcomeDistribution,
-    analytic_sample,
     analytic_sample_keys,
     decoy_correlation_stat,
     detection_experiment,
@@ -128,8 +127,9 @@ class TestOracleAgreement:
 class TestAnalyticSample:
     def test_fold_always_equals_payload(self, rng):
         payload = BitVector.from_text("0110")
-        for _ in range(200):
-            registers = analytic_sample(payload, 3, rng)
+        dist = joint_oracle(payload, 3)
+        for key in analytic_sample_keys(payload, 3, rng, 200).tolist():
+            registers = dist.key_to_registers(key)
             assert fold(registers) == payload
             assert registers.broker.length == 4
             assert len(registers.agents) == 2

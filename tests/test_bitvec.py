@@ -9,7 +9,7 @@ from ghzcast.bitvec import (
     concat_secrets,
     inner_product_mod2,
     parity_census,
-    segment,
+    split,
     xor,
     xor_all,
 )
@@ -122,12 +122,6 @@ class TestLayout:
         assert layout.total == 6
         assert layout.segments == 2
 
-    def test_owner_of(self):
-        layout = SegmentLayout((2, 1, 3))
-        assert [layout.owner_of(p) for p in range(6)] == [0, 0, 1, 2, 2, 2]
-        with pytest.raises(IndexError):
-            layout.owner_of(6)
-
     def test_rejects_empty_segments(self):
         with pytest.raises(ValueError):
             SegmentLayout(())
@@ -166,20 +160,19 @@ class TestConcat:
     def test_segment_round_trip(self, secrets):
         payload, layout = concat_secrets(secrets)
         assert payload.length == sum(len(s) for s in secrets)
-        for j, s in enumerate(secrets):
-            assert segment(payload, layout, j) == s
+        assert split(payload, layout) == tuple(secrets)
 
 
 class TestSegment:
     def test_example_segments(self):
         layout = SegmentLayout((3, 3))
-        assert str(segment(BitVector.from_text("111111"), layout, 0)) == "111"
-        assert str(segment(BitVector.from_text("110010"), layout, 1)) == "110"
-        assert str(segment(BitVector.from_text("101010"), layout, 1)) == "101"
+        assert [str(s) for s in split(BitVector.from_text("111111"), layout)] == ["111", "111"]
+        assert [str(s) for s in split(BitVector.from_text("110010"), layout)] == ["010", "110"]
+        assert [str(s) for s in split(BitVector.from_text("101010"), layout)] == ["010", "101"]
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
-            segment(BitVector.from_text("10"), SegmentLayout((3, 3)), 0)
+            split(BitVector.from_text("10"), SegmentLayout((3, 3)))
 
 
 class TestParityCensus:

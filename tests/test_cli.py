@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzcast.bitvec import BitVector
 from ghzcast.cli import (
@@ -246,6 +248,36 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{case}"],
+            ["run", str(SCENARIO_DIR / "three_party.yaml"), "--seed", "-3"],
+            ["experiment", str(SCENARIO_DIR / "three_party.yaml"), "--seed", "-2"],
+            ["experiment", str(SCENARIO_DIR / "three_party.yaml"), "--trials", "0"],
+            ["oracle-check", "--seed", "-1"],
+            ["oracle-check", "--trials", "0"],
+            ["experiment", str(SCENARIO_DIR / "three_party.yaml"), "--trials", "two"],
+        ],
+        ids=[
+            "file_seed_-1",
+            "run_seed_-3",
+            "experiment_seed_-2",
+            "experiment_trials_0",
+            "oracle_check_seed_-1",
+            "oracle_check_trials_0",
+            "experiment_trials_text",
+        ],
+    )
+    def test_negative_seeds_and_zero_trials_are_usage_errors(self, tmp_path, capsys, argv):
+        case = write_scenario(tmp_path, 'n: 3\npivs: ["010", "101"]\nseed: -1\n')
+        code = main([arg.format(case=case) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "error:" in err and "\n" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -336,3 +368,76 @@ def test_oracle_check_passes(capsys):
     doc = yaml.safe_load(capsys.readouterr().out)
     assert doc["failures"] == 0
     assert all(check["status"] == "pass" for check in doc["checks"])
+
+
+EVE_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "strategy": st.sampled_from(
+            ["none", "measure_resend", "intercept_replace", "entangle_ancilla", "tap"]
+        ),
+        "basis_policy": st.sampled_from(["always_computational", "random_basis", "diagonal"]),
+        "k": st.integers(0, 3),
+        "targets": st.lists(st.integers(-1, 4), max_size=2),
+    },
+)
+# keys besides n and pivs, each absent or drawn from mostly valid values
+OPTIONAL_KEYS = {
+    "d": st.sampled_from([0, 1, 3, 8, -1]),
+    "eve": EVE_DOCS,
+    "noise_p": st.sampled_from([0.0, 0.05, 0.5, 1.0, 1.5, float("nan")]),
+    "threshold_fraction": st.sampled_from([0.125, 0.5, 0.9, 0.0, 1.0]),
+    "seed": st.integers(-3, 10**6) | st.just(2**70),
+    "trials": st.sampled_from([1, 2, 3, 0, -1]),
+}
+
+
+@st.composite
+def scenario_docs(draw) -> dict:
+    """Scenario documents with at most 6 payload bits: mostly a matching n
+    and pivs, one time in ten a bad value under some key."""
+    n = draw(st.integers(2, 5))
+    pivs = draw(
+        st.lists(st.text("01", min_size=1, max_size=2), min_size=n - 1, max_size=n - 1).filter(
+            lambda pivs: sum(map(len, pivs)) <= 6
+        )
+    )
+    doc = {"n": n, "pivs": pivs}
+    if draw(st.sampled_from([False] * 9 + [True])):
+        doc[draw(st.sampled_from(["n", "pivs", "eve", "color"]))] = draw(
+            st.sampled_from([-1, True, 2.5, "3", ["", "012", 3], "replace"])
+        )
+    doc.update(draw(st.fixed_dictionaries({}, optional=OPTIONAL_KEYS)))
+    return doc
+
+
+def _oracle_qubits(doc: dict) -> int:
+    """Qubits of the joint state the distribution command would build."""
+    n, pivs = doc.get("n"), doc.get("pivs")
+    if isinstance(n, bool) or not isinstance(n, int) or not isinstance(pivs, list):
+        return 0
+    return n * sum(len(p) for p in pivs if isinstance(p, str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc=scenario_docs(),
+    command=st.sampled_from(["run", "experiment", "distribution"]),
+    seed=st.none() | st.integers(-3, 2**64),
+    trials=st.none() | st.integers(-1, 3),
+)
+def test_fuzzed_scenarios_exit_with_a_contract_code(tmp_path_factory, doc, command, seed, trials):
+    """Every scenario document either runs or is refused with a usage
+    error; none ends in a traceback."""
+    if command == "distribution" and _oracle_qubits(doc) > 16:
+        command = "run"  # keeps the exact oracle small
+    if command == "experiment" and trials is None:
+        doc.setdefault("trials", 2)  # not the default thousand
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    argv = [command, str(path)]
+    if seed is not None and command != "distribution":
+        argv += ["--seed", str(seed)]
+    if trials is not None and command == "experiment":
+        argv += ["--trials", str(trials)]
+    assert main(argv) in (EXIT_OK, EXIT_ABORT, EXIT_MISMATCH, EXIT_USAGE)

@@ -3,55 +3,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast.distribution import build_plan
-from ghzcast.statevec import prepare_ghz, prepare_hadamard_product
+from ghzcast.statevec import hadamard_product_rows, prepare_ghz
 
 
 def test_decoy_tuple_records_preparation(rng):
     plan = build_plan(2, 6, 3, rng)
-    for pos, signs in plan.position_map.items():
-        assert plan.is_decoy[pos]
-        assert np.array_equal(plan.states[pos], prepare_hadamard_product(signs).amplitudes)
+    # the i-th decoy row in stream order holds the preparation of signs row i
+    for signs, state in zip(plan.signs, plan.states[plan.is_decoy]):
+        assert np.array_equal(state, hadamard_product_rows([signs])[0])
 
 
 def test_decoy_tuple_random_signs(rng):
     plan = build_plan(1, 100, 2, rng)
-    assert set(plan.position_map.values()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert set(map(tuple, plan.signs.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_tuple_record_kind_guard(rng):
     # a preparation record exists exactly for the decoy positions
     plan = build_plan(5, 7, 3, rng)
     assert plan.signs.shape == (7, 3)
-    assert set(plan.position_map) == set(np.flatnonzero(plan.is_decoy).tolist())
-    assert not set(plan.position_map) & set(plan.information_positions)
+    assert plan.is_decoy.shape == (12,) and np.count_nonzero(plan.is_decoy) == 7
 
 
 class TestBuildPlan:
     def test_no_decoys_is_identity_order(self, rng):
         plan = build_plan(6, 0, 3, rng)
-        assert plan.order == tuple(range(6))
-        assert plan.decoy_positions == ()
-        assert plan.information_positions == tuple(range(6))
+        assert not plan.is_decoy.any()
+        assert plan.signs.shape == (0, 3)
 
     def test_counts(self, rng):
         plan = build_plan(6, 4, 3, rng)
         assert plan.states.shape == (10, 8)
-        assert len(plan.position_map) == 4
-        assert len(plan.information_positions) == 6
-        assert set(plan.decoy_positions) | set(plan.information_positions) == set(range(10))
+        assert plan.signs.shape == (4, 3)
+        assert np.count_nonzero(plan.is_decoy) == 4
 
     def test_information_tuples_share_ghz(self, rng):
         plan = build_plan(4, 2, 3, rng)
         ghz = prepare_ghz(3)
-        for pos in plan.information_positions:
-            assert np.array_equal(plan.states[pos], ghz.amplitudes)
-
-    def test_payload_bit_order_follows_stream(self, rng):
-        # information tuple j in stream order carries payload bit j
-        for _ in range(20):
-            plan = build_plan(5, 3, 3, rng)
-            info_ids = [plan.order[pos] for pos in plan.information_positions]
-            assert info_ids == list(range(5))
+        for state in plan.states[~plan.is_decoy]:
+            assert np.array_equal(state, ghz.amplitudes)
 
     def test_interleave_is_uniform(self):
         rng = np.random.default_rng(99)
@@ -66,9 +56,8 @@ class TestBuildPlan:
     @settings(max_examples=60, deadline=None)
     def test_plan_invariants(self, m, d, n, seed):
         plan = build_plan(m, d, n, np.random.default_rng(seed))
-        assert sorted(plan.order) == list(range(m + d))
+        assert plan.is_decoy.shape == (m + d,) and np.count_nonzero(plan.is_decoy) == d
         assert plan.states.shape == (m + d, 1 << n)
-        decoys = [pos for pos in range(m + d) if plan.order[pos] >= m]
-        assert tuple(decoys) == plan.decoy_positions
-        for pos, signs in plan.position_map.items():
-            assert np.array_equal(plan.states[pos], prepare_hadamard_product(signs).amplitudes)
+        assert np.array_equal(plan.states[plan.is_decoy], hadamard_product_rows(plan.signs))
+        ghz = np.tile(prepare_ghz(n).amplitudes, (m, 1))
+        assert np.array_equal(plan.states[~plan.is_decoy], ghz)

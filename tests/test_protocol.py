@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy
-from ghzcast.bitvec import BitVector, concat_secrets, xor_all
+from ghzcast.bitvec import BitVector, SegmentLayout, concat_secrets, split, xor_all
 from ghzcast.protocol import (
+    ALL_AGENTS,
     BROKER,
     STAGE_DECRYPTION,
     STAGE_DISTRIBUTION,
@@ -16,7 +19,6 @@ from ghzcast.protocol import (
     STAGE_VALIDATION,
     ClassicalMessage,
     Scenario,
-    Transcript,
     check_transcript_secrecy,
     recover_secret,
     run_protocol,
@@ -38,6 +40,8 @@ class TestScenario:
             Scenario(n=3, secrets=example_secrets, noise_p=1.5)
         with pytest.raises(ValueError):
             Scenario(n=3, secrets=example_secrets, threshold_fraction=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            Scenario(n=3, secrets=example_secrets, seed=-1)
         with pytest.raises(ValueError):
             Scenario(n=2, secrets=(BitVector.from_text(""),))
         with pytest.raises(ValueError):
@@ -131,11 +135,11 @@ class TestMessages:
             for m in transcript.messages
             if m.stage == STAGE_EXCHANGE and m.sender == BROKER
         }
-        assert by_receiver["agent_0"] == str(registers.broker)[3:]
-        assert by_receiver["agent_1"] == str(registers.broker)[:3]
+        assert str(by_receiver[0]) == str(registers.broker)[3:]
+        assert str(by_receiver[1]) == str(registers.broker)[:3]
 
     def test_cross_agent_segments(self, example_secrets):
-        # agent_1 receives segment 1 of agent_0's register and vice versa
+        # agent 1 receives segment 1 of agent 0's register and vice versa
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         registers = transcript.registers
         cross = {
@@ -143,8 +147,8 @@ class TestMessages:
             for m in transcript.messages
             if m.stage == STAGE_EXCHANGE and m.sender != BROKER
         }
-        assert cross[("agent_0", "agent_1")] == str(registers.agents[0])[:3]
-        assert cross[("agent_1", "agent_0")] == str(registers.agents[1])[3:]
+        assert str(cross[(0, 1)]) == str(registers.agents[0])[:3]
+        assert str(cross[(1, 0)]) == str(registers.agents[1])[3:]
 
     def test_no_agent_to_broker_after_validation(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
@@ -161,6 +165,23 @@ class TestMessages:
         ]
         assert len(reports) == 2
         assert all(m.label == "decoy_outcomes" for m in reports)
+        assert [m.sender for m in reports] == [0, 1]
+        # agent i reports the column of its slot, decoy j as bit j
+        for m in reports:
+            wrong = transcript.validation.wrong[:, m.sender]
+            expected = transcript.validation.expected[:, m.sender]
+            assert m.payload.bits() == tuple((expected ^ wrong).tolist())
+
+    def test_broadcasts_carry_typed_payloads(self, example_secrets):
+        transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
+        broadcasts = {
+            m.label: m.payload for m in transcript.messages if m.receiver == ALL_AGENTS
+        }
+        assert broadcasts == {
+            "segment_lengths": (3, 3),
+            "decoy_positions": transcript.decoy_positions,
+        }
+        assert all(m.sender == BROKER for m in transcript.messages if m.receiver == ALL_AGENTS)
 
 
 class TestAbort:
@@ -209,19 +230,24 @@ class TestAbort:
 
 class TestRecoverSecret:
     def test_all_zero_registers(self):
-        from ghzcast.bitvec import SegmentLayout
-
         layout = SegmentLayout((2, 2))
-        zero = BitVector.zeros(4)
-        received = {BROKER: BitVector.zeros(2), 1: BitVector.zeros(2)}
-        assert recover_secret(0, zero, received, layout) == BitVector.zeros(2)
+        zero = BitVector.zeros(2)
+        held = {BROKER: zero, 0: zero, 1: zero}
+        assert recover_secret(0, held, layout) == BitVector.zeros(2)
 
     def test_missing_segment_raises(self):
-        from ghzcast.bitvec import SegmentLayout
-
         layout = SegmentLayout((2, 2))
+        zero = BitVector.zeros(2)
         with pytest.raises(ValueError):
-            recover_secret(0, BitVector.zeros(4), {BROKER: BitVector.zeros(2)}, layout)
+            recover_secret(0, {BROKER: zero, 0: zero}, layout)
+
+    def test_folds_every_held_segment(self, example_secrets):
+        transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
+        registers, layout = transcript.registers, transcript.layout
+        for i, secret in enumerate(example_secrets):
+            held = {BROKER: split(registers.broker, layout)[i]}
+            held.update((p, split(r, layout)[i]) for p, r in enumerate(registers.agents))
+            assert recover_secret(i, held, layout) == secret
 
 
 class TestSecrecyChecker:
@@ -233,24 +259,13 @@ class TestSecrecyChecker:
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         bad = ClassicalMessage(
             stage=STAGE_EXCHANGE,
-            sender="agent_0",
+            sender=0,
             receiver=BROKER,
             label="register_segment",
-            payload="000",
+            payload=BitVector.zeros(3),
             segment_index=1,
         )
-        tampered = Transcript(
-            n=transcript.n,
-            layout=transcript.layout,
-            stream_length=transcript.stream_length,
-            decoy_positions=transcript.decoy_positions,
-            stages=transcript.stages,
-            messages=transcript.messages + (bad,),
-            validation=transcript.validation,
-            aborted=transcript.aborted,
-            registers=transcript.registers,
-            recovered=transcript.recovered,
-        )
+        tampered = replace(transcript, messages=transcript.messages + (bad,))
         violations = check_transcript_secrecy(tampered)
         assert len(violations) == 1
         assert "broker" in violations[0]
@@ -259,24 +274,13 @@ class TestSecrecyChecker:
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         bad = ClassicalMessage(
             stage=STAGE_EXCHANGE,
-            sender="agent_1",
-            receiver="agent_0",
+            sender=1,
+            receiver=0,
             label="register_segment",
-            payload="000",
+            payload=BitVector.zeros(3),
             segment_index=1,
         )
-        tampered = Transcript(
-            n=transcript.n,
-            layout=transcript.layout,
-            stream_length=transcript.stream_length,
-            decoy_positions=transcript.decoy_positions,
-            stages=transcript.stages,
-            messages=transcript.messages + (bad,),
-            validation=transcript.validation,
-            aborted=transcript.aborted,
-            registers=transcript.registers,
-            recovered=transcript.recovered,
-        )
+        tampered = replace(transcript, messages=transcript.messages + (bad,))
         violations = check_transcript_secrecy(tampered)
         assert len(violations) == 1
         assert "own segment" in violations[0]

@@ -12,26 +12,19 @@ from ghzcast.statevec import (
     MAX_QUBITS,
     PureState,
     append_rows,
-    apply_cnot,
-    apply_hadamard,
     apply_phase_flip,
     check_rows,
     cnot_rows,
     distribution,
     ghz_layers,
+    hadamard_product_rows,
     hadamard_rows,
-    measure_all,
-    measure_qubits,
     measure_rows,
     phase_flip_rows,
     prepare_basis,
     prepare_ghz,
-    prepare_hadamard_product,
     sample_rows,
-    states_equal,
-    swap_qubits,
     swap_rows,
-    tensor,
 )
 
 SQ2 = math.sqrt(0.5)
@@ -39,6 +32,22 @@ SQ2 = math.sqrt(0.5)
 
 def amps(state):
     return state.amplitudes
+
+
+def row(state):
+    """A single state as a batch of one row."""
+    return state.amplitudes[None]
+
+
+def plus_minus(signs):
+    """Product of plus (0) and minus (1) qubits."""
+    return hadamard_product_rows([signs])[0]
+
+
+def measure_one(amplitudes, qubits, bases, rng):
+    """Measure one state: its bits and its collapsed amplitudes."""
+    bits, collapsed = measure_rows(amplitudes[None], list(qubits), list(bases), rng.random(1))
+    return tuple(bits[0].tolist()), collapsed[0]
 
 
 class TestPreparation:
@@ -56,14 +65,12 @@ class TestPreparation:
             PureState(np.zeros(1 << (MAX_QUBITS + 1)), MAX_QUBITS + 1)
 
     def test_plus_plus(self):
-        st2 = prepare_hadamard_product((0, 0))
-        assert np.allclose(amps(st2), [0.5, 0.5, 0.5, 0.5])
+        assert np.allclose(plus_minus((0, 0)), [0.5, 0.5, 0.5, 0.5])
 
     def test_forced_signs(self):
         # qubit 1 is minus: sign flips whenever index bit 1 is set
-        state = prepare_hadamard_product((0, 1, 0))
         expect = np.array([1, 1, -1, -1, 1, 1, -1, -1]) / (2 * math.sqrt(2))
-        assert np.allclose(amps(state), expect)
+        assert np.allclose(plus_minus((0, 1, 0)), expect)
 
     def test_minus_fraction_of_random_decoys(self):
         rng = np.random.default_rng(5)
@@ -77,23 +84,23 @@ class TestPreparation:
 
 class TestGates:
     def test_hadamard_on_zero(self):
-        state = apply_hadamard(prepare_basis(BitVector.from_text("0")), 0)
-        assert np.allclose(amps(state), [SQ2, SQ2])
+        state = hadamard_rows(row(prepare_basis(BitVector.from_text("0"))), 0)
+        assert np.allclose(state[0], [SQ2, SQ2])
 
     def test_hadamard_on_one(self):
-        state = apply_hadamard(prepare_basis(BitVector.from_text("1")), 0)
-        assert np.allclose(amps(state), [SQ2, -SQ2])
+        state = hadamard_rows(row(prepare_basis(BitVector.from_text("1"))), 0)
+        assert np.allclose(state[0], [SQ2, -SQ2])
 
     def test_hadamard_involution(self):
-        zero = prepare_basis(BitVector.from_text("0"))
-        assert states_equal(apply_hadamard(apply_hadamard(zero, 0), 0), zero)
+        zero = row(prepare_basis(BitVector.from_text("0")))
+        assert np.allclose(hadamard_rows(hadamard_rows(zero, 0), 0), zero, rtol=0, atol=1e-10)
 
     def test_cnot_basis(self):
         # |10> means qubit 1 set; control=1 flips target=0 giving |11>
-        state = apply_cnot(prepare_basis(BitVector.from_text("10")), 1, 0)
-        assert amps(state)[3] == 1.0
-        state = apply_cnot(prepare_basis(BitVector.from_text("00")), 1, 0)
-        assert amps(state)[0] == 1.0
+        state = cnot_rows(row(prepare_basis(BitVector.from_text("10"))), 1, 0)
+        assert state[0, 3] == 1.0
+        state = cnot_rows(row(prepare_basis(BitVector.from_text("00"))), 1, 0)
+        assert state[0, 0] == 1.0
 
     def test_phase_kickback_identity(self):
         # control superposition, target minus: CNOT flips the control-1 sign
@@ -102,11 +109,11 @@ class TestGates:
         a, b = rng.normal(size=2)
         norm = math.hypot(a, b)
         a, b = a / norm, b / norm
-        control = PureState(np.array([a, b], dtype=complex), 1)
-        minus = prepare_hadamard_product((1,))
-        state = apply_cnot(tensor(control, minus), control=0, target=1)
-        expect = tensor(PureState(np.array([a, -b], dtype=complex), 1), minus)
-        assert states_equal(state, expect, tol=1e-12)
+        control = np.array([[a, b]], dtype=complex)
+        minus = plus_minus((1,))
+        state = cnot_rows(append_rows(control, minus), control=0, target=1)
+        expect = append_rows(np.array([[a, -b]], dtype=complex), minus)
+        assert np.allclose(state, expect, rtol=0, atol=1e-12)
 
     def test_phase_flip_equals_kickback(self):
         # Z on the control is the same map once the minus target is traced off
@@ -121,8 +128,8 @@ class TestGates:
         ghz = prepare_ghz(2)
         before = amps(ghz).copy()
         apply_phase_flip(ghz, 1)
-        apply_hadamard(ghz, 0)
-        apply_cnot(ghz, 0, 1)
+        hadamard_rows(row(ghz), 0)
+        cnot_rows(row(ghz), 0, 1)
         assert np.array_equal(amps(ghz), before)
 
 
@@ -139,9 +146,8 @@ class TestGhz:
 
     def test_topologies_agree(self):
         for n in range(2, 11):
-            assert states_equal(
-                prepare_ghz(n, "linear"), prepare_ghz(n, "log_depth"), tol=1e-12
-            )
+            linear, log_depth = amps(prepare_ghz(n, "linear")), amps(prepare_ghz(n, "log_depth"))
+            assert np.allclose(linear, log_depth, rtol=0, atol=1e-12)
 
     def test_log_depth_layer_count(self):
         for n in range(2, 17):
@@ -175,7 +181,7 @@ class TestDistribution:
         assert np.allclose(probs, expect)
 
     def test_minus_computational(self):
-        probs = distribution(prepare_hadamard_product((1,)), [COMPUTATIONAL])
+        probs = distribution(PureState(plus_minus((1,)), 1), [COMPUTATIONAL])
         assert np.allclose(probs, [0.5, 0.5])
 
     def test_zero_computational(self):
@@ -185,72 +191,72 @@ class TestDistribution:
 
 class TestMeasurement:
     def test_plus_in_hadamard_is_deterministic(self, rng):
-        plus = prepare_hadamard_product((0,))
+        plus = plus_minus((0,))
         for _ in range(20):
-            outcome, _ = measure_all(plus, [HADAMARD], rng)
-            assert outcome.value == 0
+            bits, _ = measure_one(plus, (0,), [HADAMARD], rng)
+            assert bits == (0,)
 
     def test_decoy_signs_recovered_exactly(self, rng):
         for _ in range(40):
             signs = tuple(int(b) for b in rng.integers(0, 2, size=3))
-            state = prepare_hadamard_product(signs)
-            bits, collapsed = measure_qubits(state, (0, 1, 2), (HADAMARD,) * 3, rng)
+            state = plus_minus(signs)
+            bits, collapsed = measure_one(state, (0, 1, 2), (HADAMARD,) * 3, rng)
             assert bits == signs
             # a product state measured in its own basis is undisturbed
-            assert states_equal(collapsed, state, tol=1e-12)
+            assert np.allclose(collapsed, state, rtol=0, atol=1e-12)
 
     def test_partial_measurement_collapses_ghz(self, rng):
-        ghz = prepare_ghz(3)
+        ghz = amps(prepare_ghz(3))
         for _ in range(20):
-            (first,), collapsed = measure_qubits(ghz, (1,), (COMPUTATIONAL,), rng)
-            rest, _ = measure_qubits(collapsed, (0, 2), (COMPUTATIONAL,) * 2, rng)
+            (first,), collapsed = measure_one(ghz, (1,), (COMPUTATIONAL,), rng)
+            rest, _ = measure_one(collapsed, (0, 2), (COMPUTATIONAL,) * 2, rng)
             assert rest == (first, first)
 
     def test_hadamard_collapse_returns_physical_frame(self, rng):
         # measuring |0> in the Hadamard basis leaves a plus or minus state
-        zero = prepare_basis(BitVector.from_text("0"))
+        zero = amps(prepare_basis(BitVector.from_text("0")))
         seen = set()
         for _ in range(30):
-            (bit,), collapsed = measure_qubits(zero, (0,), (HADAMARD,), rng)
+            (bit,), collapsed = measure_one(zero, (0,), (HADAMARD,), rng)
             seen.add(bit)
-            assert states_equal(collapsed, prepare_hadamard_product((bit,)), tol=1e-12)
+            assert np.allclose(collapsed, plus_minus((bit,)), rtol=0, atol=1e-12)
         assert seen == {0, 1}
 
     def test_ghz_hadamard_parity_even(self, rng):
         for n in (2, 3, 4, 5):
-            ghz = prepare_ghz(n)
+            ghz = amps(prepare_ghz(n))
             for _ in range(60):
-                bits, _ = measure_qubits(ghz, tuple(range(n)), (HADAMARD,) * n, rng)
+                bits, _ = measure_one(ghz, range(n), (HADAMARD,) * n, rng)
                 assert sum(bits) % 2 == 0
 
     def test_input_validation(self, rng):
-        ghz = prepare_ghz(2)
+        ghz = amps(prepare_ghz(2))
         with pytest.raises(ValueError):
-            measure_qubits(ghz, (0, 0), (HADAMARD, HADAMARD), rng)
+            measure_one(ghz, (0, 0), (HADAMARD, HADAMARD), rng)
         with pytest.raises(ValueError):
-            measure_qubits(ghz, (0,), (HADAMARD, HADAMARD), rng)
+            measure_one(ghz, (0,), (HADAMARD, HADAMARD), rng)
         with pytest.raises(ValueError):
-            measure_qubits(ghz, (5,), (HADAMARD,), rng)
+            measure_one(ghz, (5,), (HADAMARD,), rng)
         with pytest.raises(ValueError):
-            measure_qubits(ghz, (0,), ("diagonal",), rng)
+            measure_one(ghz, (0,), ("diagonal",), rng)
 
 
 class TestCombinators:
     def test_tensor_places_extra_on_high_bits(self):
         one = prepare_basis(BitVector.from_text("1"))
         zero = prepare_basis(BitVector.from_text("0"))
-        joint = tensor(zero, one)
-        assert amps(joint)[2] == 1.0
+        joint = append_rows(row(zero), amps(one))
+        assert joint[0, 2] == 1.0
 
     def test_swap_relabels(self):
-        state = prepare_basis(BitVector.from_text("01"))
-        swapped = swap_qubits(state, 0, 1)
-        assert amps(swapped)[2] == 1.0
-        assert states_equal(swap_qubits(swapped, 0, 1), state)
+        state = row(prepare_basis(BitVector.from_text("01")))
+        swapped = swap_rows(state, 0, 1)
+        assert swapped[0, 2] == 1.0
+        assert np.array_equal(swap_rows(swapped, 0, 1), state)
 
     def test_swap_same_is_identity(self):
-        ghz = prepare_ghz(2)
-        assert swap_qubits(ghz, 1, 1) is ghz
+        ghz = row(prepare_ghz(2))
+        assert np.array_equal(swap_rows(ghz, 1, 1), ghz)
 
 
 def random_batch(rng, rows, num_qubits):
@@ -303,12 +309,9 @@ class TestBatchKernels:
 
     def test_single_state_is_the_one_row_case(self):
         state = prepare_ghz(3)
-        bits, collapsed = measure_qubits(state, (0, 2), (HADAMARD, COMPUTATIONAL), np.random.default_rng(4))
-        row_bits, rows = measure_rows(
-            state.amplitudes[None], (0, 2), (HADAMARD, COMPUTATIONAL), np.random.default_rng(4).random(1)
-        )
-        assert bits == tuple(row_bits[0])
-        assert np.array_equal(collapsed.amplitudes, rows[0])
+        flipped = apply_phase_flip(state, 2)
+        assert np.array_equal(amps(flipped), phase_flip_rows(row(state), 2)[0])
+        assert flipped.num_qubits == 3
 
     def test_sampling_draws_the_outcomes_of_a_measurement(self):
         rng = np.random.default_rng(5)
@@ -363,9 +366,8 @@ def test_measurement_statistics_match_distribution(n, data):
     rng = np.random.default_rng(seed)
     ghz = prepare_ghz(n)
     probs = distribution(ghz, [COMPUTATIONAL] * n)
-    counts = np.zeros(1 << n)
-    for _ in range(200):
-        outcome, _ = measure_all(ghz, [COMPUTATIONAL] * n, rng)
-        counts[outcome.value] += 1
+    batch = np.tile(amps(ghz), (200, 1))
+    bits, _ = sample_rows(batch, range(n), [COMPUTATIONAL] * n, rng.random(200))
+    counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
     assert abs(counts[0] / 200 - probs[0]) < 0.15
