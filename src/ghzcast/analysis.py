@@ -24,7 +24,6 @@ from itertools import combinations
 from typing import Iterator
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .adversary import EveStrategy
 from .bitvec import BitVector
@@ -54,6 +53,7 @@ FACTORIZED_BIT_CAP = 20
 FACTORIZED_FREE_BIT_CAP = 20
 SUPPORT_CUTOFF = 1e-12
 CHI_SQUARE_BUCKET_BITS = 12
+HADAMARD_BLOCK_BITS = 5
 
 
 @dataclass
@@ -100,37 +100,56 @@ class OutcomeDistribution:
         return " ".join(parts)
 
 
+def _check_parties(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two parties")
+
+
+def _hadamard_block(g: int) -> np.ndarray:
+    """Unnormalised H^{(x)g} as a +-1 matrix: entry (i, j) is (-1)^popcount(i & j)."""
+    i = np.arange(1 << g)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i[None, :]) & 1)
+
+
 def _walsh_hadamard(amps: np.ndarray, k: int) -> np.ndarray:
-    """Normalized k-fold Hadamard transform, kept local for oracle independence."""
-    a = amps.reshape((2,) * k)
-    for ax in range(k):
-        a0 = a.take(0, axis=ax)
-        a1 = a.take(1, axis=ax)
-        a = np.stack((a0 + a1, a0 - a1), axis=ax)
-    return a.reshape(-1) / np.sqrt(float(1 << k))
+    """Unnormalised H^{(x)k} on the low k index bits of integer-valued amps.
 
-
-def _plain_joint_amplitudes(m: int, n: int) -> np.ndarray:
-    """Joint state of m GHZ tuples across n parties, nothing embedded yet.
-
-    A uniform superposition over the branches where all n blocks carry the
-    same m-bit label x.
+    Applied as a blocked Kronecker product, HADAMARD_BLOCK_BITS bits per
+    matmul (Fino & Algazi 1976). Every partial sum is an integer far below
+    2^53, so the float64 result is exact in any summation order. Kept local
+    for oracle independence.
     """
-    x = np.arange(1 << m, dtype=np.int64)
-    replicate = sum(1 << (p * m) for p in range(n))
-    amps = np.zeros(1 << (n * m), dtype=np.complex128)
-    amps[x * replicate] = 1.0 / np.sqrt(float(1 << m))
-    return amps
+    for done in range(0, k, HADAMARD_BLOCK_BITS):
+        g = min(HADAMARD_BLOCK_BITS, k - done)
+        rest = 1 << (k - done - g)
+        block = _hadamard_block(g)
+        if rest == 1:  # one gemm instead of a stack of matrix-vector products
+            amps = amps.reshape(-1, 1 << g) @ block
+        else:
+            amps = np.matmul(block, amps.reshape(-1, 1 << g, rest))
+    return amps.reshape(-1)
 
 
-def _embed_signs(amps: np.ndarray, payload: BitVector, n: int) -> None:
-    """Fold the embedding into branch signs: branch x picks up the phase
-    (-1) to the mod-2 inner product of payload and x."""
+def _ghz_branches(payload: BitVector, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the joint branches where all n blocks carry the same m-bit
+    label x, and the +-1 phase (-1)^(payload . x) the embedding gives each."""
     m = payload.length
     x = np.arange(1 << m, dtype=np.int64)
     replicate = sum(1 << (p * m) for p in range(n))
-    signs = (np.bitwise_count((x & payload.value).astype(np.uint64)) & 1).astype(np.float64)
-    amps[x * replicate] *= (-1.0) ** signs
+    return x * replicate, 1.0 - 2.0 * (np.bitwise_count(x & payload.value) & 1)
+
+
+def _check_joint_size(n: int, m: int) -> None:
+    _check_parties(n)
+    if n * m > JOINT_ORACLE_QUBIT_CAP:
+        raise ValueError(
+            f"joint oracle needs {n * m} qubits, cap is {JOINT_ORACLE_QUBIT_CAP}"
+        )
+
+
+def _distribution(n: int, m: int, probs: np.ndarray) -> OutcomeDistribution:
+    keys = np.flatnonzero(probs)
+    return OutcomeDistribution(n=n, m=m, entries=dict(zip(keys.tolist(), probs[keys].tolist())))
 
 
 def joint_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
@@ -138,23 +157,17 @@ def joint_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
 
     The broker's output qubit is handled by phase kickback, folding its
     effect into branch signs; explicit_kickback_oracle keeps it as a real
-    qubit for cross-checking. Capped at n*m qubits <= JOINT_ORACLE_QUBIT_CAP.
+    qubit for cross-checking. Amplitudes are kept as integers, 2^((m+nm)/2)
+    times the true ones, so every probability is an exact dyadic. Capped at
+    n*m qubits <= JOINT_ORACLE_QUBIT_CAP.
     """
     m = payload.length
-    if n < 2:
-        raise ValueError("need at least two parties")
-    if n * m > JOINT_ORACLE_QUBIT_CAP:
-        raise ValueError(
-            f"joint oracle needs {n * m} qubits, cap is {JOINT_ORACLE_QUBIT_CAP}"
-        )
-    amps = _plain_joint_amplitudes(m, n)
-    _embed_signs(amps, payload, n)
+    _check_joint_size(n, m)
+    branches, signs = _ghz_branches(payload, n)
+    amps = np.zeros(1 << (n * m))
+    amps[branches] = signs
     amps = _walsh_hadamard(amps, n * m)
-    probs = np.abs(amps) ** 2
-    keys = np.nonzero(probs > SUPPORT_CUTOFF)[0]
-    return OutcomeDistribution(
-        n=n, m=m, entries={int(k): float(probs[k]) for k in keys}
-    )
+    return _distribution(n, m, np.ldexp(amps * amps, -(m + n * m)))
 
 
 def explicit_kickback_oracle(
@@ -169,43 +182,37 @@ def explicit_kickback_oracle(
     the minus state (amplitude-wise, 0 means exactly separable).
     """
     m = payload.length
-    if n * m > JOINT_ORACLE_QUBIT_CAP:
-        raise ValueError("explicit variant exceeds the qubit cap")
+    _check_joint_size(n, m)
     dim = 1 << (n * m)
-    base = _plain_joint_amplitudes(m, n)
-    amps = np.concatenate((base, -base)) / np.sqrt(2.0)
+    # row b holds the branches with the output qubit in state b, in integer
+    # units of 2^(-(m+1)/2)
+    amps = np.zeros((2, dim))
+    amps[:, _ghz_branches(payload, n)[0]] = [[1.0], [-1.0]]
     deviations: dict[str, float] = {}
 
-    def record(stage: str) -> None:
-        deviations[stage] = float(np.max(np.abs(amps[dim:] + amps[:dim])))
+    def record(stage: str, scale_bits: int) -> None:
+        deviations[stage] = float(np.max(np.abs(amps[1] + amps[0]))) * 2.0 ** (-scale_bits / 2)
 
-    record("initial")
+    record("initial", m + 1)
 
-    idx = np.arange(2 * dim, dtype=np.int64)
+    broker = np.arange(dim) >> ((n - 1) * m)
     for j in range(m):
-        if not payload.bit(j):
-            continue
-        control = (idx >> ((n - 1) * m + j)) & 1
-        flipped = idx ^ (1 << (n * m))
-        amps = np.where(control == 1, amps[flipped], amps)
-    record("embedded")
+        if payload.bit(j):
+            control = ((broker >> j) & 1).astype(bool)
+            amps[:, control] = amps[::-1, control]
+    record("embedded", m + 1)
 
-    half0 = _walsh_hadamard(amps[:dim], n * m)
-    half1 = _walsh_hadamard(amps[dim:], n * m)
-    amps = np.concatenate((half0, half1))
-    record("decrypted")
+    amps = _walsh_hadamard(amps, n * m).reshape(2, dim)
+    record("decrypted", m + 1 + n * m)
 
-    probs = np.abs(amps[:dim]) ** 2 + np.abs(amps[dim:]) ** 2
-    keys = np.nonzero(probs > SUPPORT_CUTOFF)[0]
-    dist = OutcomeDistribution(
-        n=n, m=m, entries={int(k): float(probs[k]) for k in keys}
-    )
-    return dist, deviations
+    probs = np.ldexp(amps[0] * amps[0] + amps[1] * amps[1], -(m + 1 + n * m))
+    return _distribution(n, m, probs), deviations
 
 
 def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
     """Product of exact per-tuple distributions from the gate simulator."""
     m = payload.length
+    _check_parties(n)
     if n > FACTORIZED_PARTY_CAP:
         raise ValueError(f"party cap for the factorized oracle is {FACTORIZED_PARTY_CAP}")
     if m > FACTORIZED_BIT_CAP:
@@ -219,28 +226,21 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
 
     ghz = prepare_ghz(n)
     bases = [HADAMARD] * n
-    per_bit = {
-        0: distribution(ghz, bases),
-        1: distribution(apply_phase_flip(ghz, n - 1), bases),
-    }
-    supports = {
-        bit: [(int(v), float(p)) for v, p in enumerate(probs) if p > SUPPORT_CUTOFF]
-        for bit, probs in per_bit.items()
-    }
-    # spread_table[v] scatters tuple outcome bits to bit offset p*m per party
-    spread_table = [
-        sum(((v >> p) & 1) << (p * m) for p in range(n)) for v in range(1 << n)
-    ]
+    per_bit = (distribution(ghz, bases), distribution(apply_phase_flip(ghz, n - 1), bases))
+    # spread[v] scatters tuple outcome bits to bit offset p*m per party
+    v = np.arange(1 << n)
+    spread = sum(((v >> p) & 1) << (p * m) for p in range(n))
+    supports = [np.flatnonzero(probs > SUPPORT_CUTOFF) for probs in per_bit]
 
-    entries = {0: 1.0}
+    # v-major outer products keep the insertion order of a loop over
+    # tuple outcomes v, then over the entries so far
+    keys = np.zeros(1, dtype=np.int64)
+    probs = np.ones(1)
     for j in range(m):
-        step: dict[int, float] = {}
-        for v, p in supports[payload.bit(j)]:
-            placed = spread_table[v] << j
-            for key, q in entries.items():
-                step[key | placed] = q * p
-        entries = step
-    return OutcomeDistribution(n=n, m=m, entries=entries)
+        outcomes = supports[payload.bit(j)]
+        keys = ((spread[outcomes] << j)[:, None] | keys).reshape(-1)
+        probs = (probs * per_bit[payload.bit(j)][outcomes][:, None]).reshape(-1)
+    return OutcomeDistribution(n=n, m=m, entries=dict(zip(keys.tolist(), probs.tolist())))
 
 
 def analytic_sample_keys(
@@ -251,23 +251,23 @@ def analytic_sample_keys(
     Keys are packed into uint64, so n*m is capped at 64.
     """
     m = payload.length
+    _check_parties(n)
     if n * m > 64:
         raise ValueError(f"key packing needs n*m <= 64, got {n * m}")
     free = rng.integers(0, 2, size=(count, n - 1, m), dtype=np.uint64)
-    powers = (np.uint64(1) << np.arange(m, dtype=np.uint64))
-    blocks = free @ powers
-    parity = free.sum(axis=1) % 2
-    payload_bits = np.array(payload.bits(), dtype=np.uint64)
-    broker_block = (parity ^ payload_bits) @ powers
-    keys = broker_block << np.uint64((n - 1) * m)
+    width = (n - 1) * m
+    low = free.reshape(count, width) @ (np.uint64(1) << np.arange(width, dtype=np.uint64))
+    # on the support the broker block is the XOR of the agent blocks and the payload
+    broker = np.full(count, payload.value, dtype=np.uint64)
+    mask = np.uint64((1 << m) - 1)
     for p in range(n - 1):
-        keys |= blocks[:, p] << np.uint64(p * m)
-    return keys
+        broker ^= (low >> np.uint64(p * m)) & mask
+    return low | (broker << np.uint64(width))
 
 
 def support_violations(dist: OutcomeDistribution, keys: np.ndarray) -> int:
-    support = set(dist.entries)
-    return int(sum(1 for k in keys.tolist() if k not in support))
+    support = np.fromiter(dist.entries, dtype=keys.dtype, count=len(dist.entries))
+    return int(np.count_nonzero(~np.isin(keys, support)))
 
 
 def sample_pvalue(dist: OutcomeDistribution, keys: np.ndarray) -> float:
@@ -279,18 +279,15 @@ def sample_pvalue(dist: OutcomeDistribution, keys: np.ndarray) -> float:
     free bits so expected counts stay well above the chi-square validity
     floor.
     """
-    free_bits = (dist.n - 1) * dist.m
-    bucket_bits = min(free_bits, CHI_SQUARE_BUCKET_BITS)
+    # imported here, its only use, so that importing ghzcast skips scipy.stats
+    from scipy import stats as scipy_stats
+
+    bucket_bits = min((dist.n - 1) * dist.m, CHI_SQUARE_BUCKET_BITS)
     bucket_mask = (1 << bucket_bits) - 1
-
-    expected = np.zeros(1 << bucket_bits)
-    free_mask = (1 << free_bits) - 1
-    for key, p in dist.entries.items():
-        expected[(key & free_mask) & bucket_mask] += p
-
-    observed = np.bincount(
-        (keys.astype(np.int64) & free_mask) & bucket_mask, minlength=1 << bucket_bits
-    )
+    support = np.fromiter(dist.entries, dtype=np.int64, count=len(dist.entries))
+    probs = np.fromiter(dist.entries.values(), dtype=np.float64, count=len(dist.entries))
+    expected = np.bincount(support & bucket_mask, weights=probs, minlength=1 << bucket_bits)
+    observed = np.bincount(keys.astype(np.int64) & bucket_mask, minlength=1 << bucket_bits)
     total = observed.sum()
     return float(scipy_stats.chisquare(observed, expected * total).pvalue)
 

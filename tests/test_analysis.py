@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from ghzcast.adversary import (
     EveStrategy,
 )
 from ghzcast.analysis import (
+    JOINT_ORACLE_QUBIT_CAP,
     OutcomeDistribution,
     analytic_sample_keys,
     decoy_correlation_stat,
@@ -90,6 +95,32 @@ class TestJointOracle:
         with pytest.raises(ValueError):
             joint_oracle(BitVector.zeros(7), 3)
 
+    @pytest.mark.parametrize(
+        "n,m",
+        [(n, m) for n in range(2, 13) for m in range(1, JOINT_ORACLE_QUBIT_CAP // n + 1)],
+    )
+    def test_probabilities_are_exact_dyadics(self, n, m):
+        payload = BitVector((0b1011011011 * n) % (1 << m), m)
+        dist = joint_oracle(payload, n)
+        assert len(dist.entries) == 1 << ((n - 1) * m)
+        assert set(dist.entries.values()) == {2.0 ** -((n - 1) * m)}
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        joint_oracle,
+        explicit_kickback_oracle,
+        factorized_oracle,
+        lambda payload, n: analytic_sample_keys(payload, n, np.random.default_rng(0), 10),
+    ],
+    ids=["joint", "explicit_kickback", "factorized", "analytic_sample_keys"],
+)
+@pytest.mark.parametrize("n", [1, 0])
+def test_every_oracle_needs_two_parties(oracle, n):
+    with pytest.raises(ValueError, match="two parties"):
+        oracle(BitVector.from_text("1"), n)
+
 
 class TestOracleAgreement:
     CONFIGS = (("101", 2), ("01", 3), ("11", 4), ("1", 5))
@@ -103,17 +134,14 @@ class TestOracleAgreement:
         worst = max(abs(a.probability(k) - b.probability(k)) for k in a.support())
         assert worst < 1e-12
 
-    @pytest.mark.parametrize("text,n", (("101", 2), ("01", 3)))
+    @pytest.mark.parametrize("text,n", (("101", 2), ("01", 3), ("1101", 4), ("1", 12)))
     def test_explicit_output_qubit_matches_joint(self, text, n):
         payload = BitVector.from_text(text)
         a = joint_oracle(payload, n)
         b, deviations = explicit_kickback_oracle(payload, n)
-        assert a.support() == b.support()
-        worst = max(abs(a.probability(k) - b.probability(k)) for k in a.support())
-        assert worst < 1e-12
-        # the output qubit stays separable in the minus state at every stage
-        assert deviations
-        assert all(v < 1e-9 for v in deviations.values())
+        assert b.entries == a.entries
+        # the output qubit stays exactly separable in the minus state at every stage
+        assert deviations == {"initial": 0.0, "embedded": 0.0, "decrypted": 0.0}
 
     def test_factorized_caps(self):
         with pytest.raises(ValueError):
@@ -147,6 +175,14 @@ class TestAnalyticSample:
         keys = analytic_sample_keys(BitVector.from_text("10"), 3, rng, 50)
         assert support_violations(dist, keys) == 50
 
+    def test_keys_above_the_register_bits_are_violations(self, rng):
+        payload = BitVector.from_text("01")
+        dist = joint_oracle(payload, 3)
+        keys = analytic_sample_keys(payload, 3, rng, 40)
+        keys[::4] |= np.uint64(1) << np.uint64(6)
+        keys[1] |= np.uint64(1) << np.uint64(63)
+        assert support_violations(dist, keys) == 11
+
     def test_degenerate_sample_fails_chi_square(self, rng):
         dist = joint_oracle(BitVector.from_text("01"), 3)
         keys = np.full(2000, dist.support()[0], dtype=np.uint64)
@@ -155,6 +191,21 @@ class TestAnalyticSample:
     def test_key_packing_cap(self, rng):
         with pytest.raises(ValueError):
             analytic_sample_keys(BitVector.zeros(13), 5, rng, 10)
+
+
+def test_importing_ghzcast_leaves_scipy_stats_unloaded():
+    """scipy.stats is imported by sample_pvalue alone, when first called."""
+    root = Path(__file__).resolve().parent.parent
+    code = "import sys, ghzcast; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestWilsonInterval:

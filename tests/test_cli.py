@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzcast.analysis import JOINT_ORACLE_QUBIT_CAP
 from ghzcast.bitvec import BitVector
 from ghzcast.cli import (
     EXIT_ABORT,
@@ -429,8 +430,8 @@ def _oracle_qubits(doc: dict) -> int:
 def test_fuzzed_scenarios_exit_with_a_contract_code(tmp_path_factory, doc, command, seed, trials):
     """Every scenario document either runs or is refused with a usage
     error; none ends in a traceback."""
-    if command == "distribution" and _oracle_qubits(doc) > 16:
-        command = "run"  # keeps the exact oracle small
+    if command == "distribution" and _oracle_qubits(doc) > JOINT_ORACLE_QUBIT_CAP:
+        command = "run"  # keeps to the joint oracle
     if command == "experiment" and trials is None:
         doc.setdefault("trials", 2)  # not the default thousand
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"

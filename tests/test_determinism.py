@@ -1,13 +1,17 @@
 """Seeded runs stay byte-identical.
 
-The digests below were computed before the tuple stream was simulated as one
-batch array; any change to the simulator that alters the draw order of the
-random streams, or the outcome of any sampled measurement, changes them.
+The protocol and experiment digests below were computed before the tuple
+stream was simulated as one batch array; any change to the simulator that
+alters the draw order of the random streams, or the outcome of any sampled
+measurement, changes them. The oracle digests were computed before the
+oracles were vectorised: the sampler's keys and the factorized oracle's
+entries, in insertion order, must not move.
 """
 
 import hashlib
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from ghzcast.adversary import (
@@ -18,7 +22,7 @@ from ghzcast.adversary import (
     RANDOM_BASIS,
     EveStrategy,
 )
-from ghzcast.analysis import detection_experiment
+from ghzcast.analysis import analytic_sample_keys, detection_experiment, factorized_oracle
 from ghzcast.bitvec import BitVector
 from ghzcast.protocol import Scenario, run_protocol
 
@@ -65,6 +69,11 @@ SCENARIOS = {
 EXPERIMENT_TRIALS = 20
 PROTOCOL_SEEDS = range(5)
 
+# (n, m, payload value); four of the sampler shapes fill n*m = 20
+SAMPLER_SHAPES = ((2, 1, 1), (3, 4, 9), (2, 10, 613), (4, 5, 22), (5, 4, 7), (10, 2, 2))
+SAMPLER_COUNT = 1000
+FACTORIZED_SHAPES = ((2, 3, 5), (3, 2, 1), (4, 3, 6), (6, 2, 3), (5, 4, 11))
+
 
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
@@ -82,6 +91,16 @@ def protocol_digest(scenario: Scenario) -> str:
         recovered = None if transcript.recovered is None else [str(s) for s in transcript.recovered]
         runs.append((recovered, report.decoy_checks, report.errors, report.verdict))
     return _digest(runs)
+
+
+def sampler_digest(n: int, m: int, value: int) -> str:
+    rng = np.random.default_rng(1000 * n + m)
+    keys = analytic_sample_keys(BitVector(value, m), n, rng, SAMPLER_COUNT)
+    return _digest((str(keys.dtype), keys.tolist()))
+
+
+def factorized_digest(n: int, m: int, value: int) -> str:
+    return _digest(list(factorized_oracle(BitVector(value, m), n).entries.items()))
 
 
 EXPECTED_EXPERIMENT = {
@@ -113,3 +132,31 @@ def test_experiment_stats_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_protocol_runs_are_pinned(name):
     assert protocol_digest(SCENARIOS[name]) == EXPECTED_PROTOCOL[name]
+
+
+EXPECTED_SAMPLER = {
+    (2, 1, 1): "6b8d2868c6161d42",
+    (3, 4, 9): "9fc6049225c53caa",
+    (2, 10, 613): "0b7b1eb4520931d9",
+    (4, 5, 22): "879c6903e065171a",
+    (5, 4, 7): "07847bf463fc4f96",
+    (10, 2, 2): "e3b34c0c4164ff12",
+}
+
+EXPECTED_FACTORIZED = {
+    (2, 3, 5): "0eb3dc9599bafbcc",
+    (3, 2, 1): "9807fe6f1003c3cf",
+    (4, 3, 6): "6178748ea221afad",
+    (6, 2, 3): "7d6aeb50af427627",
+    (5, 4, 11): "9878e7e3f35b9783",
+}
+
+
+@pytest.mark.parametrize("shape", SAMPLER_SHAPES)
+def test_sampler_keys_are_pinned(shape):
+    assert sampler_digest(*shape) == EXPECTED_SAMPLER[shape]
+
+
+@pytest.mark.parametrize("shape", FACTORIZED_SHAPES)
+def test_factorized_entries_are_pinned(shape):
+    assert factorized_digest(*shape) == EXPECTED_FACTORIZED[shape]
