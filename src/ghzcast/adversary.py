@@ -201,7 +201,7 @@ def attack_tuple(
         return batch, record
 
     if strategy.tag == INTERCEPT_REPLACE:
-        joint = append_rows(batch, prepare_ghz(n).amplitudes)
+        joint = append_rows(batch, prepare_ghz(n))
         for j, slot in enumerate(targets):
             joint = swap_rows(joint, slot, n + j)
         record.intercepted = tuple((n + j, slot) for j, slot in enumerate(targets))
@@ -209,7 +209,7 @@ def attack_tuple(
         return joint, record
 
     if strategy.tag == ENTANGLE_ANCILLA:
-        joint = append_rows(batch, prepare_basis(BitVector.zeros(k)).amplitudes)
+        joint = append_rows(batch, prepare_basis(BitVector.zeros(k)))
         for j, slot in enumerate(targets):
             joint = cnot_rows(joint, slot, n + j)
         record.ancillas = tuple((n + j, slot) for j, slot in enumerate(targets))

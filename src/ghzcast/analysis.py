@@ -28,7 +28,7 @@ import numpy as np
 from .adversary import EveStrategy
 from .bitvec import BitVector
 from .protocol import Registers, RunOutcome, Scenario, check_transcript_secrecy, run_trials
-from .statevec import HADAMARD, apply_phase_flip, distribution, prepare_ghz
+from .statevec import HADAMARD, distribution, phase_flip_rows, prepare_ghz
 
 __all__ = [
     "JOINT_ORACLE_QUBIT_CAP",
@@ -224,9 +224,9 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
             f"support of 2^{(n - 1) * m} outcomes is too large to materialize"
         )
 
+    # row b is the tuple distribution for payload bit b
     ghz = prepare_ghz(n)
-    bases = [HADAMARD] * n
-    per_bit = (distribution(ghz, bases), distribution(apply_phase_flip(ghz, n - 1), bases))
+    per_bit = distribution(np.concatenate([ghz, phase_flip_rows(ghz, n - 1)]), [HADAMARD] * n)
     # spread[v] scatters tuple outcome bits to bit offset p*m per party
     v = np.arange(1 << n)
     spread = sum(((v >> p) & 1) << (p * m) for p in range(n))

@@ -25,6 +25,8 @@ import yaml
 
 from .adversary import EveStrategy
 from .analysis import (
+    FACTORIZED_FREE_BIT_CAP,
+    FACTORIZED_PARTY_CAP,
     JOINT_ORACLE_QUBIT_CAP,
     analytic_sample_keys,
     detection_experiment,
@@ -328,7 +330,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             dist = factorized_oracle(payload, n)
         except ValueError as exc:
             raise ScenarioError(
-                f"{exc}; sizes beyond the oracle caps need the analytic sampling mode"
+                f"{exc}; n={n}, m={m} exceeds the joint cap n*m <= {JOINT_ORACLE_QUBIT_CAP}"
+                f" and the factorized caps (n-1)*m <= {FACTORIZED_FREE_BIT_CAP},"
+                f" n <= {FACTORIZED_PARTY_CAP}"
             ) from exc
         source = "factorized"
 

@@ -1,11 +1,11 @@
-"""Dense pure-state simulation of few-qubit registers, one state or a batch.
+"""Dense pure-state simulation of few-qubit registers, as batches of states.
 
 Conventions used throughout the package:
 
-- A state over k qubits is a flat complex array of 2**k amplitudes. A batch
-  of T states of the same width is one (T, 2**k) array, one state per row;
+- A state over k qubits is a row of 2**k complex amplitudes. T states of
+  the same width form one (T, 2**k) complex128 batch, one state per row;
   the protocol simulates a whole tuple stream, or the streams of several
-  runs stacked, as one batch.
+  runs stacked, as one batch, and a single state is a batch of one row.
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
@@ -15,18 +15,16 @@ Conventions used throughout the package:
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
-check_rows at stage boundaries. A single state is a batch of one row; there
-are no single-state gate wrappers. Measurement comes in two forms:
-sample_rows returns the outcome bits and the normalised residual state of
-the unmeasured qubits, which is all the protocol reads; measure_rows also
-rebuilds every whole collapsed row in the physical frame, for gates that
-act after the measurement. PureState is a norm-checked single state, as the
-GHZ and basis preparations and the exact distribution use it.
+check_rows at stage boundaries. There are no single-state gate wrappers:
+the preparations return one-row batches and distribution takes a batch.
+Measurement comes in two forms: sample_rows returns the outcome bits and
+the normalised residual state of the unmeasured qubits, which is all the
+protocol reads; measure_rows also rebuilds every whole collapsed row in the
+physical frame, for gates that act after the measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +35,6 @@ __all__ = [
     "COMPUTATIONAL",
     "HADAMARD",
     "MAX_QUBITS",
-    "PureState",
     "width",
     "check_rows",
     "hadamard_product_rows",
@@ -49,7 +46,6 @@ __all__ = [
     "sample_rows",
     "measure_rows",
     "prepare_basis",
-    "apply_phase_flip",
     "ghz_layers",
     "prepare_ghz",
     "distribution",
@@ -74,27 +70,6 @@ def _check_norms(amplitudes: np.ndarray) -> None:
     worst = np.max(np.abs(norms - 1.0), initial=0.0)
     if worst > NORM_TOL:
         raise ValueError(f"state norm deviates from 1 by {worst} beyond {NORM_TOL}")
-
-
-@dataclass
-class PureState:
-    """Normalized state vector over num_qubits qubits."""
-
-    amplitudes: np.ndarray
-    num_qubits: int
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        _check_width(self.num_qubits)
-        if self.amplitudes.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"amplitude array of shape {self.amplitudes.shape} does not match "
-                f"{self.num_qubits} qubits"
-            )
-        _check_norms(self.amplitudes)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def width(batch: np.ndarray) -> int:
@@ -170,11 +145,11 @@ def swap_rows(batch: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def append_rows(batch: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """Join every row with the register extra, whose qubits go above the row's."""
+    """Join every row with the one-row register extra, whose qubits go above the row's."""
     if width(batch) + width(extra) > MAX_QUBITS:
         raise ValueError("combined state exceeds the qubit cap")
-    joint = extra[None, :, None] * batch[:, None, :]
-    return joint.reshape(batch.shape[0], extra.shape[0] * batch.shape[1])
+    joint = extra[:, :, None] * batch[:, None, :]
+    return joint.reshape(batch.shape[0], extra.shape[1] * batch.shape[1])
 
 
 def _subset_key(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
@@ -293,16 +268,12 @@ def measure_rows(
     return bits, np.ascontiguousarray(frame.T)
 
 
-def prepare_basis(labels: BitVector) -> PureState:
-    """Computational basis state |labels>."""
-    amps = np.zeros(1 << labels.length, dtype=np.complex128)
-    amps[labels.value] = 1.0
-    return PureState(amps, labels.length)
-
-
-def apply_phase_flip(state: PureState, qubit: int) -> PureState:
-    """Pauli Z: negate every amplitude where the qubit is 1."""
-    return PureState(phase_flip_rows(state.amplitudes[None], qubit)[0], state.num_qubits)
+def prepare_basis(labels: BitVector) -> np.ndarray:
+    """Computational basis state |labels> as a one-row batch."""
+    _check_width(labels.length)
+    batch = np.zeros((1, 1 << labels.length), dtype=np.complex128)
+    batch[0, labels.value] = 1.0
+    return batch
 
 
 def ghz_layers(n: int, topology: str = "linear") -> list[list[tuple[int, int]]]:
@@ -326,21 +297,18 @@ def ghz_layers(n: int, topology: str = "linear") -> list[list[tuple[int, int]]]:
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def prepare_ghz(n: int, topology: str = "linear") -> PureState:
+def prepare_ghz(n: int, topology: str = "linear") -> np.ndarray:
+    """GHZ state over n qubits as a one-row batch."""
     layers = ghz_layers(n, topology)
-    batch = hadamard_rows(prepare_basis(BitVector.zeros(n)).amplitudes[None], 0)
+    batch = hadamard_rows(prepare_basis(BitVector.zeros(n)), 0)
     for layer in layers:
         for control, target in layer:
             batch = cnot_rows(batch, control, target)
-    return PureState(batch[0], n)
+    return batch
 
 
-def distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
-    """Exact Born probabilities for measuring every qubit in the given bases."""
-    if len(bases) != state.num_qubits:
-        raise ValueError("need one basis per qubit")
-    if set(bases) - {COMPUTATIONAL, HADAMARD}:
-        raise ValueError(f"unknown basis in {tuple(bases)!r}")
-    hadamard = np.array([[b == HADAMARD for b in bases]])
-    cols = _rotate_cols(state.amplitudes[:, None], range(state.num_qubits), hadamard)
-    return np.abs(cols[:, 0]) ** 2
+def distribution(batch: np.ndarray, bases: Sequence[str]) -> np.ndarray:
+    """Exact Born probabilities of each row, every qubit measured in the given bases."""
+    k = width(batch)
+    cols = _rotate_cols(batch.T, range(k), _hadamard_mask(bases, batch.shape[0], k))
+    return (np.abs(cols) ** 2).T

@@ -296,7 +296,7 @@ def test_criterion_8_ghz_circuit_topologies():
     for n in range(2, 11):
         linear = prepare_ghz(n, topology="linear")
         log = prepare_ghz(n, topology="log_depth")
-        worst = max(worst, float(np.max(np.abs(linear.amplitudes - log.amplitudes))))
+        worst = max(worst, float(np.max(np.abs(linear - log))))
         layers_ok &= len(ghz_layers(n, "log_depth")) == math.ceil(math.log2(n))
 
     verdict(

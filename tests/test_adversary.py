@@ -62,7 +62,7 @@ class TestStrategyValidation:
 
 
 def ghz_batch(n, rows=1):
-    return np.tile(prepare_ghz(n).amplitudes, (rows, 1))
+    return np.tile(prepare_ghz(n), (rows, 1))
 
 
 class TestAttackStates:

@@ -358,10 +358,12 @@ class TestDistributionCommand:
         assert doc["outcomes"] == 1 << 18
         assert doc["probability"]["max"] == pytest.approx(2**-18)
 
-    def test_oversize_config_suggests_sampling(self, capsys):
+    def test_oversize_config_names_the_caps(self, capsys):
         code = main(["distribution", str(SCENARIO_DIR / "noisy_channel.yaml")])
         assert code == EXIT_USAGE
-        assert "analytic sampling" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n*m <= 20" in err and "(n-1)*m <= 20" in err
+        assert "sampling" not in err
 
 
 def test_oracle_check_passes(capsys):

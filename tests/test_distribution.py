@@ -41,7 +41,7 @@ class TestBuildPlan:
         plan = build_plan(4, 2, 3, rng)
         ghz = prepare_ghz(3)
         for state in plan.states[~plan.is_decoy]:
-            assert np.array_equal(state, ghz.amplitudes)
+            assert np.array_equal(state, ghz[0])
 
     def test_interleave_is_uniform(self):
         rng = np.random.default_rng(99)
@@ -59,5 +59,5 @@ class TestBuildPlan:
         assert plan.is_decoy.shape == (m + d,) and np.count_nonzero(plan.is_decoy) == d
         assert plan.states.shape == (m + d, 1 << n)
         assert np.array_equal(plan.states[plan.is_decoy], hadamard_product_rows(plan.signs))
-        ghz = np.tile(prepare_ghz(n).amplitudes, (m, 1))
+        ghz = np.tile(prepare_ghz(n), (m, 1))
         assert np.array_equal(plan.states[~plan.is_decoy], ghz)

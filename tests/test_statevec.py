@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast.bitvec import BitVector
+from ghzcast.distribution import build_plan
 from ghzcast.statevec import (
     COMPUTATIONAL,
     HADAMARD,
     MAX_QUBITS,
-    PureState,
     append_rows,
-    apply_phase_flip,
     check_rows,
     cnot_rows,
     distribution,
@@ -30,76 +29,68 @@ from ghzcast.statevec import (
 SQ2 = math.sqrt(0.5)
 
 
-def amps(state):
-    return state.amplitudes
-
-
-def row(state):
-    """A single state as a batch of one row."""
-    return state.amplitudes[None]
-
-
 def plus_minus(signs):
-    """Product of plus (0) and minus (1) qubits."""
-    return hadamard_product_rows([signs])[0]
+    """Product of plus (0) and minus (1) qubits, as a one-row batch."""
+    return hadamard_product_rows([signs])
 
 
-def measure_one(amplitudes, qubits, bases, rng):
-    """Measure one state: its bits and its collapsed amplitudes."""
-    bits, collapsed = measure_rows(amplitudes[None], list(qubits), list(bases), rng.random(1))
-    return tuple(bits[0].tolist()), collapsed[0]
+def measure_one(state, qubits, bases, rng):
+    """Measure a one-row batch: its bits and its collapsed one-row batch."""
+    bits, collapsed = measure_rows(state, list(qubits), list(bases), rng.random(1))
+    return tuple(bits[0].tolist()), collapsed
 
 
 class TestPreparation:
     def test_basis_states(self):
-        assert amps(prepare_basis(BitVector.from_text("0")))[0] == 1.0
-        assert amps(prepare_basis(BitVector.from_text("101")))[5] == 1.0
-        assert amps(prepare_basis(BitVector.from_text("11")))[3] == 1.0
+        for text, index in (("0", 0), ("101", 5), ("11", 3)):
+            state = prepare_basis(BitVector.from_text(text))
+            assert state.shape == (1, 1 << len(text)) and state.dtype == np.complex128
+            assert state[0, index] == 1.0
+            check_rows(state)
 
     def test_norm_guard(self):
         with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]), 1)
+            check_rows(np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
-            PureState(np.zeros(4), 1)
+            check_rows(np.zeros((1, 4)))
+        # zero rows: the width check fires without a 2**25 allocation
         with pytest.raises(ValueError):
-            PureState(np.zeros(1 << (MAX_QUBITS + 1)), MAX_QUBITS + 1)
+            check_rows(np.zeros((0, 1 << (MAX_QUBITS + 1))))
+        with pytest.raises(ValueError):
+            prepare_basis(BitVector.zeros(MAX_QUBITS + 1))
 
     def test_plus_plus(self):
-        assert np.allclose(plus_minus((0, 0)), [0.5, 0.5, 0.5, 0.5])
+        assert np.allclose(plus_minus((0, 0)), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_forced_signs(self):
         # qubit 1 is minus: sign flips whenever index bit 1 is set
-        expect = np.array([1, 1, -1, -1, 1, 1, -1, -1]) / (2 * math.sqrt(2))
+        expect = np.array([[1, 1, -1, -1, 1, 1, -1, -1]]) / (2 * math.sqrt(2))
         assert np.allclose(plus_minus((0, 1, 0)), expect)
 
     def test_minus_fraction_of_random_decoys(self):
-        rng = np.random.default_rng(5)
-        counts = np.zeros(4)
-        draws = 10_000
-        for _ in range(draws):
-            signs = rng.integers(0, 2, size=4)
-            counts += signs
-        assert np.all(np.abs(counts / draws - 0.5) < 0.02)
+        signs = build_plan(1, 10_000, 4, np.random.default_rng(5)).signs
+        assert signs.shape == (10_000, 4)
+        assert np.all(np.abs(signs.mean(axis=0) - 0.5) < 0.02)
 
 
 class TestGates:
     def test_hadamard_on_zero(self):
-        state = hadamard_rows(row(prepare_basis(BitVector.from_text("0"))), 0)
+        state = hadamard_rows(prepare_basis(BitVector.from_text("0")), 0)
         assert np.allclose(state[0], [SQ2, SQ2])
 
     def test_hadamard_on_one(self):
-        state = hadamard_rows(row(prepare_basis(BitVector.from_text("1"))), 0)
+        state = hadamard_rows(prepare_basis(BitVector.from_text("1")), 0)
         assert np.allclose(state[0], [SQ2, -SQ2])
 
     def test_hadamard_involution(self):
-        zero = row(prepare_basis(BitVector.from_text("0")))
+        zero = prepare_basis(BitVector.from_text("0"))
         assert np.allclose(hadamard_rows(hadamard_rows(zero, 0), 0), zero, rtol=0, atol=1e-10)
 
     def test_cnot_basis(self):
         # |10> means qubit 1 set; control=1 flips target=0 giving |11>
-        state = cnot_rows(row(prepare_basis(BitVector.from_text("10"))), 1, 0)
+        state = cnot_rows(prepare_basis(BitVector.from_text("10")), 1, 0)
         assert state[0, 3] == 1.0
-        state = cnot_rows(row(prepare_basis(BitVector.from_text("00"))), 1, 0)
+        state = cnot_rows(prepare_basis(BitVector.from_text("00")), 1, 0)
         assert state[0, 0] == 1.0
 
     def test_phase_kickback_identity(self):
@@ -117,36 +108,37 @@ class TestGates:
 
     def test_phase_flip_equals_kickback(self):
         # Z on the control is the same map once the minus target is traced off
-        ghz = prepare_ghz(3)
-        flipped = apply_phase_flip(ghz, 2)
-        expect = np.zeros(8, dtype=complex)
-        expect[0] = SQ2
-        expect[7] = -SQ2
-        assert np.allclose(amps(flipped), expect)
+        flipped = phase_flip_rows(prepare_ghz(3), 2)
+        expect = np.zeros((1, 8), dtype=complex)
+        expect[0, 0] = SQ2
+        expect[0, 7] = -SQ2
+        assert np.allclose(flipped, expect)
 
     def test_gates_do_not_mutate(self):
         ghz = prepare_ghz(2)
-        before = amps(ghz).copy()
-        apply_phase_flip(ghz, 1)
-        hadamard_rows(row(ghz), 0)
-        cnot_rows(row(ghz), 0, 1)
-        assert np.array_equal(amps(ghz), before)
+        before = ghz.copy()
+        phase_flip_rows(ghz, 1)
+        hadamard_rows(ghz, 0)
+        cnot_rows(ghz, 0, 1)
+        assert np.array_equal(ghz, before)
 
 
 class TestGhz:
     def test_n3_amplitudes(self):
         state = prepare_ghz(3)
-        expect = np.zeros(8, dtype=complex)
-        expect[0] = expect[7] = SQ2
-        assert np.allclose(amps(state), expect)
+        assert state.shape == (1, 8) and state.dtype == np.complex128
+        expect = np.zeros((1, 8), dtype=complex)
+        expect[0, 0] = expect[0, 7] = SQ2
+        assert np.allclose(state, expect)
+        check_rows(state)
 
     def test_n2_bell_pair(self):
         state = prepare_ghz(2)
-        assert np.allclose(amps(state), [SQ2, 0, 0, SQ2])
+        assert np.allclose(state, [[SQ2, 0, 0, SQ2]])
 
     def test_topologies_agree(self):
         for n in range(2, 11):
-            linear, log_depth = amps(prepare_ghz(n, "linear")), amps(prepare_ghz(n, "log_depth"))
+            linear, log_depth = prepare_ghz(n, "linear"), prepare_ghz(n, "log_depth")
             assert np.allclose(linear, log_depth, rtol=0, atol=1e-12)
 
     def test_log_depth_layer_count(self):
@@ -164,29 +156,44 @@ class TestGhz:
 class TestDistribution:
     def test_ghz_computational(self):
         probs = distribution(prepare_ghz(3), [COMPUTATIONAL] * 3)
-        expect = np.zeros(8)
-        expect[0] = expect[7] = 0.5
+        expect = np.zeros((1, 8))
+        expect[0, [0, 7]] = 0.5
         assert np.allclose(probs, expect)
 
     def test_ghz_hadamard_even_parity(self):
         probs = distribution(prepare_ghz(3), [HADAMARD] * 3)
-        expect = np.zeros(8)
-        expect[[0, 3, 5, 6]] = 0.25
+        expect = np.zeros((1, 8))
+        expect[0, [0, 3, 5, 6]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_flipped_ghz_hadamard_odd_parity(self):
-        probs = distribution(apply_phase_flip(prepare_ghz(3), 2), [HADAMARD] * 3)
-        expect = np.zeros(8)
-        expect[[1, 2, 4, 7]] = 0.25
+        probs = distribution(phase_flip_rows(prepare_ghz(3), 2), [HADAMARD] * 3)
+        expect = np.zeros((1, 8))
+        expect[0, [1, 2, 4, 7]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_minus_computational(self):
-        probs = distribution(PureState(plus_minus((1,)), 1), [COMPUTATIONAL])
-        assert np.allclose(probs, [0.5, 0.5])
+        probs = distribution(plus_minus((1,)), [COMPUTATIONAL])
+        assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_zero_computational(self):
         probs = distribution(prepare_basis(BitVector.from_text("0")), [COMPUTATIONAL])
-        assert np.allclose(probs, [1.0, 0.0])
+        assert np.allclose(probs, [[1.0, 0.0]])
+
+    def test_rows_are_independent(self):
+        ghz = prepare_ghz(3)
+        batch = np.concatenate([ghz, phase_flip_rows(ghz, 2)])
+        probs = distribution(batch, [HADAMARD] * 3)
+        assert probs.shape == (2, 8)
+        assert np.array_equal(probs[0], distribution(ghz, [HADAMARD] * 3)[0])
+        assert np.array_equal(probs[1], distribution(batch[1:], [HADAMARD] * 3)[0])
+
+    def test_basis_validation(self):
+        ghz = prepare_ghz(3)
+        with pytest.raises(ValueError):
+            distribution(ghz, [HADAMARD] * 2)
+        with pytest.raises(ValueError):
+            distribution(ghz, [HADAMARD, HADAMARD, "diagonal"])
 
 
 class TestMeasurement:
@@ -206,7 +213,7 @@ class TestMeasurement:
             assert np.allclose(collapsed, state, rtol=0, atol=1e-12)
 
     def test_partial_measurement_collapses_ghz(self, rng):
-        ghz = amps(prepare_ghz(3))
+        ghz = prepare_ghz(3)
         for _ in range(20):
             (first,), collapsed = measure_one(ghz, (1,), (COMPUTATIONAL,), rng)
             rest, _ = measure_one(collapsed, (0, 2), (COMPUTATIONAL,) * 2, rng)
@@ -214,7 +221,7 @@ class TestMeasurement:
 
     def test_hadamard_collapse_returns_physical_frame(self, rng):
         # measuring |0> in the Hadamard basis leaves a plus or minus state
-        zero = amps(prepare_basis(BitVector.from_text("0")))
+        zero = prepare_basis(BitVector.from_text("0"))
         seen = set()
         for _ in range(30):
             (bit,), collapsed = measure_one(zero, (0,), (HADAMARD,), rng)
@@ -224,13 +231,13 @@ class TestMeasurement:
 
     def test_ghz_hadamard_parity_even(self, rng):
         for n in (2, 3, 4, 5):
-            ghz = amps(prepare_ghz(n))
+            ghz = prepare_ghz(n)
             for _ in range(60):
                 bits, _ = measure_one(ghz, range(n), (HADAMARD,) * n, rng)
                 assert sum(bits) % 2 == 0
 
     def test_input_validation(self, rng):
-        ghz = amps(prepare_ghz(2))
+        ghz = prepare_ghz(2)
         with pytest.raises(ValueError):
             measure_one(ghz, (0, 0), (HADAMARD, HADAMARD), rng)
         with pytest.raises(ValueError):
@@ -245,17 +252,17 @@ class TestCombinators:
     def test_tensor_places_extra_on_high_bits(self):
         one = prepare_basis(BitVector.from_text("1"))
         zero = prepare_basis(BitVector.from_text("0"))
-        joint = append_rows(row(zero), amps(one))
-        assert joint[0, 2] == 1.0
+        joint = append_rows(zero, one)
+        assert joint.shape == (1, 4) and joint[0, 2] == 1.0
 
     def test_swap_relabels(self):
-        state = row(prepare_basis(BitVector.from_text("01")))
+        state = prepare_basis(BitVector.from_text("01"))
         swapped = swap_rows(state, 0, 1)
         assert swapped[0, 2] == 1.0
         assert np.array_equal(swap_rows(swapped, 0, 1), state)
 
     def test_swap_same_is_identity(self):
-        ghz = row(prepare_ghz(2))
+        ghz = prepare_ghz(2)
         assert np.array_equal(swap_rows(ghz, 1, 1), ghz)
 
 
@@ -269,7 +276,7 @@ KERNEL_CASES = [
     (cnot_rows, (2, 0)),
     (phase_flip_rows, (3,)),
     (swap_rows, (0, 3)),
-    (append_rows, (np.array([0.6, 0.8j]),)),
+    (append_rows, (np.array([[0.6, 0.8j]]),)),
 ]
 
 
@@ -307,12 +314,6 @@ class TestBatchKernels:
             assert np.array_equal(collapsed[t], row[0])
         check_rows(collapsed)
 
-    def test_single_state_is_the_one_row_case(self):
-        state = prepare_ghz(3)
-        flipped = apply_phase_flip(state, 2)
-        assert np.array_equal(amps(flipped), phase_flip_rows(row(state), 2)[0])
-        assert flipped.num_qubits == 3
-
     def test_sampling_draws_the_outcomes_of_a_measurement(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 8, 4)
@@ -348,7 +349,7 @@ class TestBatchKernels:
         assert np.allclose(np.abs(residual), 1.0, atol=1e-12)
 
     def test_check_rows_rejects_a_bad_row(self):
-        batch = np.tile(prepare_ghz(2).amplitudes, (3, 1))
+        batch = np.tile(prepare_ghz(2), (3, 1))
         check_rows(batch)
         batch[1] *= 1.001
         with pytest.raises(ValueError, match="norm"):
@@ -365,8 +366,8 @@ def test_measurement_statistics_match_distribution(n, data):
     seed = data.draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     ghz = prepare_ghz(n)
-    probs = distribution(ghz, [COMPUTATIONAL] * n)
-    batch = np.tile(amps(ghz), (200, 1))
+    probs = distribution(ghz, [COMPUTATIONAL] * n)[0]
+    batch = np.tile(ghz, (200, 1))
     bits, _ = sample_rows(batch, range(n), [COMPUTATIONAL] * n, rng.random(200))
     counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
