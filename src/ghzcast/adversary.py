@@ -16,19 +16,22 @@ Three attacks are modeled:
   ancilla qubit that Eve keeps, delaying her measurement until the protocol
   has finished.
 
-After a run, eve_postprocess combines whatever Eve measured with everything
-that crossed the public classical channel and produces her best guess of each
-agent's secret; bits she has no handle on are filled with fair coin flips.
+After a run, eve_postprocess combines whatever Eve measured in transit, one
+late Hadamard-basis measurement of the ancillas she kept, and everything that
+crossed the public classical channel into her best guess of each agent's
+secret, as whole-array operations over the payload; bits she has no handle
+on, every bit of an intercept_replace run among them, are fair coin flips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bitvec import BitVector, xor_all
+from .bitvec import BitVector, bit_vectors, split
 from .messages import STAGE_EXCHANGE
 from .statevec import (
     COMPUTATIONAL,
@@ -38,6 +41,7 @@ from .statevec import (
     measure_rows,
     prepare_basis,
     prepare_ghz,
+    sample_rows,
     swap_rows,
     width,
 )
@@ -130,27 +134,19 @@ class EveStrategy:
 class EveRecord:
     """Eve's bookkeeping for one tuple stream, one row per stream position.
 
-    bases and outcomes hold her in-transit measurements, one row per tuple
-    and one column per target slot. intercepted and ancillas map the extra
-    qubit indices Eve holds in every tuple to the agent slot they relate to;
-    unforwarded lists members of her replacement tuple that never left her
-    lab. final_states holds, for a run that got through decryption, what is
-    left of information tuple j in row j: the qubits Eve kept, qubit n + i
-    of the tuple as qubit i of the row, so she can measure them late;
-    post_outcomes records those late measurements as payload bit -> qubit ->
-    bit.
+    targets lists the attacked agent slots, one column each. bases and
+    outcomes hold her in-transit measurements, one row per tuple. For a run
+    that got through decryption, final_states holds what is left of
+    information tuple j in row j: the qubits Eve kept, qubit n + i of the
+    tuple as qubit i of the row; eve_postprocess measures kept ancillas there
+    in one call.
     """
 
     strategy: EveStrategy
-    n: int
     targets: tuple[int, ...] = ()
     bases: np.ndarray | None = None
     outcomes: np.ndarray | None = None
-    intercepted: tuple[tuple[int, int], ...] = ()
-    unforwarded: tuple[int, ...] = ()
-    ancillas: tuple[tuple[int, int], ...] = ()
     final_states: np.ndarray | None = None
-    post_outcomes: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def run_record(self, t: int, rows: int) -> "EveRecord":
         """Record of run t, when this one covers a stack of runs of rows tuples each."""
@@ -159,7 +155,6 @@ class EveRecord:
             self,
             bases=None if self.bases is None else self.bases[span],
             outcomes=None if self.outcomes is None else self.outcomes[span],
-            post_outcomes={},
         )
 
 
@@ -182,7 +177,7 @@ def attack_tuple(
     n = width(batch)
     targets = strategy.resolved_targets(n)
     k = len(targets)
-    record = EveRecord(strategy=strategy, n=n, targets=targets)
+    record = EveRecord(strategy=strategy, targets=targets)
 
     if strategy.tag == MEASURE_RESEND:
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
@@ -204,15 +199,12 @@ def attack_tuple(
         joint = append_rows(batch, prepare_ghz(n))
         for j, slot in enumerate(targets):
             joint = swap_rows(joint, slot, n + j)
-        record.intercepted = tuple((n + j, slot) for j, slot in enumerate(targets))
-        record.unforwarded = tuple(range(n + k, 2 * n))
         return joint, record
 
     if strategy.tag == ENTANGLE_ANCILLA:
         joint = append_rows(batch, prepare_basis(BitVector.zeros(k)))
         for j, slot in enumerate(targets):
             joint = cnot_rows(joint, slot, n + j)
-        record.ancillas = tuple((n + j, slot) for j, slot in enumerate(targets))
         return joint, record
 
     raise AssertionError("unreachable")
@@ -260,113 +252,52 @@ def _coins_then_uniform(
     return coins, u
 
 
-def _measure_kept(
-    record: EveRecord,
-    j: int,
-    qubits: tuple[int, ...],
-    basis: str,
-    rng: np.random.Generator,
-) -> dict[int, int]:
-    """Measure Eve's retained qubits of information tuple j, at most once."""
-    outcomes = record.post_outcomes.setdefault(j, {})
-    pending = [q for q in qubits if q not in outcomes]
-    if pending:
-        bits, collapsed = measure_rows(
-            record.final_states[j : j + 1],
-            [q - record.n for q in pending],
-            [basis] * len(pending),
-            np.array([rng.random()]),
-        )
-        record.final_states[j] = collapsed[0]
-        outcomes.update(zip(pending, bits[0].tolist()))
-    return outcomes
-
-
-def _public_segments(transcript: "Transcript") -> dict[int, list[BitVector]]:
-    """Segments of each agent's secret that crossed the classical channel,
-    by segment index: the broker's and every other agent's."""
-    public: dict[int, list[BitVector]] = {}
-    for msg in transcript.messages:
-        if msg.stage == STAGE_EXCHANGE:
-            public.setdefault(msg.segment_index, []).append(msg.payload)
-    return public
-
-
 def eve_postprocess(
     record: EveRecord, transcript: "Transcript", rng: np.random.Generator
 ) -> tuple[BitVector, ...]:
     """Eve's best reconstruction of every agent's secret.
 
-    Works from her in-transit records, late measurements of anything she
-    kept, and all classical traffic. Aborted runs carry no exchange traffic
-    and an inactive Eve holds no records, so every guessed bit is then a
-    fair coin.
+    Works from her in-transit records, one late measurement of what she
+    kept, and all classical traffic, in one pass over the payload. Bits she
+    has no handle on are fair coins, drawn in payload order. All of them
+    are coins when the run aborted, since no exchange traffic exists; when
+    Eve is inactive, since she holds no records; and for intercept_replace,
+    whose kept qubits carry GHZ branch labels with no dependence on the
+    embedded payload.
     """
     layout = transcript.layout
-    n_agents = layout.segments
-    attacked = record.strategy.active
-    public = {} if transcript.aborted or not attacked else _public_segments(transcript)
-    if not public:
-        # nothing to go on: every bit is a fair coin, drawn in payload order
-        coins = rng.integers(0, 2, size=layout.total).tolist()
-        return tuple(
-            BitVector.from_bits(coins[slice(*layout.bounds(t))]) for t in range(n_agents)
-        )
+    m = layout.total
+    tag = record.strategy.tag
+    if transcript.aborted or tag in (NONE, INTERCEPT_REPLACE):
+        return split(bit_vectors(rng.integers(0, 2, size=m)[None])[0], layout)
 
-    decoys = set(transcript.decoy_positions)
-    info_positions = [p for p in range(transcript.stream_length) if p not in decoys]
-    guesses: list[BitVector] = []
-    for t in range(n_agents):
-        lo, hi = layout.bounds(t)
-        # the fold of every public share of secret t lacks only the owner's
-        # withheld segment
-        folded = xor_all(public[t])
-        bits: list[int] = []
-        for j in range(lo, hi):
-            known = folded.bit(j - lo)
-            guess = _strategy_guess(record, info_positions[j], j, t, known, rng)
-            if guess is None:
-                guess = int(rng.integers(0, 2))
-            bits.append(guess)
-        guesses.append(BitVector.from_bits(bits))
-    return tuple(guesses)
+    # the fold of every public share of secret t lacks only the owner's
+    # withheld segment; known holds those folds at their payload positions
+    starts = (0, *accumulate(layout.lengths))
+    known = 0
+    for msg in transcript.messages:
+        if msg.stage == STAGE_EXCHANGE:
+            known ^= msg.payload.value << starts[msg.segment_index]
 
-
-def _strategy_guess(
-    record: EveRecord,
-    pos: int,
-    j: int,
-    owner: int,
-    known: int,
-    rng: np.random.Generator,
-) -> int | None:
-    """Guess payload bit j from Eve's records of the tuple carrying it, at
-    stream position pos, or None for a coin flip."""
-    strategy = record.strategy
-    if strategy.tag == MEASURE_RESEND:
+    if tag == ENTANGLE_ANCILLA:
+        # the ancillas extend every tuple to a larger GHZ state, so the
+        # parity of all Hadamard outcomes, hers included, equals the payload
+        # bit; the known fold still lacks the owner's withheld register bit
+        k = len(record.targets)
+        bits, _ = sample_rows(record.final_states, range(k), [HADAMARD] * k, rng.random(m))
+        leaked = np.ones(m, dtype=bool)
+        eve_bits = bits.sum(axis=1) & 1
+    else:
         # a qubit resent in the Hadamard basis passes decryption unchanged,
         # so its owner's register bit equals Eve's outcome
-        for col, slot in enumerate(record.targets):
-            if slot == owner and record.bases[pos, col] == HADAMARD:
-                return known ^ int(record.outcomes[pos, col])
-        return None
+        info = np.delete(np.arange(transcript.stream_length), transcript.decoy_positions)
+        col = np.full(layout.segments, -1)
+        col[list(record.targets)] = np.arange(len(record.targets))
+        owner_col = np.repeat(col, layout.lengths)
+        leaked = (owner_col >= 0) & (record.bases[info, owner_col] == HADAMARD)
+        eve_bits = record.outcomes[info, owner_col]
+        eve_bits[~leaked] = rng.integers(0, 2, size=m - int(np.count_nonzero(leaked)))
 
-    if strategy.tag == ENTANGLE_ANCILLA:
-        # the ancillas extend the tuple to a larger GHZ state, so the parity
-        # of all Hadamard outcomes, hers included, equals the payload bit;
-        # the known sum still lacks the owner's withheld register bit
-        qubits = tuple(q for q, _ in record.ancillas)
-        outcomes = _measure_kept(record, j, qubits, HADAMARD, rng)
-        parity = 0
-        for q in qubits:
-            parity ^= outcomes[q]
-        return known ^ parity
-
-    if strategy.tag == INTERCEPT_REPLACE:
-        # computational outcomes of the kept qubits are branch labels with no
-        # dependence on the embedded payload
-        qubits = tuple(q for q, _ in record.intercepted) + record.unforwarded
-        _measure_kept(record, j, qubits, COMPUTATIONAL, rng)
-        return None
-
-    return None
+    # a leaked bit is the known fold xor Eve's bit, any other bit her coin
+    mask, found = bit_vectors(np.array([leaked, eve_bits]))
+    return split(BitVector((known & mask.value) ^ found.value, m), layout)

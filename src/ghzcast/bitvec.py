@@ -7,13 +7,14 @@ significant bit first, so BitVector.from_text("110").bit(0) == 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "BitVector",
     "SegmentLayout",
+    "bit_vectors",
     "inner_product_mod2",
     "xor",
     "xor_all",
@@ -46,18 +47,6 @@ class BitVector:
         return cls(int(text, 2) if text else 0, len(text))
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        """Build from bits listed least significant first."""
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            value |= b << length
-            length += 1
-        return cls(value, length)
-
-    @classmethod
     def zeros(cls, length: int) -> "BitVector":
         return cls(0, length)
 
@@ -78,6 +67,12 @@ class BitVector:
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         return xor(self, other)
+
+
+def bit_vectors(bits: np.ndarray) -> list[BitVector]:
+    """One vector per row of a (rows, length) bit array, column j as bit j."""
+    packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    return [BitVector(int.from_bytes(row.tobytes(), "little"), bits.shape[1]) for row in packed]
 
 
 def inner_product_mod2(x: BitVector, y: BitVector) -> int:
@@ -105,12 +100,8 @@ def xor_all(vectors: Sequence[BitVector]) -> BitVector:
 
 @dataclass(frozen=True)
 class SegmentLayout:
-    """Segment lengths of a concatenated payload, agent 0 first.
-
-    boundaries[j] is the index one past the end of segment j, so segment j
-    covers bit positions boundaries[j-1] .. boundaries[j]-1 (least significant
-    position belongs to agent 0).
-    """
+    """Segment lengths of a concatenated payload, agent 0 first; segment 0
+    sits in the least significant positions."""
 
     lengths: tuple[int, ...]
 
@@ -121,28 +112,12 @@ class SegmentLayout:
             raise ValueError("every segment must have length >= 1")
 
     @property
-    def boundaries(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for m in self.lengths:
-            total += m
-            out.append(total)
-        return tuple(out)
-
-    @property
     def total(self) -> int:
         return sum(self.lengths)
 
     @property
     def segments(self) -> int:
         return len(self.lengths)
-
-    def bounds(self, j: int) -> tuple[int, int]:
-        """Half-open bit range (lo, hi) of segment j."""
-        if not 0 <= j < len(self.lengths):
-            raise IndexError(f"segment {j} out of range")
-        b = self.boundaries
-        return (b[j - 1] if j else 0, b[j])
 
 
 def concat_secrets(secrets: Sequence[BitVector]) -> tuple[BitVector, SegmentLayout]:

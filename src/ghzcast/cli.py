@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,7 +63,8 @@ EXIT_USAGE = 64
 
 
 class ScenarioError(Exception):
-    """Raised for malformed or inconsistent scenario files."""
+    """Raised for malformed or inconsistent scenario files and unwritable
+    output paths."""
 
 
 def resolve_scenario_path(raw: str) -> Path:
@@ -266,7 +268,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.trials is not None:
         trials = args.trials
-    stats = detection_experiment(scenario, trials, collect_rows=args.output is not None)
+    with _open_output(args.output) as out:
+        stats = detection_experiment(scenario, trials, collect_rows=out is not None)
+        if out is not None:
+            _write_trials_csv(out, stats.rows)
 
     doc = {
         "scenario": _scenario_doc(scenario),
@@ -302,60 +307,69 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "secrecy_violations": stats.secrecy_violations,
     }
     if args.output is not None:
-        _write_trials_csv(Path(args.output), stats.rows)
         doc["csv"] = args.output
     emit_report(doc)
     return EXIT_OK
 
 
-def _write_trials_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "errors", "decoy_checks", "verdict", "eve_bit_accuracy"])
-        for row in rows:
-            writer.writerow(
-                [row.trial, row.errors, row.decoy_checks, row.verdict, repr(row.eve_bit_accuracy)]
-            )
+def _open_output(path: str | None):
+    """The --output file, opened before any simulation so that a path that
+    cannot be written fails at once."""
+    if path is None:
+        return nullcontext()
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_trials_csv(fh, rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["trial", "errors", "decoy_checks", "verdict", "eve_bit_accuracy"])
+    for row in rows:
+        writer.writerow(
+            [row.trial, row.errors, row.decoy_checks, row.verdict, repr(row.eve_bit_accuracy)]
+        )
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario_file(resolve_scenario_path(args.scenario))
-    payload, _layout = concat_secrets(scenario.secrets)
-    n, m = scenario.n, payload.length
-    if n * m <= JOINT_ORACLE_QUBIT_CAP:
-        dist = joint_oracle(payload, n)
-        source = "joint"
-    else:
-        try:
-            dist = factorized_oracle(payload, n)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"{exc}; n={n}, m={m} exceeds the joint cap n*m <= {JOINT_ORACLE_QUBIT_CAP}"
-                f" and the factorized caps (n-1)*m <= {FACTORIZED_FREE_BIT_CAP},"
-                f" n <= {FACTORIZED_PARTY_CAP}"
-            ) from exc
-        source = "factorized"
+    with _open_output(args.output) as out:
+        payload, _layout = concat_secrets(scenario.secrets)
+        n, m = scenario.n, payload.length
+        if n * m <= JOINT_ORACLE_QUBIT_CAP:
+            dist = joint_oracle(payload, n)
+            source = "joint"
+        else:
+            try:
+                dist = factorized_oracle(payload, n)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"{exc}; n={n}, m={m} exceeds the joint cap n*m <= {JOINT_ORACLE_QUBIT_CAP}"
+                    f" and the factorized caps (n-1)*m <= {FACTORIZED_FREE_BIT_CAP},"
+                    f" n <= {FACTORIZED_PARTY_CAP}"
+                ) from exc
+            source = "factorized"
 
-    support = dist.support()
-    probs = [dist.entries[k] for k in support]
-    doc = {
-        "scenario": _scenario_doc(scenario),
-        "oracle": source,
-        "payload": str(payload),
-        "outcomes": len(support),
-        "probability": {"min": min(probs), "max": max(probs)},
-        "first_rows": [
-            {"outcome": dist.render_key(k), "probability": dist.entries[k]}
-            for k in support[:5]
-        ],
-    }
-    if args.output is not None:
-        with Path(args.output).open("w", newline="") as fh:
-            writer = csv.writer(fh)
+        support = dist.support()
+        probs = [dist.entries[k] for k in support]
+        doc = {
+            "scenario": _scenario_doc(scenario),
+            "oracle": source,
+            "payload": str(payload),
+            "outcomes": len(support),
+            "probability": {"min": min(probs), "max": max(probs)},
+            "first_rows": [
+                {"outcome": dist.render_key(k), "probability": dist.entries[k]}
+                for k in support[:5]
+            ],
+        }
+        if args.output is not None:
+            writer = csv.writer(out)
             writer.writerow(["outcome", "probability"])
             for k in support:
                 writer.writerow([dist.render_key(k), repr(dist.entries[k])])
-        doc["csv"] = args.output
+            doc["csv"] = args.output
     emit_report(doc)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ call per stack, and each run still draws from its own generators in the
 order a lone run would, so a stacked run is the run execute_run makes at the
 same seed. Measured decoy tuples are not kept, and decryption keeps of each
 information tuple only the qubits an adversary holds, the part her late
-measurements need.
+measurement needs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
-from .bitvec import BitVector, SegmentLayout, concat_secrets, split, xor_all
+from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split, xor_all
 from .distribution import DistributionPlan, build_plan
 from .messages import (
     ALL_AGENTS,
@@ -251,12 +251,6 @@ class RunOutcome:
         return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
 
 
-def _bit_vectors(bits: np.ndarray) -> list[BitVector]:
-    """One vector per row of a (rows, length) bit array, column j as bit j."""
-    packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
-    return [BitVector(int.from_bytes(row.tobytes(), "little"), bits.shape[1]) for row in packed]
-
-
 def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
     """Embed payload bit j into information tuple j, row j of the batch.
 
@@ -291,7 +285,7 @@ def decrypt_and_measure(
     u = np.concatenate([r.random(per_run) for r in rngs])
     bits, residual = sample_rows(batch, range(n), [HADAMARD] * n, u)
     # vectors[t * n + p]: party p's register of run t
-    vectors = _bit_vectors(
+    vectors = bit_vectors(
         bits.reshape(runs, per_run, n).transpose(0, 2, 1).reshape(runs * n, per_run)
     )
     registers = [
@@ -334,7 +328,7 @@ def run_validation(
     )
 
     # outcomes[t * (n - 1) + i]: agent i's outcomes in run t
-    outcomes = _bit_vectors(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
+    outcomes = bit_vectors(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
     messages = []
     for t, is_decoy in enumerate(plan.is_decoy.reshape(runs, plan.m + d)):
         positions = tuple(np.flatnonzero(is_decoy).tolist())
@@ -425,7 +419,7 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
     if scenario.eve.active:
         batch, eve_record = attack_tuple(scenario.eve, batch, eve_rngs)
     else:
-        eve_record = EveRecord(strategy=scenario.eve, n=n)
+        eve_record = EveRecord(strategy=scenario.eve)
     check_rows(batch)
 
     validation, validation_messages = run_validation(

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
-check_rows at stage boundaries. There are no single-state gate wrappers:
+check_rows between stages. There are no single-state gate wrappers:
 the preparations return one-row batches and distribution takes a batch.
 Measurement comes in two forms: sample_rows returns the outcome bits and
 the normalised residual state of the unmeasured qubits, which is all the

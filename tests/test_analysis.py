@@ -314,6 +314,18 @@ STACKED_SCENARIOS = {
     "ancilla_d0": Scenario(
         n=3, secrets=EXAMPLE, d=0, eve=EveStrategy(tag=ENTANGLE_ANCILLA, k=1), seed=9
     ),
+    # without decoys every run passes, so Eve's reconstruction takes its
+    # measure-resend and intercept-replace paths on every run
+    "measure_resend/random_d0": Scenario(
+        n=3,
+        secrets=EXAMPLE,
+        d=0,
+        eve=EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS, k=2),
+        seed=10,
+    ),
+    "intercept_replace_d0": Scenario(
+        n=3, secrets=EXAMPLE, d=0, eve=EveStrategy(tag=INTERCEPT_REPLACE, k=1), seed=11
+    ),
 }
 
 

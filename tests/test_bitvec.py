@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from ghzcast.bitvec import (
     PARITY_CENSUS_CAP,
     BitVector,
     SegmentLayout,
+    bit_vectors,
     concat_secrets,
     inner_product_mod2,
     parity_census,
@@ -42,8 +44,8 @@ class TestBitVector:
         assert v.bit(0) == 0
         assert v.bit(2) == 1
 
-    def test_from_bits_least_significant_first(self):
-        assert BitVector.from_bits([0, 1, 1]) == BitVector.from_text("110")
+    def test_bits_least_significant_first(self):
+        assert BitVector.from_text("110").bits() == (0, 1, 1)
 
     def test_empty(self):
         v = BitVector.from_text("")
@@ -55,14 +57,12 @@ class TestBitVector:
             BitVector.from_text("10a")
         with pytest.raises(ValueError):
             BitVector(4, 2)
-        with pytest.raises(ValueError):
-            BitVector.from_bits([0, 2])
         with pytest.raises(IndexError):
             BitVector.from_text("10").bit(2)
 
     @given(bitvectors)
     def test_bits_round_trip(self, v):
-        assert BitVector.from_bits(v.bits()) == v
+        assert bit_vectors(np.array([v.bits()])) == [v]
         assert BitVector.from_text(str(v)) == v
 
 
@@ -114,11 +114,8 @@ class TestInnerProduct:
 
 
 class TestLayout:
-    def test_bounds(self):
+    def test_totals(self):
         layout = SegmentLayout((3, 3))
-        assert layout.boundaries == (3, 6)
-        assert layout.bounds(0) == (0, 3)
-        assert layout.bounds(1) == (3, 6)
         assert layout.total == 6
         assert layout.segments == 2
 
@@ -145,7 +142,6 @@ class TestConcat:
             [BitVector.from_text("11"), BitVector.from_text("0"), BitVector.from_text("101")]
         )
         assert str(payload) == "101011"
-        assert layout.boundaries == (2, 3, 6)
         assert layout.total == 6
 
     @given(

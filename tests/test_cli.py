@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzcast import cli
 from ghzcast.analysis import JOINT_ORACLE_QUBIT_CAP
 from ghzcast.bitvec import BitVector
 from ghzcast.cli import (
@@ -279,6 +280,24 @@ class TestRunCommand:
         err = captured.err.strip()
         assert "error:" in err and "\n" not in err
 
+    @pytest.mark.parametrize("command", ["experiment", "distribution"])
+    def test_unwritable_output_is_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before opening --output")
+
+        monkeypatch.setattr(cli, "detection_experiment", unreachable)
+        monkeypatch.setattr(cli, "joint_oracle", unreachable)
+        out = tmp_path / "missing" / "rows.csv"
+        code = main([command, str(SCENARIO_DIR / "three_party.yaml"), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ghzcast: error: cannot write") and str(out) in err
+        assert "\n" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -364,6 +383,26 @@ class TestDistributionCommand:
         err = capsys.readouterr().err
         assert "n*m <= 20" in err and "(n-1)*m <= 20" in err
         assert "sampling" not in err
+
+
+# exit code of `run` on each bundled scenario: the three attack files abort
+BUNDLED_RUN_CODES = {
+    "three_party": EXIT_OK,
+    "noisy_channel": EXIT_OK,
+    "measure_resend": EXIT_ABORT,
+    "intercept_replace": EXIT_ABORT,
+    "entangle_ancilla": EXIT_ABORT,
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_bundled_scenarios_run(path, capsys):
+    assert main(["run", str(path)]) == BUNDLED_RUN_CODES[path.stem]
+    capsys.readouterr()
+    assert main(["experiment", str(path), "--trials", "20"]) == EXIT_OK
+    doc = yaml.safe_load(capsys.readouterr().out)
+    assert doc["trials"] == 20
+    assert doc["secrecy_violations"] == 0
 
 
 def test_oracle_check_passes(capsys):
