@@ -161,16 +161,16 @@ class EveRecord:
 def attack_tuple(
     strategy: EveStrategy,
     batch: np.ndarray,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, EveRecord]:
     """Apply the attack to every tuple of the in-flight (T, 2**n) stream batch.
 
     The returned batch keeps the protocol slots on qubits 0..n-1; any qubits
     Eve retains are appended above them. Positions and kinds of tuples are
     deliberately absent from this interface: every row gets the same
-    treatment. A batch stacking the streams of several runs comes with one
-    generator per run, and each run's rows draw from their own generator;
-    the record then covers the whole stack.
+    treatment. The batch stacks the streams of one or more runs and comes
+    with one generator per run; each run's rows draw from their own
+    generator, and the record covers the whole stack.
     """
     if not strategy.active:
         raise ValueError("attack_tuple called with the inactive strategy")
@@ -180,7 +180,6 @@ def attack_tuple(
     record = EveRecord(strategy=strategy, targets=targets)
 
     if strategy.tag == MEASURE_RESEND:
-        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         rows = batch.shape[0]
         per_run = rows // len(rngs)
         if strategy.basis_policy == ALWAYS_COMPUTATIONAL:

@@ -19,15 +19,12 @@ and the adversary's per-bit guess accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import EveStrategy
 from .bitvec import BitVector
-from .protocol import Registers, RunOutcome, Scenario, check_transcript_secrecy, run_trials
+from .protocol import Registers, Scenario, check_transcript_secrecy, run_trials
 from .statevec import HADAMARD, distribution, phase_flip_rows, prepare_ghz
 
 __all__ = [
@@ -43,13 +40,10 @@ __all__ = [
     "TrialRow",
     "ExperimentStats",
     "detection_experiment",
-    "CorrelationStat",
-    "decoy_correlation_stat",
 ]
 
 JOINT_ORACLE_QUBIT_CAP = 20
 FACTORIZED_PARTY_CAP = 12
-FACTORIZED_BIT_CAP = 20
 FACTORIZED_FREE_BIT_CAP = 20
 SUPPORT_CUTOFF = 1e-12
 CHI_SQUARE_BUCKET_BITS = 12
@@ -147,6 +141,18 @@ def _check_joint_size(n: int, m: int) -> None:
         )
 
 
+def _check_factorized_size(n: int, m: int) -> None:
+    _check_parties(n)
+    if n > FACTORIZED_PARTY_CAP:
+        raise ValueError(f"party cap for the factorized oracle is {FACTORIZED_PARTY_CAP}")
+    # the product table holds 2^((n-1)*m) entries, so that exponent is the
+    # binding limit on what can be materialized at all
+    if (n - 1) * m > FACTORIZED_FREE_BIT_CAP:
+        raise ValueError(
+            f"support of 2^{(n - 1) * m} outcomes is too large to materialize"
+        )
+
+
 def _distribution(n: int, m: int, probs: np.ndarray) -> OutcomeDistribution:
     keys = np.flatnonzero(probs)
     return OutcomeDistribution(n=n, m=m, entries=dict(zip(keys.tolist(), probs[keys].tolist())))
@@ -212,17 +218,7 @@ def explicit_kickback_oracle(
 def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
     """Product of exact per-tuple distributions from the gate simulator."""
     m = payload.length
-    _check_parties(n)
-    if n > FACTORIZED_PARTY_CAP:
-        raise ValueError(f"party cap for the factorized oracle is {FACTORIZED_PARTY_CAP}")
-    if m > FACTORIZED_BIT_CAP:
-        raise ValueError(f"payload cap for the factorized oracle is {FACTORIZED_BIT_CAP}")
-    # the product table holds 2^((n-1)*m) entries, so that exponent is the
-    # binding limit on what can be materialized at all
-    if (n - 1) * m > FACTORIZED_FREE_BIT_CAP:
-        raise ValueError(
-            f"support of 2^{(n - 1) * m} outcomes is too large to materialize"
-        )
+    _check_factorized_size(n, m)
 
     # row b is the tuple distribution for payload bit b
     ghz = prepare_ghz(n)
@@ -344,14 +340,6 @@ class ExperimentStats:
     rows: list[TrialRow] | None = None
 
 
-def _trial_stacks(scenario: Scenario, trials: int) -> Iterator[list[RunOutcome]]:
-    """Outcomes of the scenario's trials, stack by stack; trial t runs at
-    the t-th seed drawn from the scenario's own seed."""
-    master = np.random.default_rng(scenario.seed)
-    trial_seeds = master.integers(0, 2**63, size=trials)
-    return run_trials(scenario, trial_seeds.tolist())
-
-
 def detection_experiment(
     scenario: Scenario, trials: int, collect_rows: bool = False
 ) -> ExperimentStats:
@@ -368,8 +356,10 @@ def detection_experiment(
     secrecy_violations = 0
     rows: list[TrialRow] | None = [] if collect_rows else None
 
+    # trial t runs at the t-th seed drawn from the scenario's own seed
+    seeds = np.random.default_rng(scenario.seed).integers(0, 2**63, size=trials)
     t = 0
-    for stack in _trial_stacks(scenario, trials):
+    for stack in run_trials(scenario, seeds.tolist()):
         if targets:
             wrong = np.stack([o.transcript.validation.wrong for o in stack])
             # (trials, d, k): the checks of the targeted slots
@@ -389,7 +379,7 @@ def detection_experiment(
             all_errors += report.errors
 
             trial_bits = trial_correct = 0
-            for guess, truth in zip(outcome.eve_guesses(), outcome.scenario.secrets):
+            for guess, truth in zip(outcome.eve_guesses(), scenario.secrets):
                 trial_bits += len(truth)
                 trial_correct += len(truth) - (guess.value ^ truth.value).bit_count()
             eve_bits += trial_bits
@@ -442,54 +432,4 @@ def detection_experiment(
         eve_accuracy_radius=eve_radius,
         secrecy_violations=secrecy_violations,
         rows=rows,
-    )
-
-
-@dataclass
-class CorrelationStat:
-    """Pairwise agreement of attacked decoy outcomes within a tuple.
-
-    Replacement and ancilla attacks leave the attacked decoy qubits uniform
-    and independent in the Hadamard basis, so their pairwise agreement stays
-    at the honest baseline of one half; this statistic reports rather than
-    assumes that.
-    """
-
-    attacked_pairs: int
-    attacked_agreement: float
-    honest_pairs: int
-    honest_agreement: float
-    sigma: float
-    flagged: bool
-
-
-def decoy_correlation_stat(scenario: Scenario, trials: int) -> CorrelationStat:
-    if not scenario.eve.active or scenario.eve.k < 2:
-        raise ValueError("correlation statistic needs an attack on k >= 2 qubits")
-
-    def agreement(sc: Scenario, slots: list[int]) -> tuple[int, int]:
-        pairs = agree = 0
-        for stack in _trial_stacks(sc, trials):
-            reported = np.stack([o.transcript.validation.reported for o in stack])
-            reported = reported[:, :, slots]
-            for a, b in combinations(range(len(slots)), 2):
-                pairs += reported[:, :, a].size
-                agree += int(np.count_nonzero(reported[:, :, a] == reported[:, :, b]))
-        return pairs, agree
-
-    slots = sorted(scenario.eve.resolved_targets(scenario.n))
-    attacked_pairs, attacked_agree = agreement(scenario, slots)
-    honest_pairs, honest_agree = agreement(
-        replace(scenario, eve=EveStrategy()), slots
-    )
-    attacked_rate = attacked_agree / attacked_pairs
-    honest_rate = honest_agree / honest_pairs
-    sigma = float(np.sqrt(0.25 / attacked_pairs))
-    return CorrelationStat(
-        attacked_pairs=attacked_pairs,
-        attacked_agreement=attacked_rate,
-        honest_pairs=honest_pairs,
-        honest_agreement=honest_rate,
-        sigma=sigma,
-        flagged=abs(attacked_rate - 0.5) > 3 * sigma,
     )

@@ -29,6 +29,7 @@ from .analysis import (
     FACTORIZED_FREE_BIT_CAP,
     FACTORIZED_PARTY_CAP,
     JOINT_ORACLE_QUBIT_CAP,
+    _check_factorized_size,
     analytic_sample_keys,
     detection_experiment,
     factorized_oracle,
@@ -334,23 +335,22 @@ def _write_trials_csv(fh, rows) -> None:
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario_file(resolve_scenario_path(args.scenario))
-    with _open_output(args.output) as out:
-        payload, _layout = concat_secrets(scenario.secrets)
-        n, m = scenario.n, payload.length
-        if n * m <= JOINT_ORACLE_QUBIT_CAP:
-            dist = joint_oracle(payload, n)
-            source = "joint"
-        else:
-            try:
-                dist = factorized_oracle(payload, n)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{exc}; n={n}, m={m} exceeds the joint cap n*m <= {JOINT_ORACLE_QUBIT_CAP}"
-                    f" and the factorized caps (n-1)*m <= {FACTORIZED_FREE_BIT_CAP},"
-                    f" n <= {FACTORIZED_PARTY_CAP}"
-                ) from exc
-            source = "factorized"
+    payload, _layout = concat_secrets(scenario.secrets)
+    n, m = scenario.n, payload.length
+    source = "joint" if n * m <= JOINT_ORACLE_QUBIT_CAP else "factorized"
+    if source == "factorized":
+        # refused before --output is opened, so a refusal leaves no file behind
+        try:
+            _check_factorized_size(n, m)
+        except ValueError as exc:
+            raise ScenarioError(
+                f"{exc}; n={n}, m={m} exceeds the joint cap n*m <= {JOINT_ORACLE_QUBIT_CAP}"
+                f" and the factorized caps (n-1)*m <= {FACTORIZED_FREE_BIT_CAP},"
+                f" n <= {FACTORIZED_PARTY_CAP}"
+            ) from exc
 
+    with _open_output(args.output) as out:
+        dist = joint_oracle(payload, n) if source == "joint" else factorized_oracle(payload, n)
         support = dist.support()
         probs = [dist.entries[k] for k in support]
         doc = {

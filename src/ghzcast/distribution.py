@@ -10,8 +10,8 @@ The stream is one (m + d, 2**n) batch with one tuple per row in transmission
 order. Tuples are never entangled with each other, so rows stay separate
 states rather than one joint register, which keeps memory linear in the
 stream length; the joint picture is recovered exactly by the analysis
-oracles. A plan may also stack the streams of several independent runs,
-one generator each, into one (trials * (m + d), 2**n) batch, run after run.
+oracles. A plan stacks the streams of one or more independent runs, one
+generator each, into one (trials * (m + d), 2**n) batch, run after run.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class DistributionPlan:
     is_decoy marks the decoy rows; the j-th information row of a run
     carries payload bit j. signs is the broker's private record of the
     decoy preparations: row i holds the signs (0 plus, 1 minus) of the i-th
-    decoy in stream order. A plan of several runs stacks their streams one
-    after another, so every field then counts over the whole stack and run
-    t owns rows t*(m+d) .. (t+1)*(m+d)-1.
+    decoy in stream order. A plan stacks the streams of its runs one after
+    another, so every field counts over the whole stack and run t owns rows
+    t*(m+d) .. (t+1)*(m+d)-1.
     """
 
     n: int
@@ -52,13 +52,13 @@ class DistributionPlan:
 
 
 def build_plan(
-    m: int, d: int, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
+    m: int, d: int, n: int, rngs: Sequence[np.random.Generator]
 ) -> DistributionPlan:
     """Interleave m information tuples and d decoys uniformly at random.
 
-    Each decoy qubit is plus or minus with probability one half. Given one
-    generator per run instead of a single one, every run draws its own
-    stream from its own generator and the plan stacks them.
+    Each decoy qubit is plus or minus with probability one half. There is
+    one generator per run: every run draws its own stream from its own
+    generator, and the plan stacks them.
     """
     if m < 1:
         raise ValueError("need at least one information tuple")
@@ -67,7 +67,6 @@ def build_plan(
     if n < 2:
         raise ValueError("need at least two parties")
 
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     # per run: the interleaving permutation, of which the values m and up
     # mark decoys, then the decoy signs
     is_decoy = []

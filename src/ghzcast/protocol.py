@@ -28,7 +28,7 @@ measurement needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "Scenario",
     "ClassicalMessage",
     "ValidationReport",
-    "ValidationBatch",
     "Registers",
     "Transcript",
     "RunOutcome",
@@ -149,42 +148,14 @@ class Scenario:
 
 @dataclass(eq=False)
 class ValidationReport:
-    """Outcome of one run's decoy comparison.
-
-    expected, reported and wrong are (d, n - 1) bit arrays: one row per
-    decoy in stream order, one column per agent slot. decoy_checks counts
-    every transmitted decoy qubit, d * (n - 1); the threshold is
-    threshold_fraction times that count and the verdict is fail exactly when
-    errors reach it.
-    """
-
-    decoy_checks: int
-    errors: int
-    threshold: float
-    verdict: str
-    expected: np.ndarray
-    reported: np.ndarray
-    wrong: np.ndarray
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValidationReport):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
-
-
-@dataclass
-class ValidationBatch:
     """Decoy comparison of a stack of runs, as run_validation returns it.
 
-    expected, reported and wrong are (trials, d, n - 1) bit arrays; the
-    threshold applies to each run on its own. decoy_checks and errors total
-    the whole stack.
+    expected, reported and wrong are (runs, d, n - 1) bit arrays: per run,
+    one row per decoy in stream order and one column per agent slot. run(t)
+    slices out run t's own report, with (d, n - 1) arrays. decoy_checks and
+    errors total the report. The threshold is threshold_fraction times one
+    run's transmitted decoy qubits, d * (n - 1); the verdict is a run's, fail
+    exactly when its errors reach the threshold, so a stack has none.
     """
 
     expected: np.ndarray
@@ -200,18 +171,25 @@ class ValidationBatch:
     def errors(self) -> int:
         return int(np.count_nonzero(self.wrong))
 
-    def report(self, t: int) -> ValidationReport:
+    @property
+    def failed(self) -> bool:
+        if self.wrong.ndim != 2:
+            raise ValueError("a stack of runs has no verdict; read it from run(t)")
+        return self.decoy_checks > 0 and self.errors >= self.threshold
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.failed else "pass"
+
+    def run(self, t: int) -> ValidationReport:
         """Run t's own report."""
-        errors = int(np.count_nonzero(self.wrong[t]))
-        checks = self.wrong[t].size
-        return ValidationReport(
-            decoy_checks=checks,
-            errors=errors,
-            threshold=self.threshold,
-            verdict="fail" if checks > 0 and errors >= self.threshold else "pass",
-            expected=self.expected[t],
-            reported=self.reported[t],
-            wrong=self.wrong[t],
+        return ValidationReport(self.expected[t], self.reported[t], self.wrong[t], self.threshold)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
 
@@ -242,7 +220,6 @@ class Transcript:
 class RunOutcome:
     """Transcript plus the simulator-private adversary bookkeeping."""
 
-    scenario: Scenario
     transcript: Transcript
     eve_record: EveRecord
     eve_rng: np.random.Generator
@@ -301,13 +278,13 @@ def run_validation(
     noise_p: float,
     threshold_fraction: float,
     rngs: Sequence[np.random.Generator],
-) -> tuple[ValidationBatch, list[list[ClassicalMessage]]]:
+) -> tuple[ValidationReport, list[list[ClassicalMessage]]]:
     """Measure every transmitted decoy qubit and compare with the records.
 
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The plan and batch may stack several runs, one generator
+    independently. The plan and batch stack one or more runs, one generator
     each; returns the comparison of the stack and every run's messages.
     Decoy tuples are never read again, so their post-measurement states are
     not kept.
@@ -320,7 +297,7 @@ def run_validation(
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     expected = plan.signs[:, : n - 1].reshape(shape)
-    checks = ValidationBatch(
+    report = ValidationReport(
         expected=expected,
         reported=reported,
         wrong=reported != expected,
@@ -341,7 +318,7 @@ def run_validation(
                 for i in range(n - 1)
             ]
         )
-    return checks, messages
+    return report, messages
 
 
 def classical_exchange(
@@ -395,7 +372,9 @@ def run_trials(scenario: Scenario, seeds: Sequence[int]) -> Iterator[list[RunOut
     A stack holds as many runs as fit in STACK_AMPLITUDES amplitudes, and at
     least one; yields the outcomes of each stack in seed order. Every run
     draws only from the two generators spawned from its own seed, in the
-    order a lone run draws, so it matches execute_run at that seed.
+    order a lone run draws, so it matches execute_run at that seed. A lone
+    run is a stack of one. Validation reports on the whole stack, and each
+    run's verdict is read from its own slice of that report.
     """
     size = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
     for start in range(0, len(seeds), size):
@@ -425,7 +404,7 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
     validation, validation_messages = run_validation(
         plan, batch, scenario.noise_p, scenario.threshold_fraction, rngs
     )
-    reports = [validation.report(t) for t in range(len(seeds))]
+    reports = [validation.run(t) for t in range(len(seeds))]
     passed = np.array([not report.failed for report in reports])
     registers: list[Registers] = []
     if passed.any():
@@ -440,7 +419,7 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
     # run t's place among the runs that passed
     completed = np.cumsum(passed) - 1
     outcomes = []
-    for t, seed in enumerate(seeds):
+    for t in range(len(seeds)):
         stream = slice(t * (m + d), (t + 1) * (m + d))
         record = eve_record.run_record(t, m + d)
         messages = [preamble, *validation_messages[t]]
@@ -466,12 +445,7 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
             recovered=recovered,
         )
         outcomes.append(
-            RunOutcome(
-                scenario=replace(scenario, seed=seed),
-                transcript=transcript,
-                eve_record=record,
-                eve_rng=eve_rngs[t],
-            )
+            RunOutcome(transcript=transcript, eve_record=record, eve_rng=eve_rngs[t])
         )
     return outcomes
 

@@ -58,7 +58,7 @@ class TestStrategyValidation:
 
     def test_inactive_attack_rejected(self, rng):
         with pytest.raises(ValueError):
-            attack_tuple(EveStrategy(), ghz_batch(3), rng)
+            attack_tuple(EveStrategy(), ghz_batch(3), [rng])
 
 
 def ghz_batch(n, rows=1):
@@ -68,7 +68,7 @@ def ghz_batch(n, rows=1):
 class TestAttackStates:
     def test_measure_resend_keeps_width(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        batch, record = attack_tuple(eve, ghz_batch(3, rows=4), rng)
+        batch, record = attack_tuple(eve, ghz_batch(3, rows=4), [rng])
         assert batch.shape == (4, 8)
         assert record.targets == (0,)
         assert record.bases.shape == record.outcomes.shape == (4, 1)
@@ -77,19 +77,19 @@ class TestAttackStates:
 
     def test_measure_resend_collapses_ghz_computationally(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        batch, record = attack_tuple(eve, ghz_batch(3, rows=20), rng)
+        batch, record = attack_tuple(eve, ghz_batch(3, rows=20), [rng])
         for row, c in zip(batch, record.outcomes[:, 0]):
             # GHZ collapses to the all-c product state
             assert abs(row[c * 7]) == pytest.approx(1.0)
 
     def test_random_basis_uses_both(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS)
-        _, record = attack_tuple(eve, ghz_batch(3, rows=50), rng)
+        _, record = attack_tuple(eve, ghz_batch(3, rows=50), [rng])
         assert set(record.bases[:, 0]) == {COMPUTATIONAL, HADAMARD}
 
     def test_intercept_replace_structure(self, rng):
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2)
-        batch, _ = attack_tuple(eve, ghz_batch(3), rng)
+        batch, _ = attack_tuple(eve, ghz_batch(3), [rng])
         assert batch.shape == (1, 64)
 
     def test_intercept_replace_forwards_fresh_members(self, rng):
@@ -97,13 +97,13 @@ class TestAttackStates:
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=1)
         trials = 400
         plus = np.tile(hadamard_product_rows([(0, 0, 0)])[0], (trials, 1))
-        batch, _ = attack_tuple(eve, plus, rng)
+        batch, _ = attack_tuple(eve, plus, [rng])
         bits, _ = measure_rows(batch, (0,), (HADAMARD,), rng.random(trials))
         assert abs(bits.mean() - 0.5) < 0.07
 
     def test_entangle_ancilla_extends_ghz(self, rng):
         eve = EveStrategy(tag=ENTANGLE_ANCILLA, k=1)
-        batch, _ = attack_tuple(eve, ghz_batch(3), rng)
+        batch, _ = attack_tuple(eve, ghz_batch(3), [rng])
         assert batch.shape == (1, 16)
         # CNOT from a GHZ member onto |0> grows the GHZ by one qubit
         expect = np.zeros(16, dtype=complex)

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzcast import protocol
 from ghzcast.adversary import (
     ALWAYS_COMPUTATIONAL,
     ENTANGLE_ANCILLA,
@@ -22,7 +24,6 @@ from ghzcast.analysis import (
     JOINT_ORACLE_QUBIT_CAP,
     OutcomeDistribution,
     analytic_sample_keys,
-    decoy_correlation_stat,
     detection_experiment,
     explicit_kickback_oracle,
     factorized_oracle,
@@ -328,6 +329,36 @@ STACKED_SCENARIOS = {
     ),
 }
 
+ATTACKS = (
+    EveStrategy(),
+    EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL),
+    EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS),
+    EveStrategy(tag=INTERCEPT_REPLACE),
+    EveStrategy(tag=ENTANGLE_ANCILLA),
+)
+
+
+@st.composite
+def small_scenarios(draw):
+    """n 2-5, secrets of 1-3 bits, d 0-6, no Eve or one of the four attacks
+    on 1..n-1 slots, and thresholds loose and tight enough that some runs of
+    a scenario pass while others abort."""
+    n = draw(st.integers(2, 5))
+    secret = st.integers(1, 3).flatmap(
+        lambda width: st.integers(0, (1 << width) - 1).map(lambda v: BitVector(v, width))
+    )
+    eve = draw(st.sampled_from(ATTACKS))
+    if eve.active:
+        eve = replace(eve, k=draw(st.integers(1, n - 1)))
+    return Scenario(
+        n=n,
+        secrets=tuple(draw(st.lists(secret, min_size=n - 1, max_size=n - 1))),
+        d=draw(st.integers(0, 6)),
+        eve=eve,
+        noise_p=draw(st.sampled_from((0.0, 0.1))),
+        threshold_fraction=draw(st.sampled_from((0.05, 0.2, 0.4))),
+    )
+
 
 class TestStackedRuns:
     """Runs simulated as one stack match the same runs made one at a time."""
@@ -345,7 +376,6 @@ class TestStackedRuns:
         stacked = [outcome for stack in stacks for outcome in stack]
         alone = [execute_run(replace(scenario, seed=seed)) for seed in seeds]
         for a, b in zip(stacked, alone):
-            assert a.scenario == b.scenario
             assert a.transcript == b.transcript
 
         stats = detection_experiment(scenario, trials, collect_rows=True)
@@ -370,24 +400,18 @@ class TestStackedRuns:
             (r.errors, r.verdict) for r in reports
         ]
 
+    @given(scenario=small_scenarios(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_of_any_size_match_lone_runs(self, scenario, data):
+        seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7))
+        per_stack = data.draw(st.integers(1, len(seeds)), label="runs per stack")
+        with patch.object(protocol, "STACK_AMPLITUDES", per_stack * scenario.stream_amplitudes):
+            stacks = list(run_trials(scenario, seeds))
+        full, rest = divmod(len(seeds), per_stack)
+        assert [len(stack) for stack in stacks] == [per_stack] * full + [rest] * (rest > 0)
 
-class TestDecoyCorrelation:
-    def test_needs_multi_qubit_attack(self, example_secrets):
-        eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL, k=1)
-        with pytest.raises(ValueError):
-            decoy_correlation_stat(
-                Scenario(n=3, secrets=example_secrets, eve=eve), trials=10
-            )
-
-    def test_replacement_attack_is_not_flagged(self, example_secrets):
-        # fresh tuples reproduce the honest pairwise agreement exactly
-        eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2, targets=(0, 1))
-        stat = decoy_correlation_stat(
-            Scenario(n=3, secrets=example_secrets, d=12, eve=eve, seed=17),
-            trials=120,
-        )
-        assert stat.attacked_pairs == 120 * 12
-        assert stat.honest_pairs == 120 * 12
-        assert 0.4 < stat.attacked_agreement < 0.6
-        assert 0.4 < stat.honest_agreement < 0.6
-        assert not stat.flagged
+        stacked = [outcome for stack in stacks for outcome in stack]
+        alone = [execute_run(replace(scenario, seed=seed)) for seed in seeds]
+        for a, b in zip(stacked, alone, strict=True):
+            assert a.transcript == b.transcript
+            assert a.eve_guesses() == b.eve_guesses()

@@ -384,6 +384,23 @@ class TestDistributionCommand:
         assert "n*m <= 20" in err and "(n-1)*m <= 20" in err
         assert "sampling" not in err
 
+    @pytest.mark.parametrize("existing", [None, "outcome,probability\n"])
+    def test_oversize_config_leaves_output_untouched(self, tmp_path, capsys, existing):
+        out = tmp_path / "dist.csv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main(
+            ["distribution", str(SCENARIO_DIR / "noisy_channel.yaml"), "--output", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("ghzcast: error:")
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
+
 
 # exit code of `run` on each bundled scenario: the three attack files abort
 BUNDLED_RUN_CODES = {

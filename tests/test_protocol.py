@@ -19,6 +19,7 @@ from ghzcast.protocol import (
     STAGE_VALIDATION,
     ClassicalMessage,
     Scenario,
+    ValidationReport,
     check_transcript_secrecy,
     recover_secret,
     run_protocol,
@@ -208,6 +209,23 @@ class TestAbort:
         sc = Scenario(n=3, secrets=example_secrets, seed=12)
         transcript = run_protocol(sc)
         assert transcript.validation.threshold == pytest.approx(1.5)
+
+    def test_stack_totals_and_per_run_verdicts(self):
+        # two runs of 4 decoys on 3 agent slots: run 1 has 6 errors, run 0 none
+        wrong = np.zeros((2, 4, 3), dtype=bool)
+        wrong[1, :2] = True
+        report = ValidationReport(np.zeros_like(wrong), wrong, wrong, threshold=1.5)
+        assert (report.decoy_checks, report.errors) == (24, 6)
+        runs = [report.run(t) for t in range(2)]
+        assert [(r.decoy_checks, r.errors, r.verdict) for r in runs] == [
+            (12, 0, "pass"),
+            (12, 6, "fail"),
+        ]
+        with pytest.raises(ValueError, match="run\\(t\\)"):
+            report.failed
+        # without decoys a run has nothing to fail
+        empty = np.zeros((1, 0, 3), dtype=bool)
+        assert ValidationReport(empty, empty, empty, threshold=0.0).run(0).verdict == "pass"
 
     def test_heavy_noise_aborts(self, example_secrets):
         aborted = 0
