@@ -40,8 +40,10 @@ def main() -> None:
         registers = outcome.transcript.registers
         counts[dist.key_from_registers(registers)] += 1
 
-    off_support = sum(c for key, c in counts.items() if key not in dist.entries)
-    print(f"payload {payload}, {len(dist.entries)} outcomes in the exact support")
+    seen = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    tallies = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    off_support = int(tallies[~np.isin(seen, dist.keys)].sum())
+    print(f"payload {payload}, {dist.keys.size} outcomes in the exact support")
     print(f"{args.runs} runs, {off_support} outcomes off support\n")
 
     top = counts.most_common(15)
@@ -50,8 +52,9 @@ def main() -> None:
         bar = "#" * max(1, round(BAR_WIDTH * c / peak))
         print(f"{dist.render_key(key)}  {c:6d}  exact {dist.probability(key):.6f}  {bar}")
 
-    observed = np.array([counts.get(key, 0) for key in dist.support()])
-    expected = np.array([p for _, p in sorted(dist.entries.items())]) * args.runs
+    # joint_oracle's keys are ascending
+    observed = np.array([counts.get(key, 0) for key in dist.keys.tolist()])
+    expected = dist.probs * args.runs
     p = scipy_stats.chisquare(observed, expected).pvalue
     print(f"\nchi-square over the full support: p = {p:.4f}")
 

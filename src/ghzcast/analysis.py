@@ -20,6 +20,7 @@ and the adversary's per-bit guess accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "detection_experiment",
 ]
 
+# the joint oracles' float32 amplitudes stay exact only while n*m <= 20 (so m <= 10)
 JOINT_ORACLE_QUBIT_CAP = 20
 FACTORIZED_PARTY_CAP = 12
 FACTORIZED_FREE_BIT_CAP = 20
@@ -50,29 +52,49 @@ CHI_SQUARE_BUCKET_BITS = 12
 HADAMARD_BLOCK_BITS = 5
 
 
-@dataclass
+@dataclass(eq=False)
 class OutcomeDistribution:
     """Distribution over joint register outcomes.
 
-    A key packs the n register values of one outcome: agent p's m-bit block
+    keys (int64) and probs (float64) are parallel arrays holding each
+    outcome of the support once; the oracles keep their own key order. A
+    key packs the n register values of one outcome: agent p's m-bit block
     sits at bit offset p*m and the broker block is the highest. Rendered
     text therefore reads broker first, then agent n-2 down to agent 0.
     """
 
     n: int
     m: int
-    entries: dict[int, float]
+    keys: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        total = sum(self.entries.values())
+        total = self.probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return (self.n, self.m, self.entries) == (other.n, other.m, other.entries)
+
+    @cached_property
+    def entries(self) -> dict[int, float]:
+        """key -> probability in key-array order, built on first use."""
+        return dict(zip(self.keys.tolist(), self.probs.tolist()))
+
     def support(self) -> list[int]:
-        return sorted(self.entries)
+        return np.sort(self.keys).tolist()
 
     def probability(self, key: int) -> float:
         return self.entries.get(key, 0.0)
+
+    def probabilities(self, keys: np.ndarray) -> np.ndarray:
+        """Probabilities of the given keys, 0.0 off the support."""
+        order = np.argsort(self.keys, kind="stable")
+        ordered = self.keys[order]
+        at = np.searchsorted(ordered, keys).clip(max=ordered.size - 1)
+        return np.where(ordered[at] == keys, self.probs[order[at]], 0.0)
 
     def key_to_registers(self, key: int) -> Registers:
         mask = (1 << self.m) - 1
@@ -100,18 +122,20 @@ def _check_parties(n: int) -> None:
 
 
 def _hadamard_block(g: int) -> np.ndarray:
-    """Unnormalised H^{(x)g} as a +-1 matrix: entry (i, j) is (-1)^popcount(i & j)."""
+    """Unnormalised H^{(x)g} as a +-1 float32 matrix: entry (i, j) is (-1)^popcount(i & j)."""
     i = np.arange(1 << g)
-    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i[None, :]) & 1)
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i[None, :]) & 1).astype(np.float32)
 
 
 def _walsh_hadamard(amps: np.ndarray, k: int) -> np.ndarray:
-    """Unnormalised H^{(x)k} on the low k index bits of integer-valued amps.
+    """Unnormalised H^{(x)k} on the low k index bits of integer-valued
+    float32 amps.
 
     Applied as a blocked Kronecker product, HADAMARD_BLOCK_BITS bits per
-    matmul (Fino & Algazi 1976). Every partial sum is an integer far below
-    2^53, so the float64 result is exact in any summation order. Kept local
-    for oracle independence.
+    matmul (Fino & Algazi 1976). Every partial sum is a signed sum of the
+    nonzero inputs; the oracles start from at most 2^m <= 2^10 entries of
+    +-1, far below float32's exact-integer limit of 2^24, so the result is
+    exact in any summation order. Kept local for oracle independence.
     """
     for done in range(0, k, HADAMARD_BLOCK_BITS):
         g = min(HADAMARD_BLOCK_BITS, k - done)
@@ -154,8 +178,9 @@ def _check_factorized_size(n: int, m: int) -> None:
 
 
 def _distribution(n: int, m: int, probs: np.ndarray) -> OutcomeDistribution:
-    keys = np.flatnonzero(probs)
-    return OutcomeDistribution(n=n, m=m, entries=dict(zip(keys.tolist(), probs[keys].tolist())))
+    # nonzero of a bool mask is about three times faster than of floats
+    keys = np.flatnonzero(probs != 0)
+    return OutcomeDistribution(n=n, m=m, keys=keys, probs=probs[keys].astype(np.float64))
 
 
 def joint_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
@@ -163,14 +188,15 @@ def joint_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
 
     The broker's output qubit is handled by phase kickback, folding its
     effect into branch signs; explicit_kickback_oracle keeps it as a real
-    qubit for cross-checking. Amplitudes are kept as integers, 2^((m+nm)/2)
-    times the true ones, so every probability is an exact dyadic. Capped at
+    qubit for cross-checking. Amplitudes are kept as float32 integers,
+    2^((m+nm)/2) times the true ones and at most 2^m in magnitude, so
+    their squares and every probability are exact dyadics. Capped at
     n*m qubits <= JOINT_ORACLE_QUBIT_CAP.
     """
     m = payload.length
     _check_joint_size(n, m)
     branches, signs = _ghz_branches(payload, n)
-    amps = np.zeros(1 << (n * m))
+    amps = np.zeros(1 << (n * m), dtype=np.float32)
     amps[branches] = signs
     amps = _walsh_hadamard(amps, n * m)
     return _distribution(n, m, np.ldexp(amps * amps, -(m + n * m)))
@@ -192,7 +218,7 @@ def explicit_kickback_oracle(
     dim = 1 << (n * m)
     # row b holds the branches with the output qubit in state b, in integer
     # units of 2^(-(m+1)/2)
-    amps = np.zeros((2, dim))
+    amps = np.zeros((2, dim), dtype=np.float32)
     amps[:, _ghz_branches(payload, n)[0]] = [[1.0], [-1.0]]
     deviations: dict[str, float] = {}
 
@@ -236,7 +262,7 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
         outcomes = supports[payload.bit(j)]
         keys = ((spread[outcomes] << j)[:, None] | keys).reshape(-1)
         probs = (probs * per_bit[payload.bit(j)][outcomes][:, None]).reshape(-1)
-    return OutcomeDistribution(n=n, m=m, entries=dict(zip(keys.tolist(), probs.tolist())))
+    return OutcomeDistribution(n=n, m=m, keys=keys, probs=probs)
 
 
 def analytic_sample_keys(
@@ -262,8 +288,10 @@ def analytic_sample_keys(
 
 
 def support_violations(dist: OutcomeDistribution, keys: np.ndarray) -> int:
-    support = np.fromiter(dist.entries, dtype=keys.dtype, count=len(dist.entries))
-    return int(np.count_nonzero(~np.isin(keys, support)))
+    # numpy sorts unless the key range is under about 6x the two sizes; joint
+    # keys span at most 2^JOINT_ORACLE_QUBIT_CAP, so a lookup table is far cheaper
+    support = dist.keys.astype(keys.dtype)
+    return int(np.count_nonzero(~np.isin(keys, support, kind="table")))
 
 
 def sample_pvalue(dist: OutcomeDistribution, keys: np.ndarray) -> float:
@@ -280,9 +308,7 @@ def sample_pvalue(dist: OutcomeDistribution, keys: np.ndarray) -> float:
 
     bucket_bits = min((dist.n - 1) * dist.m, CHI_SQUARE_BUCKET_BITS)
     bucket_mask = (1 << bucket_bits) - 1
-    support = np.fromiter(dist.entries, dtype=np.int64, count=len(dist.entries))
-    probs = np.fromiter(dist.entries.values(), dtype=np.float64, count=len(dist.entries))
-    expected = np.bincount(support & bucket_mask, weights=probs, minlength=1 << bucket_bits)
+    expected = np.bincount(dist.keys & bucket_mask, weights=dist.probs, minlength=1 << bucket_bits)
     observed = np.bincount(keys.astype(np.int64) & bucket_mask, minlength=1 << bucket_bits)
     total = observed.sum()
     return float(scipy_stats.chisquare(observed, expected * total).pvalue)

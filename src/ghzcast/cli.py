@@ -351,8 +351,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
     with _open_output(args.output) as out:
         dist = joint_oracle(payload, n) if source == "joint" else factorized_oracle(payload, n)
-        support = dist.support()
-        probs = [dist.entries[k] for k in support]
+        order = np.argsort(dist.keys, kind="stable")
+        # Python scalars: YAML would tag numpy ones, and repr would print np.float64(...)
+        support = dist.keys[order].tolist()
+        probs = dist.probs[order].tolist()
         doc = {
             "scenario": _scenario_doc(scenario),
             "oracle": source,
@@ -360,15 +362,15 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "outcomes": len(support),
             "probability": {"min": min(probs), "max": max(probs)},
             "first_rows": [
-                {"outcome": dist.render_key(k), "probability": dist.entries[k]}
-                for k in support[:5]
+                {"outcome": dist.render_key(k), "probability": p}
+                for k, p in zip(support[:5], probs)
             ],
         }
         if args.output is not None:
             writer = csv.writer(out)
             writer.writerow(["outcome", "probability"])
-            for k in support:
-                writer.writerow([dist.render_key(k), repr(dist.entries[k])])
+            for k, p in zip(support, probs):
+                writer.writerow([dist.render_key(k), repr(p)])
             doc["csv"] = args.output
     emit_report(doc)
     return EXIT_OK
@@ -396,9 +398,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         keys = analytic_sample_keys(payload, n, np.random.default_rng(args.seed or 0), samples)
 
         same_support = joint.support() == factorized.support()
-        max_diff = max(
-            abs(joint.entries[k] - factorized.entries.get(k, 0.0)) for k in joint.entries
-        )
+        max_diff = np.abs(joint.probs - factorized.probabilities(joint.keys)).max()
         violations = support_violations(joint, keys)
         pvalue = sample_pvalue(joint, keys)
         ok = same_support and max_diff <= 1e-10 and violations == 0 and pvalue > 0.001

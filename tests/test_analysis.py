@@ -43,7 +43,43 @@ def fold(registers: Registers) -> BitVector:
 class TestOutcomeDistribution:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            OutcomeDistribution(n=2, m=1, entries={0: 0.5})
+            OutcomeDistribution(n=2, m=1, keys=np.array([0]), probs=np.array([0.5]))
+
+    def test_joint_keys_are_strictly_ascending(self):
+        dist = joint_oracle(BitVector.from_text("0110"), 3)
+        assert dist.keys.dtype == np.int64 and dist.probs.dtype == np.float64
+        assert np.all(np.diff(dist.keys) > 0)
+
+    @pytest.mark.parametrize("oracle", [joint_oracle, factorized_oracle])
+    def test_support_is_a_sorted_list_of_python_ints(self, oracle):
+        dist = oracle(BitVector.from_text("101"), 3)
+        support = dist.support()
+        assert type(support) is list
+        assert all(type(key) is int for key in support)
+        assert support == sorted(dist.keys.tolist())
+
+    def test_entries_are_built_once(self):
+        dist = factorized_oracle(BitVector.from_text("11"), 3)
+        assert dist.entries is dist.entries
+        assert list(dist.entries) == dist.keys.tolist()
+
+    def test_probability_is_zero_off_the_support(self):
+        # payload 11 at n=2: the broker block is the agent block XOR 11
+        dist = joint_oracle(BitVector.from_text("11"), 2)
+        assert dist.support() == [3, 6, 9, 12]
+        queries = [*range(20), 1 << 40]
+        expected = [0.25 if key in (3, 6, 9, 12) else 0.0 for key in queries]
+        assert [dist.probability(key) for key in queries] == expected
+        assert all(type(dist.probability(key)) is float for key in queries)
+        assert dist.probabilities(np.array(queries)).tolist() == expected
+
+    def test_equality_compares_the_distributions(self):
+        payload = BitVector.from_text("101")
+        dist = joint_oracle(payload, 3)
+        assert dist == explicit_kickback_oracle(payload, 3)[0]
+        assert dist != joint_oracle(BitVector.from_text("100"), 3)
+        assert dist != joint_oracle(payload, 2)
+        assert dist != "101"
 
     def test_key_round_trip(self):
         dist = joint_oracle(BitVector.from_text("01"), 3)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -377,6 +378,34 @@ class TestDistributionCommand:
         assert doc["outcomes"] == 1 << 18
         assert doc["probability"]["max"] == pytest.approx(2**-18)
 
+    @pytest.mark.parametrize(
+        "text, stdout_sha256, csv_sha256",
+        [
+            (
+                'n: 3\npivs: ["101", "011"]\nseed: 5\n',
+                "36bc6178f655c9f4be78dcba832a1f96bb016e31c9761818cd61917a7b8ac6e8",
+                "b0589c80b88b6b79f1bef1ad46a900441958b0487fcc1404eefd9ac8e753e2ee",
+            ),
+            (
+                'n: 4\npivs: ["10", "01", "11"]\n',
+                "73195955d375be5236c2e6d0b3036f8e55cad616954a4025861770ee35b3722e",
+                "c8ee98d9493ce8e042012ff2c7f221e7056a636bd66cf64f42adea4cd5433a7e",
+            ),
+        ],
+        ids=["joint", "factorized"],
+    )
+    def test_report_and_csv_bytes_are_pinned(
+        self, tmp_path, monkeypatch, capsys, text, stdout_sha256, csv_sha256
+    ):
+        # numpy scalars would show up here as np.float64(...) in the CSV or
+        # as YAML tags in probability.min/max
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, text)
+        assert main(["distribution", "case.yaml", "--output", "dist.csv"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256((tmp_path / "dist.csv").read_bytes()).hexdigest() == csv_sha256
+
     def test_oversize_config_names_the_caps(self, capsys):
         code = main(["distribution", str(SCENARIO_DIR / "noisy_channel.yaml")])
         assert code == EXIT_USAGE
@@ -424,9 +453,15 @@ def test_bundled_scenarios_run(path, capsys):
 
 def test_oracle_check_passes(capsys):
     assert main(["oracle-check"]) == EXIT_OK
+    # safe_load refuses YAML tags, so a numpy scalar in the report fails here
     doc = yaml.safe_load(capsys.readouterr().out)
     assert doc["failures"] == 0
-    assert all(check["status"] == "pass" for check in doc["checks"])
+    for check in doc["checks"]:
+        assert all(type(v) in (int, float, bool, str) for v in check.values())
+        assert check["support_match"] is True
+        assert check["sample_support_violations"] == 0
+        assert check["max_probability_diff"] <= 1e-10
+        assert check["status"] == "pass"
 
 
 EVE_DOCS = st.fixed_dictionaries(
