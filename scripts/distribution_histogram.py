@@ -48,9 +48,10 @@ def main() -> None:
 
     top = counts.most_common(15)
     peak = top[0][1]
-    for key, c in top:
+    texts = dist.render_keys([key for key, _ in top])
+    for text, (key, c) in zip(texts, top):
         bar = "#" * max(1, round(BAR_WIDTH * c / peak))
-        print(f"{dist.render_key(key)}  {c:6d}  exact {dist.probability(key):.6f}  {bar}")
+        print(f"{text}  {c:6d}  exact {dist.probability(key):.6f}  {bar}")
 
     # joint_oracle's keys are ascending
     observed = np.array([counts.get(key, 0) for key in dist.keys.tolist()])

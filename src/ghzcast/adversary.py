@@ -34,8 +34,6 @@ import numpy as np
 from .bitvec import BitVector, bit_vectors, split
 from .messages import STAGE_EXCHANGE
 from .statevec import (
-    COMPUTATIONAL,
-    HADAMARD,
     append_rows,
     cnot_rows,
     measure_rows,
@@ -134,8 +132,9 @@ class EveStrategy:
 class EveRecord:
     """Eve's bookkeeping for one tuple stream, one row per stream position.
 
-    targets lists the attacked agent slots, one column each. bases and
-    outcomes hold her in-transit measurements, one row per tuple. For a run
+    targets lists the attacked agent slots, one column each. hadamard and
+    outcomes hold her in-transit measurements, one row per tuple: which
+    qubits she measured in the Hadamard basis, and what she read. For a run
     that got through decryption, final_states holds what is left of
     information tuple j in row j: the qubits Eve kept, qubit n + i of the
     tuple as qubit i of the row; eve_postprocess measures kept ancillas there
@@ -144,7 +143,7 @@ class EveRecord:
 
     strategy: EveStrategy
     targets: tuple[int, ...] = ()
-    bases: np.ndarray | None = None
+    hadamard: np.ndarray | None = None
     outcomes: np.ndarray | None = None
     final_states: np.ndarray | None = None
 
@@ -153,7 +152,7 @@ class EveRecord:
         span = slice(t * rows, (t + 1) * rows)
         return replace(
             self,
-            bases=None if self.bases is None else self.bases[span],
+            hadamard=None if self.hadamard is None else self.hadamard[span],
             outcomes=None if self.outcomes is None else self.outcomes[span],
         )
 
@@ -183,15 +182,13 @@ def attack_tuple(
         rows = batch.shape[0]
         per_run = rows // len(rngs)
         if strategy.basis_policy == ALWAYS_COMPUTATIONAL:
-            bases = np.full((rows, k), COMPUTATIONAL)
+            record.hadamard = np.zeros((rows, k), dtype=bool)
             u = np.concatenate([r.random(per_run) for r in rngs])
         else:
             draws = [_coins_then_uniform(r, per_run, k) for r in rngs]
-            coins = np.concatenate([c for c, _ in draws])
+            record.hadamard = np.concatenate([c for c, _ in draws])
             u = np.concatenate([x for _, x in draws])
-            bases = np.where(coins, HADAMARD, COMPUTATIONAL)
-        record.bases = bases
-        record.outcomes, batch = measure_rows(batch, targets, bases, u)
+        record.outcomes, batch = measure_rows(batch, targets, record.hadamard, u)
         return batch, record
 
     if strategy.tag == INTERCEPT_REPLACE:
@@ -283,7 +280,7 @@ def eve_postprocess(
         # parity of all Hadamard outcomes, hers included, equals the payload
         # bit; the known fold still lacks the owner's withheld register bit
         k = len(record.targets)
-        bits, _ = sample_rows(record.final_states, range(k), [HADAMARD] * k, rng.random(m))
+        bits, _ = sample_rows(record.final_states, range(k), True, rng.random(m))
         leaked = np.ones(m, dtype=bool)
         eve_bits = bits.sum(axis=1) & 1
     else:
@@ -293,7 +290,7 @@ def eve_postprocess(
         col = np.full(layout.segments, -1)
         col[list(record.targets)] = np.arange(len(record.targets))
         owner_col = np.repeat(col, layout.lengths)
-        leaked = (owner_col >= 0) & (record.bases[info, owner_col] == HADAMARD)
+        leaked = (owner_col >= 0) & record.hadamard[info, owner_col]
         eve_bits = record.outcomes[info, owner_col]
         eve_bits[~leaked] = rng.integers(0, 2, size=m - int(np.count_nonzero(leaked)))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bitvec import BitVector
 from .protocol import Registers, Scenario, check_transcript_secrecy, run_trials
-from .statevec import HADAMARD, distribution, phase_flip_rows, prepare_ghz
+from .statevec import distribution, phase_flip_rows, prepare_ghz
 
 __all__ = [
     "JOINT_ORACLE_QUBIT_CAP",
@@ -107,13 +107,16 @@ class OutcomeDistribution:
             key |= agent.value << (p * self.m)
         return key
 
-    def render_key(self, key: int) -> str:
-        mask = (1 << self.m) - 1
-        parts = [
-            format((key >> (p * self.m)) & mask, f"0{self.m}b")
-            for p in range(self.n - 1, -1, -1)
-        ]
-        return " ".join(parts)
+    def render_keys(self, keys) -> list[str]:
+        """Text of each key: its n m-bit blocks, broker first, space separated."""
+        keys = np.asarray(keys, dtype=np.int64)
+        n, m = self.n, self.m
+        # every block's bits most significant first, then a space
+        bits = (keys[:, None] >> np.arange(n * m - 1, -1, -1)) & 1
+        text = np.full((keys.size, n, m + 1), ord(" "), dtype=np.uint8)
+        text[:, :, :m] = bits.reshape(-1, n, m) + ord("0")
+        chars = np.ascontiguousarray(text.reshape(keys.size, -1)[:, :-1])
+        return chars.view(f"S{n * (m + 1) - 1}").ravel().astype(str).tolist()
 
 
 def _check_parties(n: int) -> None:
@@ -248,7 +251,7 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
 
     # row b is the tuple distribution for payload bit b
     ghz = prepare_ghz(n)
-    per_bit = distribution(np.concatenate([ghz, phase_flip_rows(ghz, n - 1)]), [HADAMARD] * n)
+    per_bit = distribution(np.concatenate([ghz, phase_flip_rows(ghz, n - 1)]), True)
     # spread[v] scatters tuple outcome bits to bit offset p*m per party
     v = np.arange(1 << n)
     spread = sum(((v >> p) & 1) << (p * m) for p in range(n))
@@ -382,10 +385,12 @@ def detection_experiment(
     secrecy_violations = 0
     rows: list[TrialRow] | None = [] if collect_rows else None
 
-    # trial t runs at the t-th seed drawn from the scenario's own seed
-    seeds = np.random.default_rng(scenario.seed).integers(0, 2**63, size=trials)
+    # trial t runs at the t-th seed drawn from the scenario's own seed; seeds
+    # are drawn as the stacks need them, so no trial count has to fit in memory
+    master = np.random.default_rng(scenario.seed)
+    seeds = (int(master.integers(0, 2**63)) for _ in range(trials))
     t = 0
-    for stack in run_trials(scenario, seeds.tolist()):
+    for stack in run_trials(scenario, seeds):
         if targets:
             wrong = np.stack([o.transcript.validation.wrong for o in stack])
             # (trials, d, k): the checks of the targeted slots

@@ -15,7 +15,6 @@ __all__ = [
     "BitVector",
     "SegmentLayout",
     "bit_vectors",
-    "inner_product_mod2",
     "xor",
     "xor_all",
     "concat_secrets",
@@ -73,13 +72,6 @@ def bit_vectors(bits: np.ndarray) -> list[BitVector]:
     """One vector per row of a (rows, length) bit array, column j as bit j."""
     packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
     return [BitVector(int.from_bytes(row.tobytes(), "little"), bits.shape[1]) for row in packed]
-
-
-def inner_product_mod2(x: BitVector, y: BitVector) -> int:
-    """Mod-2 inner product of two equal-length vectors."""
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-    return (x.value & y.value).bit_count() & 1
 
 
 def xor(x: BitVector, y: BitVector) -> BitVector:

@@ -352,25 +352,24 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     with _open_output(args.output) as out:
         dist = joint_oracle(payload, n) if source == "joint" else factorized_oracle(payload, n)
         order = np.argsort(dist.keys, kind="stable")
+        keys = dist.keys[order]
         # Python scalars: YAML would tag numpy ones, and repr would print np.float64(...)
-        support = dist.keys[order].tolist()
         probs = dist.probs[order].tolist()
         doc = {
             "scenario": _scenario_doc(scenario),
             "oracle": source,
             "payload": str(payload),
-            "outcomes": len(support),
+            "outcomes": keys.size,
             "probability": {"min": min(probs), "max": max(probs)},
             "first_rows": [
-                {"outcome": dist.render_key(k), "probability": p}
-                for k, p in zip(support[:5], probs)
+                {"outcome": text, "probability": p}
+                for text, p in zip(dist.render_keys(keys[:5]), probs)
             ],
         }
         if args.output is not None:
             writer = csv.writer(out)
             writer.writerow(["outcome", "probability"])
-            for k, p in zip(support, probs):
-                writer.writerow([dist.render_key(k), repr(p)])
+            writer.writerows(zip(dist.render_keys(keys), map(repr, probs)))
             doc["csv"] = args.output
     emit_report(doc)
     return EXIT_OK

@@ -29,7 +29,8 @@ measurement needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .messages import (
     STAGE_VALIDATION,
     ClassicalMessage,
 )
-from .statevec import HADAMARD, MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
+from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
 
 __all__ = [
     "Scenario",
@@ -150,16 +151,16 @@ class Scenario:
 class ValidationReport:
     """Decoy comparison of a stack of runs, as run_validation returns it.
 
-    expected, reported and wrong are (runs, d, n - 1) bit arrays: per run,
-    one row per decoy in stream order and one column per agent slot. run(t)
-    slices out run t's own report, with (d, n - 1) arrays. decoy_checks and
-    errors total the report. The threshold is threshold_fraction times one
-    run's transmitted decoy qubits, d * (n - 1); the verdict is a run's, fail
-    exactly when its errors reach the threshold, so a stack has none.
+    expected and wrong are (runs, d, n - 1) bit arrays: per run, one row
+    per decoy in stream order and one column per agent slot; the agents
+    reported expected ^ wrong. run(t) slices out run t's own report, with
+    (d, n - 1) arrays. decoy_checks and errors total the report. The
+    threshold is threshold_fraction times one run's transmitted decoy
+    qubits, d * (n - 1); the verdict is a run's, fail exactly when its
+    errors reach the threshold, so a stack has none.
     """
 
     expected: np.ndarray
-    reported: np.ndarray
     wrong: np.ndarray
     threshold: float
 
@@ -183,7 +184,7 @@ class ValidationReport:
 
     def run(self, t: int) -> ValidationReport:
         """Run t's own report."""
-        return ValidationReport(self.expected[t], self.reported[t], self.wrong[t], self.threshold)
+        return ValidationReport(self.expected[t], self.wrong[t], self.threshold)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValidationReport):
@@ -260,7 +261,7 @@ def decrypt_and_measure(
     runs = len(rngs)
     per_run = batch.shape[0] // runs
     u = np.concatenate([r.random(per_run) for r in rngs])
-    bits, residual = sample_rows(batch, range(n), [HADAMARD] * n, u)
+    bits, residual = sample_rows(batch, range(n), True, u)
     # vectors[t * n + p]: party p's register of run t
     vectors = bit_vectors(
         bits.reshape(runs, per_run, n).transpose(0, 2, 1).reshape(runs * n, per_run)
@@ -293,13 +294,12 @@ def run_validation(
     # per decoy in stream order: the measurement's sample draw, then one
     # noise draw per agent slot
     draws = np.concatenate([r.random((d, n)) for r in rngs])
-    bits, _ = sample_rows(batch[plan.is_decoy], range(n - 1), [HADAMARD] * (n - 1), draws[:, 0])
+    bits, _ = sample_rows(batch[plan.is_decoy], range(n - 1), True, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     expected = plan.signs[:, : n - 1].reshape(shape)
     report = ValidationReport(
         expected=expected,
-        reported=reported,
         wrong=reported != expected,
         threshold=threshold_fraction * (d * (n - 1)),
     )
@@ -366,19 +366,21 @@ def recover_secret(
     return xor_all(list(held.values()))
 
 
-def run_trials(scenario: Scenario, seeds: Sequence[int]) -> Iterator[list[RunOutcome]]:
+def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOutcome]]:
     """Run the scenario once per seed, simulating several runs as one stack.
 
     A stack holds as many runs as fit in STACK_AMPLITUDES amplitudes, and at
-    least one; yields the outcomes of each stack in seed order. Every run
-    draws only from the two generators spawned from its own seed, in the
-    order a lone run draws, so it matches execute_run at that seed. A lone
-    run is a stack of one. Validation reports on the whole stack, and each
-    run's verdict is read from its own slice of that report.
+    least one; seeds is read one stack at a time, so it may be a lazy
+    stream of any length. Yields the outcomes of each stack in seed order.
+    Every run draws only from the two generators spawned from its own seed,
+    in the order a lone run draws, so it matches execute_run at that seed.
+    A lone run is a stack of one. Validation reports on the whole stack,
+    and each run's verdict is read from its own slice of that report.
     """
     size = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
-    for start in range(0, len(seeds), size):
-        yield _run_stack(scenario, seeds[start : start + size])
+    seeds = iter(seeds)
+    while stack := list(islice(seeds, size)):
+        yield _run_stack(scenario, stack)
 
 
 def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:

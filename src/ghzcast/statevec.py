@@ -9,9 +9,13 @@ Conventions used throughout the package:
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
-- A Hadamard-basis measurement is simulated by rotating the qubit with H and
-  measuring in the computational basis; outcome 0 means the plus state and
-  outcome 1 means the minus state.
+- Every measurement is in the Hadamard or the computational basis, so a
+  basis is one bit: the measuring kernels take a boolean hadamard mask,
+  one bool for all measured qubits, one per measured qubit, or a (T, k)
+  array for bases that differ between rows. A Hadamard-basis measurement
+  is simulated by rotating the qubit with H and measuring in the
+  computational basis; outcome 0 means the plus state and outcome 1 means
+  the minus state.
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
@@ -32,8 +36,6 @@ import numpy as np
 from .bitvec import BitVector
 
 __all__ = [
-    "COMPUTATIONAL",
-    "HADAMARD",
     "MAX_QUBITS",
     "width",
     "check_rows",
@@ -53,9 +55,6 @@ __all__ = [
 
 MAX_QUBITS = 24
 NORM_TOL = 1e-10
-
-COMPUTATIONAL = "computational"
-HADAMARD = "hadamard"
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -177,15 +176,13 @@ def _kept_index(num_qubits: int, qubits: Sequence[int], bits: np.ndarray) -> np.
     return index
 
 
-def _hadamard_mask(bases, rows: int, k: int) -> np.ndarray:
+def _hadamard_mask(hadamard, rows: int, k: int) -> np.ndarray:
     """(T, k) mask of the measurements made in the Hadamard basis."""
-    names = np.asarray(bases, dtype=str)
-    if names.shape[-1:] != (k,):
-        raise ValueError("need one basis per measured qubit")
-    unknown = set(names.ravel().tolist()) - {COMPUTATIONAL, HADAMARD}
-    if unknown:
-        raise ValueError(f"unknown basis {sorted(unknown)[0]!r}")
-    return np.broadcast_to(names == HADAMARD, (rows, k))
+    mask = np.asarray(hadamard)
+    # any string, a basis name included, would convert to True
+    if mask.dtype != bool:
+        raise ValueError(f"the Hadamard mask must be boolean, not {mask.dtype}")
+    return np.broadcast_to(mask, (rows, k))  # ValueError on a shape that does not fit
 
 
 def _rotate_cols(cols: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) -> np.ndarray:
@@ -209,18 +206,17 @@ def _rotate_cols(cols: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) 
 
 
 def sample_rows(
-    batch: np.ndarray, qubits: Sequence[int], bases, u: np.ndarray
+    batch: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure the same qubits of every row; returns (T, k) bits and the residual.
 
-    bases holds one basis per measured qubit, or a (T, k) array of them for
-    bases that differ between rows. u holds one uniform draw in [0, 1) per
-    row: the outcome is the first whose cumulative marginal probability
-    exceeds u times the row's total. The residual is the normalised state
-    each row leaves on its unmeasured qubits, in ascending qubit order: a
-    (T, 2**(q - k)) batch, one amplitude per row when every qubit is
-    measured. The measured qubits are simply gone from it, so no
-    measurement frame has to be undone.
+    hadamard masks the qubits measured in the Hadamard basis. u holds one
+    uniform draw in [0, 1) per row: the outcome is the first whose
+    cumulative marginal probability exceeds u times the row's total. The
+    residual is the normalised state each row leaves on its unmeasured
+    qubits, in ascending qubit order: a (T, 2**(q - k)) batch, one
+    amplitude per row when every qubit is measured. The measured qubits are
+    simply gone from it, so no measurement frame has to be undone.
     """
     qubits = list(qubits)
     num_qubits = width(batch)
@@ -229,7 +225,7 @@ def sample_rows(
         raise ValueError("measured qubits must be distinct")
     for q in qubits:
         _check_qubit(num_qubits, q)
-    cols = _rotate_cols(batch.T, qubits, _hadamard_mask(bases, rows, k))
+    cols = _rotate_cols(batch.T, qubits, _hadamard_mask(hadamard, rows, k))
 
     outcomes = 1 << k
     # bincount sums each row's probabilities per outcome in index order
@@ -251,7 +247,7 @@ def sample_rows(
 
 
 def measure_rows(
-    batch: np.ndarray, qubits: Sequence[int], bases, u: np.ndarray
+    batch: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """sample_rows, returning each row's whole collapsed state instead.
 
@@ -260,11 +256,11 @@ def measure_rows(
     act on what a receiver would hold.
     """
     qubits = list(qubits)
-    bits, residual = sample_rows(batch, qubits, bases, u)
+    bits, residual = sample_rows(batch, qubits, hadamard, u)
     rows = batch.shape[0]
     kept = np.zeros((batch.shape[1], rows), dtype=np.complex128)
     kept[_kept_index(width(batch), qubits, bits), np.arange(rows)[:, None]] = residual
-    frame = _rotate_cols(kept, qubits, _hadamard_mask(bases, rows, len(qubits)))
+    frame = _rotate_cols(kept, qubits, _hadamard_mask(hadamard, rows, len(qubits)))
     return bits, np.ascontiguousarray(frame.T)
 
 
@@ -307,8 +303,8 @@ def prepare_ghz(n: int, topology: str = "linear") -> np.ndarray:
     return batch
 
 
-def distribution(batch: np.ndarray, bases: Sequence[str]) -> np.ndarray:
-    """Exact Born probabilities of each row, every qubit measured in the given bases."""
+def distribution(batch: np.ndarray, hadamard) -> np.ndarray:
+    """Exact Born probabilities of each row, every qubit measured in the bases of the mask."""
     k = width(batch)
-    cols = _rotate_cols(batch.T, range(k), _hadamard_mask(bases, batch.shape[0], k))
+    cols = _rotate_cols(batch.T, range(k), _hadamard_mask(hadamard, batch.shape[0], k))
     return (np.abs(cols) ** 2).T

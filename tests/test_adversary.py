@@ -15,13 +15,7 @@ from ghzcast.adversary import (
 )
 from ghzcast.bitvec import BitVector
 from ghzcast.protocol import Scenario, execute_run
-from ghzcast.statevec import (
-    COMPUTATIONAL,
-    HADAMARD,
-    hadamard_product_rows,
-    measure_rows,
-    prepare_ghz,
-)
+from ghzcast.statevec import hadamard_product_rows, measure_rows, prepare_ghz
 
 
 class TestStrategyValidation:
@@ -71,8 +65,8 @@ class TestAttackStates:
         batch, record = attack_tuple(eve, ghz_batch(3, rows=4), [rng])
         assert batch.shape == (4, 8)
         assert record.targets == (0,)
-        assert record.bases.shape == record.outcomes.shape == (4, 1)
-        assert set(record.bases.ravel()) == {COMPUTATIONAL}
+        assert record.hadamard.shape == record.outcomes.shape == (4, 1)
+        assert record.hadamard.dtype == bool and not record.hadamard.any()
         assert set(record.outcomes.ravel()) <= {0, 1}
 
     def test_measure_resend_collapses_ghz_computationally(self, rng):
@@ -82,10 +76,13 @@ class TestAttackStates:
             # GHZ collapses to the all-c product state
             assert abs(row[c * 7]) == pytest.approx(1.0)
 
-    def test_random_basis_uses_both(self, rng):
+    def test_random_basis_uses_both(self):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS)
-        _, record = attack_tuple(eve, ghz_batch(3, rows=50), [rng])
-        assert set(record.bases[:, 0]) == {COMPUTATIONAL, HADAMARD}
+        _, record = attack_tuple(eve, ghz_batch(3, rows=50), [np.random.default_rng(4)])
+        assert set(record.hadamard[:, 0].tolist()) == {False, True}
+        # the mask is Eve's coins as drawn
+        coins, _ = _coins_then_uniform(np.random.default_rng(4), 50, 1)
+        assert record.hadamard.dtype == bool and np.array_equal(record.hadamard, coins)
 
     def test_intercept_replace_structure(self, rng):
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2)
@@ -98,7 +95,7 @@ class TestAttackStates:
         trials = 400
         plus = np.tile(hadamard_product_rows([(0, 0, 0)])[0], (trials, 1))
         batch, _ = attack_tuple(eve, plus, [rng])
-        bits, _ = measure_rows(batch, (0,), (HADAMARD,), rng.random(trials))
+        bits, _ = measure_rows(batch, (0,), True, rng.random(trials))
         assert abs(bits.mean() - 0.5) < 0.07
 
     def test_entangle_ancilla_extends_ghz(self, rng):
@@ -240,8 +237,7 @@ class TestPostprocess:
             j = 0
             for owner, secret in enumerate(secrets):
                 for i in range(len(secret)):
-                    resent = outcome.eve_record.bases[info[j]]
-                    if owner in eve.targets and all(resent == HADAMARD):
+                    if owner in eve.targets and outcome.eve_record.hadamard[info[j]].all():
                         leaked += 1
                         assert guesses[owner].bit(i) == secret.bit(i)
                     j += 1

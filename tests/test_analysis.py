@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -94,7 +95,12 @@ class TestOutcomeDistribution:
             agents=(BitVector.from_text("00"), BitVector.from_text("10")),
         )
         key = dist.key_from_registers(registers)
-        assert dist.render_key(key) == "11 10 00"
+        assert dist.render_keys([key]) == ["11 10 00"]
+        # the whole support renders as the registers' own text
+        texts = dist.render_keys(dist.keys)
+        for key, text in zip(dist.keys.tolist(), texts):
+            r = dist.key_to_registers(key)
+            assert text == " ".join(str(v) for v in (r.broker, *reversed(r.agents)))
 
 
 class TestJointOracle:
@@ -322,6 +328,24 @@ class TestDetectionExperiment:
         a = detection_experiment(sc, trials=20)
         b = detection_experiment(sc, trials=20)
         assert a == b
+
+    def test_seeds_are_drawn_as_the_stacks_need_them(self, example_secrets, monkeypatch):
+        # a million seeds held at once take at least 8 MB before the first
+        # stack runs; drawn lazily they take next to nothing
+        class FirstStack(Exception):
+            pass
+
+        def first_stack(scenario, seeds):
+            raise FirstStack(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(protocol, "_run_stack", first_stack)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstStack) as stop:
+                detection_experiment(Scenario(n=3, secrets=example_secrets), 10**6)
+        finally:
+            tracemalloc.stop()
+        assert stop.value.args[0] < 1 << 20
 
 
 EXAMPLE = (BitVector.from_text("010"), BitVector.from_text("101"))

@@ -9,7 +9,6 @@ from ghzcast.bitvec import (
     SegmentLayout,
     bit_vectors,
     concat_secrets,
-    inner_product_mod2,
     parity_census,
     split,
     xor,
@@ -28,9 +27,6 @@ def _same_length(m, count):
 
 bitvector_pairs = st.integers(min_value=1, max_value=24).flatmap(
     lambda m: _same_length(m, 2)
-)
-bitvector_triples = st.integers(min_value=1, max_value=24).flatmap(
-    lambda m: _same_length(m, 3)
 )
 
 
@@ -92,25 +88,6 @@ class TestXor:
     def test_cancellation(self, pair):
         x, y = pair
         assert (x ^ y) ^ y == x
-
-
-class TestInnerProduct:
-    def test_zero_annihilates(self):
-        assert inner_product_mod2(BitVector.from_text("000000"), BitVector.from_text("101010")) == 0
-
-    def test_frozen_values(self):
-        # 1^0^1^0^1^0
-        assert inner_product_mod2(BitVector.from_text("101010"), BitVector.from_text("101010")) == 1
-        # 111111 & 100111 has four set bits, so the parity is 0
-        assert inner_product_mod2(BitVector.from_text("111111"), BitVector.from_text("100111")) == 0
-
-    @given(bitvector_triples)
-    def test_linear_in_first_argument(self, triple):
-        x, y, w = triple
-        assert (
-            inner_product_mod2(x ^ y, w)
-            == inner_product_mod2(x, w) ^ inner_product_mod2(y, w)
-        )
 
 
 class TestLayout:

@@ -214,7 +214,7 @@ class TestAbort:
         # two runs of 4 decoys on 3 agent slots: run 1 has 6 errors, run 0 none
         wrong = np.zeros((2, 4, 3), dtype=bool)
         wrong[1, :2] = True
-        report = ValidationReport(np.zeros_like(wrong), wrong, wrong, threshold=1.5)
+        report = ValidationReport(np.zeros_like(wrong), wrong, threshold=1.5)
         assert (report.decoy_checks, report.errors) == (24, 6)
         runs = [report.run(t) for t in range(2)]
         assert [(r.decoy_checks, r.errors, r.verdict) for r in runs] == [
@@ -225,7 +225,7 @@ class TestAbort:
             report.failed
         # without decoys a run has nothing to fail
         empty = np.zeros((1, 0, 3), dtype=bool)
-        assert ValidationReport(empty, empty, empty, threshold=0.0).run(0).verdict == "pass"
+        assert ValidationReport(empty, empty, threshold=0.0).run(0).verdict == "pass"
 
     def test_heavy_noise_aborts(self, example_secrets):
         aborted = 0

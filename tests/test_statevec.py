@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from ghzcast.bitvec import BitVector
 from ghzcast.distribution import build_plan
 from ghzcast.statevec import (
-    COMPUTATIONAL,
-    HADAMARD,
     MAX_QUBITS,
     append_rows,
     check_rows,
@@ -34,9 +32,9 @@ def plus_minus(signs):
     return hadamard_product_rows([signs])
 
 
-def measure_one(state, qubits, bases, rng):
+def measure_one(state, qubits, hadamard, rng):
     """Measure a one-row batch: its bits and its collapsed one-row batch."""
-    bits, collapsed = measure_rows(state, list(qubits), list(bases), rng.random(1))
+    bits, collapsed = measure_rows(state, list(qubits), hadamard, rng.random(1))
     return tuple(bits[0].tolist()), collapsed
 
 
@@ -155,59 +153,60 @@ class TestGhz:
 
 class TestDistribution:
     def test_ghz_computational(self):
-        probs = distribution(prepare_ghz(3), [COMPUTATIONAL] * 3)
+        probs = distribution(prepare_ghz(3), False)
         expect = np.zeros((1, 8))
         expect[0, [0, 7]] = 0.5
         assert np.allclose(probs, expect)
 
     def test_ghz_hadamard_even_parity(self):
-        probs = distribution(prepare_ghz(3), [HADAMARD] * 3)
+        probs = distribution(prepare_ghz(3), True)
         expect = np.zeros((1, 8))
         expect[0, [0, 3, 5, 6]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_flipped_ghz_hadamard_odd_parity(self):
-        probs = distribution(phase_flip_rows(prepare_ghz(3), 2), [HADAMARD] * 3)
+        probs = distribution(phase_flip_rows(prepare_ghz(3), 2), [True] * 3)
         expect = np.zeros((1, 8))
         expect[0, [1, 2, 4, 7]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_minus_computational(self):
-        probs = distribution(plus_minus((1,)), [COMPUTATIONAL])
+        probs = distribution(plus_minus((1,)), [False])
         assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_zero_computational(self):
-        probs = distribution(prepare_basis(BitVector.from_text("0")), [COMPUTATIONAL])
+        probs = distribution(prepare_basis(BitVector.from_text("0")), False)
         assert np.allclose(probs, [[1.0, 0.0]])
 
     def test_rows_are_independent(self):
         ghz = prepare_ghz(3)
         batch = np.concatenate([ghz, phase_flip_rows(ghz, 2)])
-        probs = distribution(batch, [HADAMARD] * 3)
+        probs = distribution(batch, True)
         assert probs.shape == (2, 8)
-        assert np.array_equal(probs[0], distribution(ghz, [HADAMARD] * 3)[0])
-        assert np.array_equal(probs[1], distribution(batch[1:], [HADAMARD] * 3)[0])
+        assert np.array_equal(probs[0], distribution(ghz, True)[0])
+        assert np.array_equal(probs[1], distribution(batch[1:], np.ones((1, 3), bool))[0])
 
     def test_basis_validation(self):
         ghz = prepare_ghz(3)
         with pytest.raises(ValueError):
-            distribution(ghz, [HADAMARD] * 2)
-        with pytest.raises(ValueError):
-            distribution(ghz, [HADAMARD, HADAMARD, "diagonal"])
+            distribution(ghz, [True] * 2)
+        # a basis name would convert to True, so any non-boolean mask is refused
+        with pytest.raises(ValueError, match="boolean"):
+            distribution(ghz, ["computational"] * 3)
 
 
 class TestMeasurement:
     def test_plus_in_hadamard_is_deterministic(self, rng):
         plus = plus_minus((0,))
         for _ in range(20):
-            bits, _ = measure_one(plus, (0,), [HADAMARD], rng)
+            bits, _ = measure_one(plus, (0,), [True], rng)
             assert bits == (0,)
 
     def test_decoy_signs_recovered_exactly(self, rng):
         for _ in range(40):
             signs = tuple(int(b) for b in rng.integers(0, 2, size=3))
             state = plus_minus(signs)
-            bits, collapsed = measure_one(state, (0, 1, 2), (HADAMARD,) * 3, rng)
+            bits, collapsed = measure_one(state, (0, 1, 2), True, rng)
             assert bits == signs
             # a product state measured in its own basis is undisturbed
             assert np.allclose(collapsed, state, rtol=0, atol=1e-12)
@@ -215,8 +214,8 @@ class TestMeasurement:
     def test_partial_measurement_collapses_ghz(self, rng):
         ghz = prepare_ghz(3)
         for _ in range(20):
-            (first,), collapsed = measure_one(ghz, (1,), (COMPUTATIONAL,), rng)
-            rest, _ = measure_one(collapsed, (0, 2), (COMPUTATIONAL,) * 2, rng)
+            (first,), collapsed = measure_one(ghz, (1,), [False], rng)
+            rest, _ = measure_one(collapsed, (0, 2), False, rng)
             assert rest == (first, first)
 
     def test_hadamard_collapse_returns_physical_frame(self, rng):
@@ -224,7 +223,7 @@ class TestMeasurement:
         zero = prepare_basis(BitVector.from_text("0"))
         seen = set()
         for _ in range(30):
-            (bit,), collapsed = measure_one(zero, (0,), (HADAMARD,), rng)
+            (bit,), collapsed = measure_one(zero, (0,), True, rng)
             seen.add(bit)
             assert np.allclose(collapsed, plus_minus((bit,)), rtol=0, atol=1e-12)
         assert seen == {0, 1}
@@ -233,19 +232,29 @@ class TestMeasurement:
         for n in (2, 3, 4, 5):
             ghz = prepare_ghz(n)
             for _ in range(60):
-                bits, _ = measure_one(ghz, range(n), (HADAMARD,) * n, rng)
+                bits, _ = measure_one(ghz, range(n), True, rng)
                 assert sum(bits) % 2 == 0
 
     def test_input_validation(self, rng):
         ghz = prepare_ghz(2)
         with pytest.raises(ValueError):
-            measure_one(ghz, (0, 0), (HADAMARD, HADAMARD), rng)
+            measure_one(ghz, (0, 0), True, rng)
         with pytest.raises(ValueError):
-            measure_one(ghz, (0,), (HADAMARD, HADAMARD), rng)
+            measure_one(ghz, (0,), [True, True], rng)
         with pytest.raises(ValueError):
-            measure_one(ghz, (5,), (HADAMARD,), rng)
-        with pytest.raises(ValueError):
-            measure_one(ghz, (0,), ("diagonal",), rng)
+            measure_one(ghz, (5,), True, rng)
+        with pytest.raises(ValueError, match="boolean"):
+            measure_one(ghz, (0,), ["computational"], rng)
+
+    @pytest.mark.parametrize(
+        "mask", ["computational", "hadamard", ["computational"], [1], [0.0], np.array([b"h"])]
+    )
+    def test_a_basis_name_raises(self, mask):
+        # np.asarray("computational", dtype=bool) is True: a leftover basis
+        # name must not be read as a Hadamard measurement
+        batch = np.tile(prepare_ghz(2), (3, 1))
+        with pytest.raises(ValueError, match="boolean"):
+            sample_rows(batch, (0,), mask, np.full(3, 0.5))
 
 
 class TestCombinators:
@@ -298,18 +307,18 @@ class TestBatchKernels:
         empty = np.zeros((0, 16), dtype=complex)
         for kernel, args in KERNEL_CASES:
             assert kernel(empty, *args).shape[0] == 0
-        bits, collapsed = measure_rows(empty, (0, 1), (HADAMARD,) * 2, np.zeros(0))
+        bits, collapsed = measure_rows(empty, (0, 1), True, np.zeros(0))
         assert bits.shape == (0, 2) and collapsed.shape == (0, 16)
 
     def test_measurement_acts_row_by_row(self):
         rng = np.random.default_rng(2)
         batch = random_batch(rng, 8, 4)
-        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, collapsed = measure_rows(batch, (2, 0), bases, u)
+        bits, collapsed = measure_rows(batch, (2, 0), hadamard, u)
         assert bits.shape == (8, 2)
         for t in range(8):
-            row_bits, row = measure_rows(batch[t : t + 1], (2, 0), bases[t], u[t : t + 1])
+            row_bits, row = measure_rows(batch[t : t + 1], (2, 0), hadamard[t], u[t : t + 1])
             assert np.array_equal(bits[t], row_bits[0])
             assert np.array_equal(collapsed[t], row[0])
         check_rows(collapsed)
@@ -317,34 +326,34 @@ class TestBatchKernels:
     def test_sampling_draws_the_outcomes_of_a_measurement(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 8, 4)
-        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, _ = sample_rows(batch, (2, 0), bases, u)
-        measured, _ = measure_rows(batch, (2, 0), bases, u)
+        bits, _ = sample_rows(batch, (2, 0), hadamard, u)
+        measured, _ = measure_rows(batch, (2, 0), hadamard, u)
         assert np.array_equal(bits, measured)
 
     def test_residual_is_the_unmeasured_part_of_the_collapsed_rows(self):
         rng = np.random.default_rng(6)
         batch = random_batch(rng, 8, 4)
         qubits = (2, 0)
-        bases = np.where(rng.integers(0, 2, size=(8, 2)) == 1, HADAMARD, COMPUTATIONAL)
+        hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, residual = sample_rows(batch, qubits, bases, u)
-        _, collapsed = measure_rows(batch, qubits, bases, u)
+        bits, residual = sample_rows(batch, qubits, hadamard, u)
+        _, collapsed = measure_rows(batch, qubits, hadamard, u)
         # qubits 1 and 3 remain, as residual qubits 0 and 1
         assert residual.shape == (8, 4)
         assert np.allclose(np.linalg.norm(residual, axis=1), 1.0, atol=1e-12)
         for t in range(8):
             row = collapsed[t : t + 1]
             for j, q in enumerate(qubits):
-                if bases[t, j] == HADAMARD:  # back to the measurement frame
+                if hadamard[t, j]:  # back to the measurement frame
                     row = hadamard_rows(row, q)
             kept = [i for i in range(16) if ((i >> 2) & 1, i & 1) == tuple(bits[t])]
             assert np.allclose(row[0, kept], residual[t], atol=1e-12)
 
     def test_residual_of_a_full_measurement_is_a_phase(self):
         batch = random_batch(np.random.default_rng(7), 5, 3)
-        bits, residual = sample_rows(batch, range(3), (HADAMARD,) * 3, np.full(5, 0.5))
+        bits, residual = sample_rows(batch, range(3), True, np.full(5, 0.5))
         assert bits.shape == (5, 3) and residual.shape == (5, 1)
         assert np.allclose(np.abs(residual), 1.0, atol=1e-12)
 
@@ -366,9 +375,9 @@ def test_measurement_statistics_match_distribution(n, data):
     seed = data.draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     ghz = prepare_ghz(n)
-    probs = distribution(ghz, [COMPUTATIONAL] * n)[0]
+    probs = distribution(ghz, False)[0]
     batch = np.tile(ghz, (200, 1))
-    bits, _ = sample_rows(batch, range(n), [COMPUTATIONAL] * n, rng.random(200))
+    bits, _ = sample_rows(batch, range(n), [False] * n, rng.random(200))
     counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
     assert abs(counts[0] / 200 - probs[0]) < 0.15
