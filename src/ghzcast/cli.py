@@ -353,23 +353,25 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         dist = joint_oracle(payload, n) if source == "joint" else factorized_oracle(payload, n)
         order = np.argsort(dist.keys, kind="stable")
         keys = dist.keys[order]
-        # Python scalars: YAML would tag numpy ones, and repr would print np.float64(...)
-        probs = dist.probs[order].tolist()
+        # distinct probabilities as Python floats: YAML tags numpy ones, repr wraps them
+        values, which = np.unique(dist.probs[order], return_inverse=True)
+        values = values.tolist()
         doc = {
             "scenario": _scenario_doc(scenario),
             "oracle": source,
             "payload": str(payload),
             "outcomes": keys.size,
-            "probability": {"min": min(probs), "max": max(probs)},
+            "probability": {"min": values[0], "max": values[-1]},
             "first_rows": [
-                {"outcome": text, "probability": p}
-                for text, p in zip(dist.render_keys(keys[:5]), probs)
+                {"outcome": text, "probability": values[i]}
+                for text, i in zip(dist.render_keys(keys[:5]), which)
             ],
         }
         if args.output is not None:
-            writer = csv.writer(out)
-            writer.writerow(["outcome", "probability"])
-            writer.writerows(zip(dist.render_keys(keys), map(repr, probs)))
+            texts = list(map(repr, values))
+            rows = (f"{key},{texts[i]}" for key, i in zip(dist.render_keys(keys), which.tolist()))
+            # csv's \r\n line ends; bits, spaces and float reprs need no quoting
+            out.write("\r\n".join(["outcome,probability", *rows, ""]))
             doc["csv"] = args.output
     emit_report(doc)
     return EXIT_OK

@@ -77,7 +77,7 @@ def build_plan(
     is_decoy = np.concatenate(is_decoy)
     signs = np.concatenate(signs)
 
-    states = np.empty((is_decoy.size, 1 << n), dtype=np.complex128)
+    states = np.empty((is_decoy.size, 1 << n))
     states[~is_decoy] = prepare_ghz(n)
     states[is_decoy] = hadamard_product_rows(signs)
     return DistributionPlan(n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states)

@@ -70,8 +70,8 @@ __all__ = [
 ]
 
 # A run's whole tuple stream is one batch of amplitudes; scenarios whose
-# stream would need more than this many are refused (2**25 complex
-# amplitudes are 512 MiB).
+# stream would need more than this many are refused (2**25 float64
+# amplitudes are 256 MiB).
 MAX_STREAM_AMPLITUDES = 1 << 25
 # run_trials simulates as many runs together as fit in this many amplitudes,
 # at least one: enough rows to spread per-call overhead, few enough that the

@@ -2,10 +2,13 @@
 
 Conventions used throughout the package:
 
-- A state over k qubits is a row of 2**k complex amplitudes. T states of
-  the same width form one (T, 2**k) complex128 batch, one state per row;
+- A state over k qubits is a row of 2**k real amplitudes. T states of
+  the same width form one (T, 2**k) float64 batch, one state per row;
   the protocol simulates a whole tuple stream, or the streams of several
   runs stacked, as one batch, and a single state is a batch of one row.
+  Amplitudes stay real because the preparations are real and so are CNOT,
+  H, Z, swaps and computational or Hadamard measurements; check_rows and
+  the measuring kernels refuse a batch of any other dtype.
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
@@ -64,11 +67,9 @@ def _check_width(num_qubits: int) -> None:
         raise ValueError(f"qubit count {num_qubits} outside 0..{MAX_QUBITS}")
 
 
-def _check_norms(amplitudes: np.ndarray) -> None:
-    norms = np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=-1)
-    worst = np.max(np.abs(norms - 1.0), initial=0.0)
-    if worst > NORM_TOL:
-        raise ValueError(f"state norm deviates from 1 by {worst} beyond {NORM_TOL}")
+def _check_real(batch: np.ndarray) -> None:
+    if batch.dtype != np.float64:
+        raise ValueError(f"amplitudes must be float64, not {batch.dtype}")
 
 
 def width(batch: np.ndarray) -> int:
@@ -77,11 +78,14 @@ def width(batch: np.ndarray) -> int:
 
 
 def check_rows(batch: np.ndarray) -> None:
-    """Validate a batch: power-of-two rows within the qubit cap, each of norm 1."""
+    """Validate a float64 batch: power-of-two rows within the qubit cap, each of norm 1."""
+    _check_real(batch)
     if batch.ndim != 2 or batch.shape[1] != 1 << width(batch):
         raise ValueError(f"batch of shape {batch.shape} is not (T, 2**k)")
     _check_width(width(batch))
-    _check_norms(batch)
+    worst = np.max(np.abs(np.sum(batch**2, axis=1) - 1.0), initial=0.0)
+    if worst > NORM_TOL:
+        raise ValueError(f"state norm deviates from 1 by {worst} beyond {NORM_TOL}")
 
 
 def _check_qubit(num_qubits: int, qubit: int) -> None:
@@ -96,7 +100,7 @@ def hadamard_product_rows(signs: np.ndarray) -> np.ndarray:
     minus_masks = signs @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
     idx = np.arange(1 << n, dtype=np.uint32)
     sign = 1.0 - 2.0 * (np.bitwise_count(idx & minus_masks[:, None]) & 1)
-    return (sign * (0.5 ** (n / 2))).astype(np.complex128)
+    return sign * (0.5 ** (n / 2))
 
 
 def _hadamard_axis(x: np.ndarray, qubit: int) -> np.ndarray:
@@ -218,6 +222,7 @@ def sample_rows(
     amplitude per row when every qubit is measured. The measured qubits are
     simply gone from it, so no measurement frame has to be undone.
     """
+    _check_real(batch)
     qubits = list(qubits)
     num_qubits = width(batch)
     rows, k = batch.shape[0], len(qubits)
@@ -232,7 +237,7 @@ def sample_rows(
     col_keys = _subset_key(num_qubits, qubits)[:, None] + np.arange(rows) * outcomes
     marginal = np.bincount(
         col_keys.ravel(),
-        weights=(cols.real**2 + cols.imag**2).ravel(),
+        weights=(cols**2).ravel(),
         minlength=rows * outcomes,
     ).reshape(rows, outcomes)
     cum = np.cumsum(marginal, axis=1)
@@ -258,7 +263,7 @@ def measure_rows(
     qubits = list(qubits)
     bits, residual = sample_rows(batch, qubits, hadamard, u)
     rows = batch.shape[0]
-    kept = np.zeros((batch.shape[1], rows), dtype=np.complex128)
+    kept = np.zeros((batch.shape[1], rows))
     kept[_kept_index(width(batch), qubits, bits), np.arange(rows)[:, None]] = residual
     frame = _rotate_cols(kept, qubits, _hadamard_mask(hadamard, rows, len(qubits)))
     return bits, np.ascontiguousarray(frame.T)
@@ -267,7 +272,7 @@ def measure_rows(
 def prepare_basis(labels: BitVector) -> np.ndarray:
     """Computational basis state |labels> as a one-row batch."""
     _check_width(labels.length)
-    batch = np.zeros((1, 1 << labels.length), dtype=np.complex128)
+    batch = np.zeros((1, 1 << labels.length))
     batch[0, labels.value] = 1.0
     return batch
 
@@ -305,6 +310,7 @@ def prepare_ghz(n: int, topology: str = "linear") -> np.ndarray:
 
 def distribution(batch: np.ndarray, hadamard) -> np.ndarray:
     """Exact Born probabilities of each row, every qubit measured in the bases of the mask."""
+    _check_real(batch)
     k = width(batch)
     cols = _rotate_cols(batch.T, range(k), _hadamard_mask(hadamard, batch.shape[0], k))
-    return (np.abs(cols) ** 2).T
+    return (cols**2).T

@@ -103,7 +103,7 @@ class TestAttackStates:
         batch, _ = attack_tuple(eve, ghz_batch(3), [rng])
         assert batch.shape == (1, 16)
         # CNOT from a GHZ member onto |0> grows the GHZ by one qubit
-        expect = np.zeros(16, dtype=complex)
+        expect = np.zeros(16)
         expect[0] = expect[15] = math.sqrt(0.5)
         assert np.allclose(batch[0], expect)
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy
+from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
 from ghzcast.bitvec import BitVector, SegmentLayout, concat_secrets, split, xor_all
+from ghzcast.distribution import build_plan
 from ghzcast.protocol import (
     ALL_AGENTS,
     BROKER,
@@ -21,9 +22,11 @@ from ghzcast.protocol import (
     Scenario,
     ValidationReport,
     check_transcript_secrecy,
+    execute_run,
     recover_secret,
     run_protocol,
 )
+from test_acceptance import ATTACK_SCENARIOS
 
 
 class TestScenario:
@@ -303,3 +306,28 @@ class TestSecrecyChecker:
         assert len(violations) == 1
         assert "own segment" in violations[0]
 
+
+REAL_BATCH_CASES = {
+    "honest": replace(ATTACK_SCENARIOS["entangle_ancilla"], eve=EveStrategy()),
+    **ATTACK_SCENARIOS,
+}
+
+
+@pytest.mark.parametrize("name", REAL_BATCH_CASES)
+def test_no_stage_upcasts_the_real_batch(name):
+    # a complex upcast would keep every number and only cost speed, so the
+    # dtype is pinned wherever a stage hands a batch on
+    scenario = REAL_BATCH_CASES[name]
+    payload, _ = concat_secrets(scenario.secrets)
+    rng = np.random.default_rng(scenario.seed)
+    plan = build_plan(payload.length, scenario.resolved_d, scenario.n, [rng])
+    assert plan.states.dtype == np.float64
+    # without decoys every run passes validation and decrypts
+    outcome = execute_run(replace(scenario, d=0))
+    assert not outcome.transcript.aborted
+    if scenario.eve.active:
+        attacked, _ = attack_tuple(scenario.eve, plan.states, [rng])
+        assert attacked.dtype == np.float64
+        assert outcome.eve_record.final_states.dtype == np.float64
+    else:
+        assert outcome.eve_record.final_states is None

@@ -42,7 +42,7 @@ class TestPreparation:
     def test_basis_states(self):
         for text, index in (("0", 0), ("101", 5), ("11", 3)):
             state = prepare_basis(BitVector.from_text(text))
-            assert state.shape == (1, 1 << len(text)) and state.dtype == np.complex128
+            assert state.shape == (1, 1 << len(text)) and state.dtype == np.float64
             assert state[0, index] == 1.0
             check_rows(state)
 
@@ -98,16 +98,16 @@ class TestGates:
         a, b = rng.normal(size=2)
         norm = math.hypot(a, b)
         a, b = a / norm, b / norm
-        control = np.array([[a, b]], dtype=complex)
+        control = np.array([[a, b]])
         minus = plus_minus((1,))
         state = cnot_rows(append_rows(control, minus), control=0, target=1)
-        expect = append_rows(np.array([[a, -b]], dtype=complex), minus)
+        expect = append_rows(np.array([[a, -b]]), minus)
         assert np.allclose(state, expect, rtol=0, atol=1e-12)
 
     def test_phase_flip_equals_kickback(self):
         # Z on the control is the same map once the minus target is traced off
         flipped = phase_flip_rows(prepare_ghz(3), 2)
-        expect = np.zeros((1, 8), dtype=complex)
+        expect = np.zeros((1, 8))
         expect[0, 0] = SQ2
         expect[0, 7] = -SQ2
         assert np.allclose(flipped, expect)
@@ -124,8 +124,8 @@ class TestGates:
 class TestGhz:
     def test_n3_amplitudes(self):
         state = prepare_ghz(3)
-        assert state.shape == (1, 8) and state.dtype == np.complex128
-        expect = np.zeros((1, 8), dtype=complex)
+        assert state.shape == (1, 8) and state.dtype == np.float64
+        expect = np.zeros((1, 8))
         expect[0, 0] = expect[0, 7] = SQ2
         assert np.allclose(state, expect)
         check_rows(state)
@@ -276,7 +276,7 @@ class TestCombinators:
 
 
 def random_batch(rng, rows, num_qubits):
-    batch = rng.normal(size=(rows, 1 << num_qubits)) + 1j * rng.normal(size=(rows, 1 << num_qubits))
+    batch = rng.normal(size=(rows, 1 << num_qubits))
     return batch / np.linalg.norm(batch, axis=1, keepdims=True)
 
 
@@ -285,7 +285,7 @@ KERNEL_CASES = [
     (cnot_rows, (2, 0)),
     (phase_flip_rows, (3,)),
     (swap_rows, (0, 3)),
-    (append_rows, (np.array([[0.6, 0.8j]]),)),
+    (append_rows, (np.array([[0.6, 0.8]]),)),
 ]
 
 
@@ -304,7 +304,7 @@ class TestBatchKernels:
     def test_empty_batch(self):
         # a payload with no 1 bits embeds into no rows, a stream without
         # decoys validates none
-        empty = np.zeros((0, 16), dtype=complex)
+        empty = np.zeros((0, 16))
         for kernel, args in KERNEL_CASES:
             assert kernel(empty, *args).shape[0] == 0
         bits, collapsed = measure_rows(empty, (0, 1), True, np.zeros(0))
@@ -355,6 +355,8 @@ class TestBatchKernels:
         batch = random_batch(np.random.default_rng(7), 5, 3)
         bits, residual = sample_rows(batch, range(3), True, np.full(5, 0.5))
         assert bits.shape == (5, 3) and residual.shape == (5, 1)
+        # one real amplitude of modulus 1: the phase is a sign
+        assert residual.dtype == np.float64
         assert np.allclose(np.abs(residual), 1.0, atol=1e-12)
 
     def test_check_rows_rejects_a_bad_row(self):
@@ -365,6 +367,22 @@ class TestBatchKernels:
             check_rows(batch)
         with pytest.raises(ValueError):
             check_rows(np.ones((2, 3)) / np.sqrt(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        check_rows,
+        lambda batch: sample_rows(batch, (0,), True, np.zeros(1)),
+        lambda batch: measure_rows(batch, (0,), True, np.zeros(1)),
+        lambda batch: distribution(batch, False),
+    ],
+    ids=["check_rows", "sample_rows", "measure_rows", "distribution"],
+)
+def test_a_complex_batch_is_refused(call):
+    # amplitudes are real by convention; a complex batch is an upcast somewhere
+    with pytest.raises(ValueError, match="must be float64, not complex128"):
+        call(prepare_ghz(2).astype(np.complex128))
 
 
 @settings(max_examples=30, deadline=None)
