@@ -109,10 +109,10 @@ class OutcomeDistribution:
 
     def render_keys(self, keys) -> list[str]:
         """Text of each key: its n m-bit blocks, broker first, space separated."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = np.asarray(keys, dtype=">u8")
         n, m = self.n, self.m
         # every block's bits most significant first, then a space
-        bits = (keys[:, None] >> np.arange(n * m - 1, -1, -1)) & 1
+        bits = np.unpackbits(keys.view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - n * m :]
         text = np.full((keys.size, n, m + 1), ord(" "), dtype=np.uint8)
         text[:, :, :m] = bits.reshape(-1, n, m) + ord("0")
         chars = np.ascontiguousarray(text.reshape(keys.size, -1)[:, :-1])

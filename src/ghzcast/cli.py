@@ -129,8 +129,8 @@ def _parse_eve(doc: object) -> EveStrategy:
 def load_scenario_file(path: Path) -> tuple[Scenario, int]:
     """Parse a scenario file; returns the scenario and its trial count."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)

@@ -7,7 +7,9 @@ preparation records (validation). Only if validation passes does she embed
 the payload through phase kickback on her own qubits, after which every
 party decrypts with Hadamards and measures. The closing classical exchange
 sends each register segment to the one agent whose secret it protects, and
-never routes agent data back to the broker.
+never routes agent data back to the broker. Recovery is the fold of all n
+registers, split by the segment layout: segment t of it is what agent t
+folds from the segments it then holds (see recover_secret).
 
 Ordering is load bearing: an abort happens strictly before the embedding
 stage, so an aborted run contains no secret-dependent quantum operation at
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,16 +153,15 @@ class Scenario:
 class ValidationReport:
     """Decoy comparison of a stack of runs, as run_validation returns it.
 
-    expected and wrong are (runs, d, n - 1) bit arrays: per run, one row
-    per decoy in stream order and one column per agent slot; the agents
-    reported expected ^ wrong. run(t) slices out run t's own report, with
-    (d, n - 1) arrays. decoy_checks and errors total the report. The
+    wrong is a (runs, d, n - 1) bit array: per run, one row per decoy in
+    stream order and one column per agent slot, set where the agent's report
+    differs from the broker's record. run(t) slices out run t's own report,
+    with a (d, n - 1) array. decoy_checks and errors total the report. The
     threshold is threshold_fraction times one run's transmitted decoy
     qubits, d * (n - 1); the verdict is a run's, fail exactly when its
     errors reach the threshold, so a stack has none.
     """
 
-    expected: np.ndarray
     wrong: np.ndarray
     threshold: float
 
@@ -184,7 +185,7 @@ class ValidationReport:
 
     def run(self, t: int) -> ValidationReport:
         """Run t's own report."""
-        return ValidationReport(self.expected[t], self.wrong[t], self.threshold)
+        return ValidationReport(self.wrong[t], self.threshold)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValidationReport):
@@ -286,9 +287,9 @@ def run_validation(
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
     independently. The plan and batch stack one or more runs, one generator
-    each; returns the comparison of the stack and every run's messages.
-    Decoy tuples are never read again, so their post-measurement states are
-    not kept.
+    each; returns the comparison of the stack and every run's outcome
+    messages. Decoy tuples are never read again, so their post-measurement
+    states are not kept.
     """
     n, d, runs = plan.n, plan.d, plan.trials
     # per decoy in stream order: the measurement's sample draw, then one
@@ -297,73 +298,59 @@ def run_validation(
     bits, _ = sample_rows(batch[plan.is_decoy], range(n - 1), True, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
-    expected = plan.signs[:, : n - 1].reshape(shape)
     report = ValidationReport(
-        expected=expected,
-        wrong=reported != expected,
+        wrong=reported != plan.signs[:, : n - 1].reshape(shape),
         threshold=threshold_fraction * (d * (n - 1)),
     )
 
     # outcomes[t * (n - 1) + i]: agent i's outcomes in run t
     outcomes = bit_vectors(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
-    messages = []
-    for t, is_decoy in enumerate(plan.is_decoy.reshape(runs, plan.m + d)):
-        positions = tuple(np.flatnonzero(is_decoy).tolist())
-        messages.append(
-            [ClassicalMessage(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", positions)]
-            + [
-                ClassicalMessage(
-                    STAGE_VALIDATION, i, BROKER, "decoy_outcomes", outcomes[t * (n - 1) + i]
-                )
-                for i in range(n - 1)
-            ]
-        )
-    return report, messages
+    messages = [
+        ClassicalMessage(STAGE_VALIDATION, i % (n - 1), BROKER, "decoy_outcomes", outcome)
+        for i, outcome in enumerate(outcomes)
+    ]
+    return report, [messages[t * (n - 1) : (t + 1) * (n - 1)] for t in range(runs)]
 
 
 def classical_exchange(
-    registers: Registers, layout: SegmentLayout
-) -> tuple[list[ClassicalMessage], dict[int, dict[int, BitVector]]]:
-    """Send every register segment to the agent it belongs to.
+    registers: Sequence[Registers], layout: SegmentLayout
+) -> list[list[ClassicalMessage]]:
+    """Send every register segment to the agent it belongs to, in every run.
 
     The broker sends agent t her segment t; every agent i sends agent t the
     segment t of their own register, for t != i, and keeps segment i private.
-    Nothing flows towards the broker. Returns the messages and, per agent,
-    the segments of their secret they then hold, keyed by the party they
-    came from: their own withheld segment under their own index.
+    Nothing flows towards the broker. Takes the registers of one or more
+    runs and returns every run's messages, the broker's first.
     """
-    # segments[p][t]: segment t of party p's register, the broker first
-    owned = {BROKER: registers.broker, **dict(enumerate(registers.agents))}
-    segments = {p: split(register, layout) for p, register in owned.items()}
-    parties = list(segments)
-    messages = [
-        ClassicalMessage(
-            STAGE_EXCHANGE,
-            p,
-            t,
-            "broker_segment" if p == BROKER else "register_segment",
-            segments[p][t],
-            segment_index=t,
+    messages = []
+    for run in registers:
+        owned = {BROKER: run.broker, **dict(enumerate(run.agents))}
+        messages.append(
+            [
+                ClassicalMessage(
+                    STAGE_EXCHANGE,
+                    p,
+                    t,
+                    "broker_segment" if p == BROKER else "register_segment",
+                    segment,
+                    segment_index=t,
+                )
+                for p, register in owned.items()
+                for t, segment in enumerate(split(register, layout))
+                if t != p
+            ]
         )
-        for p in parties
-        for t in range(layout.segments)
-        if t != p
-    ]
-    held = {t: {p: segments[p][t] for p in parties} for t in range(layout.segments)}
-    return messages, held
+    return messages
 
 
-def recover_secret(
-    agent: int, held: Mapping[int, BitVector], layout: SegmentLayout
-) -> BitVector:
-    """Fold the segments of the agent's secret: the broker's, one received
-    from every other agent, and the agent's own withheld one."""
-    parties = {BROKER, *range(layout.segments)}
-    if held.keys() != parties:
-        raise ValueError(
-            f"agent {agent} holds segments from {sorted(held)}, needs {sorted(parties)}"
-        )
-    return xor_all(list(held.values()))
+def recover_secret(registers: Registers) -> BitVector:
+    """The XOR of all n registers: the payload, every agent's secret at once.
+
+    Agent t folds segment t of every register, the broker's and the other
+    agents' as the exchange delivers them and its own withheld one. XOR acts
+    bitwise, so that fold is segment t of this one.
+    """
+    return xor_all([registers.broker, *registers.agents])
 
 
 def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOutcome]]:
@@ -406,39 +393,47 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
     validation, validation_messages = run_validation(
         plan, batch, scenario.noise_p, scenario.threshold_fraction, rngs
     )
-    reports = [validation.run(t) for t in range(len(seeds))]
+    runs = len(seeds)
+    reports = [validation.run(t) for t in range(runs)]
     passed = np.array([not report.failed for report in reports])
+    # decoys[t]: run t's decoy positions, broadcast and kept in its transcript
+    starts = np.arange(0, runs * (m + d), m + d)
+    decoys = (np.flatnonzero(plan.is_decoy).reshape(runs, d) - starts[:, None]).tolist()
     registers: list[Registers] = []
+    exchanges: list[list[ClassicalMessage]] = []
     if passed.any():
         # the information tuples of the runs that passed, run after run
-        info = (~plan.is_decoy).reshape(len(seeds), m + d) & passed[:, None]
+        info = (~plan.is_decoy).reshape(runs, m + d) & passed[:, None]
         embedded = embed_secret(batch[info.ravel()], payload, n)
         registers, residual = decrypt_and_measure(
             embedded, n, [r for r, ok in zip(rngs, passed) if ok]
         )
         check_rows(residual)
+        exchanges = classical_exchange(registers, layout)
 
     # run t's place among the runs that passed
     completed = np.cumsum(passed) - 1
     outcomes = []
-    for t in range(len(seeds)):
-        stream = slice(t * (m + d), (t + 1) * (m + d))
+    for t in range(runs):
         record = eve_record.run_record(t, m + d)
-        messages = [preamble, *validation_messages[t]]
+        positions = tuple(decoys[t])
+        broadcast = ClassicalMessage(
+            STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", positions
+        )
+        messages = [preamble, broadcast, *validation_messages[t]]
         run_registers = recovered = None
         if passed[t]:
             p = completed[t]
             run_registers = registers[p]
-            exchange_messages, held = classical_exchange(run_registers, layout)
-            messages.extend(exchange_messages)
-            recovered = tuple(recover_secret(i, held[i], layout) for i in range(n - 1))
+            messages.extend(exchanges[p])
+            recovered = split(recover_secret(run_registers), layout)
             if scenario.eve.active:
                 record.final_states = residual[p * m : (p + 1) * m]
 
         transcript = Transcript(
             layout=layout,
             stream_length=m + d,
-            decoy_positions=tuple(np.flatnonzero(plan.is_decoy[stream]).tolist()),
+            decoy_positions=positions,
             stages=COMPLETED_STAGES if passed[t] else ABORTED_STAGES,
             messages=tuple(messages),
             validation=reports[t],

@@ -132,6 +132,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario_file(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("command", ["run", "experiment", "distribution"])
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "case.yaml"
+        path.write_bytes(b'n: 3\npivs: ["\xff"]\n')
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_scenario_file(path)
+        assert main([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("ghzcast: error:")
+
 
 class TestPathResolution:
     def test_absolute_path_passes_through(self, tmp_path):
@@ -441,13 +452,43 @@ BUNDLED_RUN_CODES = {
 }
 
 
+# sha256 of the stdout of `run` and of `experiment --trials 200` on each
+# bundled scenario: registers, decoy positions, message counts and every
+# statistic, byte for byte
+BUNDLED_STDOUT_SHA256 = {
+    "three_party": (
+        "da79c6d01a3eb206273da121968fd70ba375b0396b0ac4977685cf37a813726f",
+        "29d971bbeb8b7ab70151ba819cf31dfd5356844e2515d6434d673660787e11b0",
+    ),
+    "noisy_channel": (
+        "6eacdedb2724ed1a1e49e4e87c10f98642ff4c2b9dcc43d9bcbf500d08cae115",
+        "b7d9b1b324295515c68b95e6642f5c852d4a829ba7bb1e16094355be1caf4619",
+    ),
+    "measure_resend": (
+        "e10049f48f8ca344df1f440c8c77e886f2f231ce7ced471cdc9eaed9a4a81608",
+        "881c28de36e32af62c924551890cd89e958cff52936354d3837be0552391cd7c",
+    ),
+    "intercept_replace": (
+        "dec9d36a680cec6e63226171361f899098fcc94758675450a1bbfa22c5b4a856",
+        "4688c9d171145b2da951f563cd6a7cbb250e7a2d49afd90260214316bbf7a50b",
+    ),
+    "entangle_ancilla": (
+        "77b2e26ad87bf8774da7c781ef9ffb54e06a236ffaf707415e46a9977a7d1f83",
+        "5a7dacd0141f5a969ecfb0b556f5f175b0d5288df9919720d3c5c0a8dc808f69",
+    ),
+}
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
 def test_bundled_scenarios_run(path, capsys):
+    run_sha256, experiment_sha256 = BUNDLED_STDOUT_SHA256[path.stem]
     assert main(["run", str(path)]) == BUNDLED_RUN_CODES[path.stem]
-    capsys.readouterr()
-    assert main(["experiment", str(path), "--trials", "20"]) == EXIT_OK
-    doc = yaml.safe_load(capsys.readouterr().out)
-    assert doc["trials"] == 20
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == run_sha256
+    assert main(["experiment", str(path), "--trials", "200"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == experiment_sha256
+    doc = yaml.safe_load(out)
+    assert doc["trials"] == 200
     assert doc["secrecy_violations"] == 0
 
 

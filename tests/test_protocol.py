@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
-from ghzcast.bitvec import BitVector, SegmentLayout, concat_secrets, split, xor_all
+from ghzcast.bitvec import BitVector, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
 from ghzcast.protocol import (
     ALL_AGENTS,
@@ -19,12 +19,14 @@ from ghzcast.protocol import (
     STAGE_RECOVERY,
     STAGE_VALIDATION,
     ClassicalMessage,
+    Registers,
     Scenario,
     ValidationReport,
     check_transcript_secrecy,
     execute_run,
     recover_secret,
     run_protocol,
+    run_trials,
 )
 from test_acceptance import ATTACK_SCENARIOS
 
@@ -162,6 +164,10 @@ class TestMessages:
 
     def test_validation_reports_flow_to_broker(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
+        # the broker's records, rebuilt from the run's protocol generator
+        protocol_rng = np.random.default_rng(np.random.SeedSequence(12).spawn(2)[0])
+        plan = build_plan(6, 6, 3, [protocol_rng])
+        assert tuple(np.flatnonzero(plan.is_decoy).tolist()) == transcript.decoy_positions
         reports = [
             m
             for m in transcript.messages
@@ -173,7 +179,7 @@ class TestMessages:
         # agent i reports the column of its slot, decoy j as bit j
         for m in reports:
             wrong = transcript.validation.wrong[:, m.sender]
-            expected = transcript.validation.expected[:, m.sender]
+            expected = plan.signs[:, m.sender]
             assert m.payload.bits() == tuple((expected ^ wrong).tolist())
 
     def test_broadcasts_carry_typed_payloads(self, example_secrets):
@@ -217,7 +223,7 @@ class TestAbort:
         # two runs of 4 decoys on 3 agent slots: run 1 has 6 errors, run 0 none
         wrong = np.zeros((2, 4, 3), dtype=bool)
         wrong[1, :2] = True
-        report = ValidationReport(np.zeros_like(wrong), wrong, threshold=1.5)
+        report = ValidationReport(wrong, threshold=1.5)
         assert (report.decoy_checks, report.errors) == (24, 6)
         runs = [report.run(t) for t in range(2)]
         assert [(r.decoy_checks, r.errors, r.verdict) for r in runs] == [
@@ -228,7 +234,7 @@ class TestAbort:
             report.failed
         # without decoys a run has nothing to fail
         empty = np.zeros((1, 0, 3), dtype=bool)
-        assert ValidationReport(empty, empty, threshold=0.0).run(0).verdict == "pass"
+        assert ValidationReport(empty, threshold=0.0).run(0).verdict == "pass"
 
     def test_heavy_noise_aborts(self, example_secrets):
         aborted = 0
@@ -251,24 +257,52 @@ class TestAbort:
 
 class TestRecoverSecret:
     def test_all_zero_registers(self):
-        layout = SegmentLayout((2, 2))
-        zero = BitVector.zeros(2)
-        held = {BROKER: zero, 0: zero, 1: zero}
-        assert recover_secret(0, held, layout) == BitVector.zeros(2)
-
-    def test_missing_segment_raises(self):
-        layout = SegmentLayout((2, 2))
-        zero = BitVector.zeros(2)
-        with pytest.raises(ValueError):
-            recover_secret(0, {BROKER: zero, 0: zero}, layout)
+        zero = BitVector.zeros(4)
+        assert recover_secret(Registers(broker=zero, agents=(zero, zero))) == zero
 
     def test_folds_every_held_segment(self, example_secrets):
+        # segment i of the register fold is the fold of every party's segment i
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         registers, layout = transcript.registers, transcript.layout
+        recovered = split(recover_secret(registers), layout)
         for i, secret in enumerate(example_secrets):
-            held = {BROKER: split(registers.broker, layout)[i]}
-            held.update((p, split(r, layout)[i]) for p, r in enumerate(registers.agents))
-            assert recover_secret(i, held, layout) == secret
+            held = [split(r, layout)[i] for r in (registers.broker, *registers.agents)]
+            assert recovered[i] == xor_all(held) == secret
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_recovery_follows_the_routing(self, n, data):
+        # every agent recovers from what it holds: its own withheld segment
+        # and the segments the exchange addressed to it, one from each party
+        secrets = tuple(
+            BitVector(data.draw(st.integers(0, (1 << m) - 1)), m)
+            for m in data.draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        )
+        scenario = Scenario(
+            n=n,
+            secrets=secrets,
+            d=data.draw(st.integers(0, 4)),
+            noise_p=data.draw(st.sampled_from([0.0, 0.3])),
+        )
+        first = data.draw(st.integers(0, 2**16))
+        seeds = range(first, first + data.draw(st.integers(1, 4)))
+        for outcome in (o for stack in run_trials(scenario, seeds) for o in stack):
+            transcript = outcome.transcript
+            if transcript.aborted:
+                continue
+            layout, registers = transcript.layout, transcript.registers
+            for t in range(n - 1):
+                incoming = [
+                    m
+                    for m in transcript.messages
+                    if m.stage == STAGE_EXCHANGE and m.receiver == t
+                ]
+                senders = [BROKER, *(p for p in range(n - 1) if p != t)]
+                assert sorted(m.sender for m in incoming) == senders
+                assert all(m.segment_index == t for m in incoming)
+                withheld = split(registers.agents[t], layout)[t]
+                held = xor_all([withheld, *(m.payload for m in incoming)])
+                assert transcript.recovered[t] == held == secrets[t]
 
 
 class TestSecrecyChecker:
