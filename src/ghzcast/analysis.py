@@ -111,12 +111,13 @@ class OutcomeDistribution:
         """Text of each key: its n m-bit blocks, broker first, space separated."""
         keys = np.asarray(keys, dtype=">u8")
         n, m = self.n, self.m
-        # every block's bits most significant first, then a space
+        # every block's bits most significant first, then a space; a newline
+        # ends each key, so one decode and split yield every text
         bits = np.unpackbits(keys.view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - n * m :]
         text = np.full((keys.size, n, m + 1), ord(" "), dtype=np.uint8)
         text[:, :, :m] = bits.reshape(-1, n, m) + ord("0")
-        chars = np.ascontiguousarray(text.reshape(keys.size, -1)[:, :-1])
-        return chars.view(f"S{n * (m + 1) - 1}").ravel().astype(str).tolist()
+        text[:, -1, m] = ord("\n")
+        return text.tobytes().decode("ascii").splitlines()
 
 
 def _check_parties(n: int) -> None:

@@ -385,10 +385,14 @@ ORACLE_CHECK_CONFIGS = (
     (4, 3, 7),
     (5, 2, 11),
 )
+# samples are drawn as one (count, n - 1, m) uint64 array: 96 MB at n=3, m=6
+ORACLE_CHECK_MAX_SAMPLES = 1_000_000
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     samples = args.trials if args.trials is not None else 100_000
+    if samples > ORACLE_CHECK_MAX_SAMPLES:
+        raise ScenarioError(f"--trials {samples} exceeds the cap of {ORACLE_CHECK_MAX_SAMPLES}")
     failures = 0
     lines = []
     for n, m, payload_seed in ORACLE_CHECK_CONFIGS:

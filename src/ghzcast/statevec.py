@@ -27,7 +27,9 @@ the preparations return one-row batches and distribution takes a batch.
 Measurement comes in two forms: sample_rows returns the outcome bits and
 the normalised residual state of the unmeasured qubits, which is all the
 protocol reads; measure_rows also rebuilds every whole collapsed row in the
-physical frame, for gates that act after the measurement.
+physical frame, for gates that act after the measurement. Both read the
+amplitudes through one outcome-major view, an axis permutation that puts
+each outcome's amplitudes in one block (see sample_rows).
 """
 
 from __future__ import annotations
@@ -155,31 +157,6 @@ def append_rows(batch: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return joint.reshape(batch.shape[0], extra.shape[1] * batch.shape[1])
 
 
-def _subset_key(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
-    """Maps each basis index to the packed bits of the given qubits."""
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    key = np.zeros_like(idx)
-    for b, q in enumerate(qubits):
-        key |= ((idx >> q) & 1) << b
-    return key
-
-
-def _kept_index(num_qubits: int, qubits: Sequence[int], bits: np.ndarray) -> np.ndarray:
-    """Basis indices consistent with each row's outcome bits, one row each.
-
-    Column r of a row spreads r over the unmeasured qubits in ascending
-    order, so it is the index of residual amplitude r.
-    """
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    free = np.arange(1 << len(rest), dtype=np.int64)
-    index = np.zeros((bits.shape[0], free.size), dtype=np.int64)
-    for b, q in enumerate(rest):
-        index |= ((free >> b) & 1) << q
-    for b, q in enumerate(qubits):
-        index |= bits[:, b : b + 1] << q
-    return index
-
-
 def _hadamard_mask(hadamard, rows: int, k: int) -> np.ndarray:
     """(T, k) mask of the measurements made in the Hadamard basis."""
     mask = np.asarray(hadamard)
@@ -221,6 +198,16 @@ def sample_rows(
     qubits, in ascending qubit order: a (T, 2**(q - k)) batch, one
     amplitude per row when every qubit is measured. The measured qubits are
     simply gone from it, so no measurement frame has to be undone.
+
+    The kernel reads the rotated columns through one outcome-major view of
+    shape (2**k, 2**(q - k), T): the measured qubits' axes are moved to the
+    front, the highest bit of the outcome first, so axis 0 indexes the
+    outcome (qubits[0] its lowest bit) and axis 1 the residual amplitude.
+    The marginal is then a sum over axis 1 and the residual of row t is
+    view[outcome, :, t]. That sum is a running sum, so each outcome's
+    terms are added in ascending basis index whatever the batch size;
+    np.sum adds a lone row's terms pairwise, which can move the last bit
+    of the marginal and so of the residual.
     """
     _check_real(batch)
     qubits = list(qubits)
@@ -232,22 +219,19 @@ def sample_rows(
         _check_qubit(num_qubits, q)
     cols = _rotate_cols(batch.T, qubits, _hadamard_mask(hadamard, rows, k))
 
-    outcomes = 1 << k
-    # bincount sums each row's probabilities per outcome in index order
-    col_keys = _subset_key(num_qubits, qubits)[:, None] + np.arange(rows) * outcomes
-    marginal = np.bincount(
-        col_keys.ravel(),
-        weights=(cols**2).ravel(),
-        minlength=rows * outcomes,
-    ).reshape(rows, outcomes)
-    cum = np.cumsum(marginal, axis=1)
-    r = np.asarray(u) * cum[:, -1]
-    picked = np.minimum(np.sum(cum <= r[:, None], axis=1), outcomes - 1)
+    # axis i of the split columns holds qubit num_qubits - 1 - i
+    measured = [num_qubits - 1 - q for q in reversed(qubits)]
+    split = cols.reshape((2,) * num_qubits + (rows,))
+    view = np.moveaxis(split, measured, range(k)).reshape(1 << k, 1 << (num_qubits - k), rows)
+    marginal = np.cumsum(view**2, axis=1)[:, -1]
+    cum = np.cumsum(marginal, axis=0)
+    r = np.asarray(u) * cum[-1]
+    picked = np.minimum(np.sum(cum <= r, axis=0), (1 << k) - 1)
     bits = (picked[:, None] >> np.arange(k)) & 1
 
     row = np.arange(rows)
-    residual = cols[_kept_index(num_qubits, qubits, bits), row[:, None]]
-    residual /= np.sqrt(marginal[row, picked])[:, None]
+    residual = view[picked, :, row]
+    residual /= np.sqrt(marginal[picked, row])[:, None]
     return bits, residual
 
 
@@ -262,10 +246,15 @@ def measure_rows(
     """
     qubits = list(qubits)
     bits, residual = sample_rows(batch, qubits, hadamard, u)
-    rows = batch.shape[0]
-    kept = np.zeros((batch.shape[1], rows))
-    kept[_kept_index(width(batch), qubits, bits), np.arange(rows)[:, None]] = residual
-    frame = _rotate_cols(kept, qubits, _hadamard_mask(hadamard, rows, len(qubits)))
+    rows, k = bits.shape
+    num_qubits = width(batch)
+    # scatter into sample_rows' outcome-major view, then move the axes back
+    kept = np.zeros((1 << k, batch.shape[1] >> k, rows))
+    kept[bits @ (1 << np.arange(k)), :, np.arange(rows)] = residual
+    measured = [num_qubits - 1 - q for q in reversed(qubits)]
+    split = np.moveaxis(kept.reshape((2,) * num_qubits + (rows,)), range(k), measured)
+    mask = _hadamard_mask(hadamard, rows, k)
+    frame = _rotate_cols(split.reshape(batch.T.shape), qubits, mask)
     return bits, np.ascontiguousarray(frame.T)
 
 

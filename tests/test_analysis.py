@@ -101,6 +101,8 @@ class TestOutcomeDistribution:
         for key, text in zip(dist.keys.tolist(), texts):
             r = dist.key_to_registers(key)
             assert text == " ".join(str(v) for v in (r.broker, *reversed(r.agents)))
+        assert len(texts) == dist.keys.size
+        assert dist.render_keys([]) == []
 
 
 class TestJointOracle:

@@ -505,6 +505,26 @@ def test_oracle_check_passes(capsys):
         assert check["status"] == "pass"
 
 
+def test_oracle_check_over_the_sample_cap_is_refused_before_allocating(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(cli, "analytic_sample_keys", unreachable)
+    monkeypatch.setattr(cli, "joint_oracle", unreachable)
+    tracemalloc.start()
+    try:
+        code = main(["oracle-check", "--trials", str(cli.ORACLE_CHECK_MAX_SAMPLES + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("ghzcast: error:") and "cap" in err and "\n" not in err
+
+
 EVE_DOCS = st.fixed_dictionaries(
     {},
     optional={

@@ -22,6 +22,7 @@ from ghzcast.statevec import (
     prepare_ghz,
     sample_rows,
     swap_rows,
+    width,
 )
 
 SQ2 = math.sqrt(0.5)
@@ -399,3 +400,74 @@ def test_measurement_statistics_match_distribution(n, data):
     counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
     assert abs(counts[0] / 200 - probs[0]) < 0.15
+
+
+def reference_measure(row, qubits, hadamard, u):
+    """One row measured the slow way: (bits, residual, collapsed row).
+
+    Each outcome's probability is a Python running sum over its basis
+    indices in ascending order, the order the kernels must keep.
+    """
+    q, k = width(row[None]), len(qubits)
+    frame = row[None]
+    for j, qubit in enumerate(qubits):
+        if hadamard[j]:
+            frame = hadamard_rows(frame, qubit)
+    amps = frame[0].tolist()
+    outcome_of = [
+        sum(((i >> qubit) & 1) << b for b, qubit in enumerate(qubits)) for i in range(1 << q)
+    ]
+    weights = [0.0] * (1 << k)
+    for i, amp in enumerate(amps):
+        weights[outcome_of[i]] += amp * amp
+    cum, total = [], 0.0
+    for weight in weights:
+        total += weight
+        cum.append(total)
+    r = u * total
+    picked = min(sum(c <= r for c in cum), (1 << k) - 1)
+    norm = math.sqrt(weights[picked])
+    kept = [i for i in range(1 << q) if outcome_of[i] == picked]
+    residual = np.array([amps[i] / norm for i in kept])
+    collapsed = np.zeros((1, 1 << q))
+    collapsed[0, kept] = residual
+    for j, qubit in enumerate(qubits):
+        if hadamard[j]:
+            collapsed = hadamard_rows(collapsed, qubit)
+    bits = [(picked >> b) & 1 for b in range(k)]
+    return bits, residual, collapsed[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.permutations(range(q)).flatmap(
+                lambda order: st.integers(0, q).map(lambda k: order[:k])
+            ),
+        )
+    ),
+    st.sampled_from([0, 1, 2, 5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernels_equal_the_reference_bit_for_bit(shape, rows, seed):
+    """sample_rows and measure_rows agree exactly with a per-row reference
+    that sums each outcome's probability in ascending basis index."""
+    q, qubits = shape
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, rows, q)
+    hadamard = rng.integers(0, 2, size=(rows, len(qubits))) == 1
+    u = rng.random(rows)
+    bits, residual = sample_rows(batch, qubits, hadamard, u)
+    measured, collapsed = measure_rows(batch, qubits, hadamard, u)
+    assert bits.shape == measured.shape == (rows, len(qubits))
+    assert residual.shape == (rows, 1 << (q - len(qubits)))
+    assert collapsed.shape == batch.shape
+    for t in range(rows):
+        ref_bits, ref_residual, ref_collapsed = reference_measure(
+            batch[t], qubits, hadamard[t], float(u[t])
+        )
+        assert bits[t].tolist() == measured[t].tolist() == ref_bits
+        assert np.array_equal(residual[t], ref_residual)
+        assert np.array_equal(collapsed[t], ref_collapsed)
