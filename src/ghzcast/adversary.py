@@ -270,10 +270,9 @@ def eve_postprocess(
     # the fold of every public share of secret t lacks only the owner's
     # withheld segment; known holds those folds at their payload positions
     starts = (0, *accumulate(layout.lengths))
-    known = 0
-    for msg in transcript.messages:
-        if msg.stage == STAGE_EXCHANGE:
-            known ^= msg.payload.value << starts[msg.segment_index]
+    known = np.zeros(m, dtype=np.int64)
+    for r, bits in transcript.messages.rows(STAGE_EXCHANGE):
+        known[starts[r.segment_index] : starts[r.segment_index + 1]] ^= bits
 
     if tag == ENTANGLE_ANCILLA:
         # the ancillas extend every tuple to a larger GHZ state, so the
@@ -295,5 +294,4 @@ def eve_postprocess(
         eve_bits[~leaked] = rng.integers(0, 2, size=m - int(np.count_nonzero(leaked)))
 
     # a leaked bit is the known fold xor Eve's bit, any other bit her coin
-    mask, found = bit_vectors(np.array([leaked, eve_bits]))
-    return split(BitVector((known & mask.value) ^ found.value, m), layout)
+    return split(bit_vectors((known & leaked ^ eve_bits)[None])[0], layout)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .statevec import hadamard_product_rows, prepare_ghz
 
-__all__ = ["DistributionPlan", "build_plan"]
+__all__ = ["DistributionPlan", "build_plan", "prepare_ghz"]
 
 
 @dataclass
@@ -52,13 +52,15 @@ class DistributionPlan:
 
 
 def build_plan(
-    m: int, d: int, n: int, rngs: Sequence[np.random.Generator]
+    m: int, d: int, n: int, rngs: Sequence[np.random.Generator], ghz: np.ndarray
 ) -> DistributionPlan:
     """Interleave m information tuples and d decoys uniformly at random.
 
     Each decoy qubit is plus or minus with probability one half. There is
     one generator per run: every run draws its own stream from its own
-    generator, and the plan stacks them.
+    generator, and the plan stacks them. ghz is prepare_ghz(n), the row
+    every information tuple starts in; a caller building many plans
+    prepares it once, through this module's prepare_ghz.
     """
     if m < 1:
         raise ValueError("need at least one information tuple")
@@ -78,6 +80,6 @@ def build_plan(
     signs = np.concatenate(signs)
 
     states = np.empty((is_decoy.size, 1 << n))
-    states[~is_decoy] = prepare_ghz(n)
+    states[~is_decoy] = ghz
     states[is_decoy] = hadamard_product_rows(signs)
     return DistributionPlan(n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states)

@@ -16,16 +16,21 @@ stage, so an aborted run contains no secret-dependent quantum operation at
 all.
 
 The transcript is typed data: its messages name parties by index (see
-messages) and carry bit vectors and int tuples, so the secrecy check and
-the adversary read them without parsing; only the CLI renders text.
+messages) and carry bit vectors and int tuples, so nothing parses them and
+only the CLI renders text. They are held as columns, a MessageTable, and so
+are the registers, one bit array per run: the secrecy check and the
+adversary read those arrays, and messages and register bit vectors are
+built only when something reads them as such.
 
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams into one batch: every stage makes one kernel
 call per stack, and each run still draws from its own generators in the
 order a lone run would, so a stacked run is the run execute_run makes at the
-same seed. Measured decoy tuples are not kept, and decryption keeps of each
-information tuple only the qubits an adversary holds, the part her late
-measurement needs.
+same seed. The classical layer works per stack too: the decoy reports, the
+registers and the exchanged segments of all runs are arrays, which each
+run's transcript slices. Measured decoy tuples are not kept, and decryption
+keeps of each information tuple only the qubits an adversary holds, the
+part her late measurement needs.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
-from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split, xor_all
+from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split
+from . import distribution
 from .distribution import DistributionPlan, build_plan
 from .messages import (
     ALL_AGENTS,
@@ -50,6 +56,8 @@ from .messages import (
     STAGE_RECOVERY,
     STAGE_VALIDATION,
     ClassicalMessage,
+    MessageTable,
+    Route,
 )
 from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
 
@@ -203,19 +211,42 @@ class Registers:
     agents: tuple[BitVector, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
-    """Everything observable about one run, including all classical traffic."""
+    """Everything observable about one run, including all classical traffic.
+
+    messages holds the traffic in sending order as columns. register_bits
+    is the (n, m) bit array of the measured registers, party p's in row p
+    with the broker's last, or None when the run aborted; registers reads
+    it as bit vectors.
+    """
 
     layout: SegmentLayout
     stream_length: int
     decoy_positions: tuple[int, ...]
     stages: tuple[str, ...]
-    messages: tuple[ClassicalMessage, ...]
+    messages: MessageTable
     validation: ValidationReport
     aborted: bool
-    registers: Registers | None
+    register_bits: np.ndarray | None
     recovered: tuple[BitVector, ...] | None
+
+    @property
+    def registers(self) -> Registers | None:
+        if self.register_bits is None:
+            return None
+        *agents, broker = bit_vectors(self.register_bits)
+        return Registers(broker=broker, agents=tuple(agents))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            arrays = isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray)
+            if not (np.array_equal(mine, theirs) if arrays else mine == theirs):
+                return False
+        return True
 
 
 @dataclass
@@ -251,27 +282,20 @@ def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
 
 def decrypt_and_measure(
     batch: np.ndarray, n: int, rngs: Sequence[np.random.Generator]
-) -> tuple[list[Registers], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Hadamard every protocol qubit of every tuple and measure.
 
     The batch holds the embedded information tuples of one run per
-    generator, run after run. Returns every run's registers and the
-    residual of every tuple: the qubits above n, which only an adversary
-    holds, or one amplitude per tuple when there are none.
+    generator, run after run. Returns the registers as a (runs, n, m) bit
+    array, party p's register of run t in row [t, p] with the broker's
+    last, and the residual of every tuple: the qubits above n, which only
+    an adversary holds, or one amplitude per tuple when there are none.
     """
     runs = len(rngs)
     per_run = batch.shape[0] // runs
     u = np.concatenate([r.random(per_run) for r in rngs])
     bits, residual = sample_rows(batch, range(n), True, u)
-    # vectors[t * n + p]: party p's register of run t
-    vectors = bit_vectors(
-        bits.reshape(runs, per_run, n).transpose(0, 2, 1).reshape(runs * n, per_run)
-    )
-    registers = [
-        Registers(broker=vectors[t * n + n - 1], agents=tuple(vectors[t * n : t * n + n - 1]))
-        for t in range(runs)
-    ]
-    return registers, residual
+    return bits.reshape(runs, per_run, n).transpose(0, 2, 1), residual
 
 
 def run_validation(
@@ -280,15 +304,16 @@ def run_validation(
     noise_p: float,
     threshold_fraction: float,
     rngs: Sequence[np.random.Generator],
-) -> tuple[ValidationReport, list[list[ClassicalMessage]]]:
+) -> tuple[ValidationReport, np.ndarray]:
     """Measure every transmitted decoy qubit and compare with the records.
 
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
     independently. The plan and batch stack one or more runs, one generator
-    each; returns the comparison of the stack and every run's outcome
-    messages. Decoy tuples are never read again, so their post-measurement
+    each; returns the comparison of the stack and every run's reports as a
+    (runs, n - 1, d) bit array, agent i's outcome of the j-th decoy in
+    [t, i, j]. Decoy tuples are never read again, so their post-measurement
     states are not kept.
     """
     n, d, runs = plan.n, plan.d, plan.trials
@@ -302,55 +327,44 @@ def run_validation(
         wrong=reported != plan.signs[:, : n - 1].reshape(shape),
         threshold=threshold_fraction * (d * (n - 1)),
     )
-
-    # outcomes[t * (n - 1) + i]: agent i's outcomes in run t
-    outcomes = bit_vectors(reported.transpose(0, 2, 1).reshape(runs * (n - 1), d))
-    messages = [
-        ClassicalMessage(STAGE_VALIDATION, i % (n - 1), BROKER, "decoy_outcomes", outcome)
-        for i, outcome in enumerate(outcomes)
-    ]
-    return report, [messages[t * (n - 1) : (t + 1) * (n - 1)] for t in range(runs)]
+    return report, reported.transpose(0, 2, 1)
 
 
-def classical_exchange(
-    registers: Sequence[Registers], layout: SegmentLayout
-) -> list[list[ClassicalMessage]]:
+def classical_exchange(registers: np.ndarray, layout: SegmentLayout) -> list[MessageTable]:
     """Send every register segment to the agent it belongs to, in every run.
 
     The broker sends agent t her segment t; every agent i sends agent t the
     segment t of their own register, for t != i, and keeps segment i private.
-    Nothing flows towards the broker. Takes the registers of one or more
-    runs and returns every run's messages, the broker's first.
+    Nothing flows towards the broker. Takes the (runs, n, m) registers of
+    one or more runs (see decrypt_and_measure) and returns every run's
+    messages, the broker's first, then agent 0's and up. Every run routes
+    the same rows; each carries its own payload bits.
     """
-    messages = []
-    for run in registers:
-        owned = {BROKER: run.broker, **dict(enumerate(run.agents))}
-        messages.append(
-            [
-                ClassicalMessage(
-                    STAGE_EXCHANGE,
-                    p,
-                    t,
-                    "broker_segment" if p == BROKER else "register_segment",
-                    segment,
-                    segment_index=t,
-                )
-                for p, register in owned.items()
-                for t, segment in enumerate(split(register, layout))
-                if t != p
-            ]
-        )
-    return messages
+    n = registers.shape[1]
+    # every (sender, receiver) pair but an agent's to itself, the broker's first
+    senders = [BROKER, *range(n - 1)]
+    routes = tuple(
+        Route(STAGE_EXCHANGE, i, t, "broker_segment" if i == BROKER else "register_segment", t)
+        for i in senders
+        for t in range(n - 1)
+        if i != t
+    )
+    ends = np.cumsum([layout.lengths[r.receiver] for r in routes])
+    # in row order, every sender's register but the segment it owns
+    owner = np.repeat(np.arange(n - 1), layout.lengths)
+    payload = registers[:, [n - 1, *range(n - 1)]][:, owner != np.array(senders)[:, None]]
+    return [MessageTable(routes, ends, bits) for bits in payload]
 
 
-def recover_secret(registers: Registers) -> BitVector:
-    """The XOR of all n registers: the payload, every agent's secret at once.
+def recover_secret(registers: np.ndarray) -> BitVector:
+    """The XOR of all n registers of a run: the payload, every agent's secret at once.
 
-    Agent t folds segment t of every register, the broker's and the other
-    agents' as the exchange delivers them and its own withheld one. XOR acts
-    bitwise, so that fold is segment t of this one.
+    Takes the (n, m) register bits of one run. Agent t folds segment t of
+    every register, the broker's and the other agents' as the exchange
+    delivers them and its own withheld one. XOR acts bitwise, so that fold
+    is segment t of this one.
     """
-    return xor_all([registers.broker, *registers.agents])
+    return bit_vectors(np.bitwise_xor.reduce(registers, axis=0)[None])[0]
 
 
 def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOutcome]]:
@@ -365,24 +379,41 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOut
     and each run's verdict is read from its own slice of that report.
     """
     size = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
+    payload, layout = concat_secrets(scenario.secrets)
+    n, d = scenario.n, scenario.resolved_d
+    # the same in every stack: the GHZ row, looked up in distribution at
+    # call time like build_plan, and the routes and payload ends of what
+    # every run sends up to its verdict, the segment lengths, the decoy
+    # positions and every agent's decoy outcomes
+    ghz = distribution.prepare_ghz(n)
+    opening = (
+        (
+            Route(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths"),
+            Route(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions"),
+            *(Route(STAGE_VALIDATION, i, BROKER, "decoy_outcomes") for i in range(n - 1)),
+        ),
+        np.cumsum([n - 1, *[d] * n]),
+    )
     seeds = iter(seeds)
     while stack := list(islice(seeds, size)):
-        yield _run_stack(scenario, stack)
+        yield _run_stack(scenario, stack, payload, layout, ghz, opening)
 
 
-def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
+def _run_stack(
+    scenario: Scenario,
+    seeds: Sequence[int],
+    payload: BitVector,
+    layout: SegmentLayout,
+    ghz: np.ndarray,
+    opening: tuple[tuple[Route, ...], np.ndarray],
+) -> list[RunOutcome]:
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
     eve_rngs = [np.random.default_rng(eve) for _protocol, eve in streams]
-
-    payload, layout = concat_secrets(scenario.secrets)
-    n = scenario.n
+    n, runs = scenario.n, len(seeds)
     m, d = payload.length, scenario.resolved_d
-    preamble = ClassicalMessage(
-        STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths", layout.lengths
-    )
 
-    plan = build_plan(m, d, n, rngs)
+    plan = build_plan(m, d, n, rngs, ghz)
     batch = plan.states
     if scenario.eve.active:
         batch, eve_record = attack_tuple(scenario.eve, batch, eve_rngs)
@@ -390,17 +421,16 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
         eve_record = EveRecord(strategy=scenario.eve)
     check_rows(batch)
 
-    validation, validation_messages = run_validation(
+    validation, reported = run_validation(
         plan, batch, scenario.noise_p, scenario.threshold_fraction, rngs
     )
-    runs = len(seeds)
     reports = [validation.run(t) for t in range(runs)]
     passed = np.array([not report.failed for report in reports])
     # decoys[t]: run t's decoy positions, broadcast and kept in its transcript
-    starts = np.arange(0, runs * (m + d), m + d)
-    decoys = (np.flatnonzero(plan.is_decoy).reshape(runs, d) - starts[:, None]).tolist()
-    registers: list[Registers] = []
-    exchanges: list[list[ClassicalMessage]] = []
+    decoys = plan.is_decoy.reshape(runs, m + d).nonzero()[1].reshape(runs, d)
+    # every run's payloads up to its verdict, in the opening's row order
+    lengths = np.broadcast_to(layout.lengths, (runs, n - 1))
+    opened = np.concatenate((lengths, decoys, reported.reshape(runs, (n - 1) * d)), axis=1)
     if passed.any():
         # the information tuples of the runs that passed, run after run
         info = (~plan.is_decoy).reshape(runs, m + d) & passed[:, None]
@@ -409,23 +439,21 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
             embedded, n, [r for r, ok in zip(rngs, passed) if ok]
         )
         check_rows(residual)
+        # every transcript that passed holds a view of this
+        registers.flags.writeable = False
         exchanges = classical_exchange(registers, layout)
 
     # run t's place among the runs that passed
     completed = np.cumsum(passed) - 1
     outcomes = []
-    for t in range(runs):
+    for t, positions in enumerate(decoys.tolist()):
         record = eve_record.run_record(t, m + d)
-        positions = tuple(decoys[t])
-        broadcast = ClassicalMessage(
-            STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", positions
-        )
-        messages = [preamble, broadcast, *validation_messages[t]]
+        messages = MessageTable(*opening, opened[t])
         run_registers = recovered = None
         if passed[t]:
             p = completed[t]
             run_registers = registers[p]
-            messages.extend(exchanges[p])
+            messages += exchanges[p]
             recovered = split(recover_secret(run_registers), layout)
             if scenario.eve.active:
                 record.final_states = residual[p * m : (p + 1) * m]
@@ -433,12 +461,12 @@ def _run_stack(scenario: Scenario, seeds: Sequence[int]) -> list[RunOutcome]:
         transcript = Transcript(
             layout=layout,
             stream_length=m + d,
-            decoy_positions=positions,
+            decoy_positions=tuple(positions),
             stages=COMPLETED_STAGES if passed[t] else ABORTED_STAGES,
-            messages=tuple(messages),
+            messages=messages,
             validation=reports[t],
             aborted=not passed[t],
-            registers=run_registers,
+            register_bits=run_registers,
             recovered=recovered,
         )
         outcomes.append(
@@ -461,14 +489,13 @@ def check_transcript_secrecy(transcript: Transcript) -> list[str]:
 
     Returns a description of every violation found: an agent sending their
     own withheld segment, or any message to the broker after validation.
+    Reads the routes of the transcript's own messages.
     """
     violations: list[str] = []
-    for msg in transcript.messages:
-        if msg.stage in POST_VALIDATION_STAGES and msg.receiver == BROKER:
-            violations.append(
-                f"party {msg.sender} sent {msg.label!r} to the broker during {msg.stage}"
-            )
+    for r in transcript.messages.routes:
+        if r.stage in POST_VALIDATION_STAGES and r.receiver == BROKER:
+            violations.append(f"party {r.sender} sent {r.label!r} to the broker during {r.stage}")
         # segment indices are agent indices, so only an agent sender can match
-        if msg.sender == msg.segment_index:
-            violations.append(f"agent {msg.sender} transmitted their own segment {msg.sender}")
+        if r.sender == r.segment_index:
+            violations.append(f"agent {r.sender} transmitted their own segment {r.sender}")
     return violations

@@ -206,8 +206,9 @@ def sample_rows(
     The marginal is then a sum over axis 1 and the residual of row t is
     view[outcome, :, t]. That sum is a running sum, so each outcome's
     terms are added in ascending basis index whatever the batch size;
-    np.sum adds a lone row's terms pairwise, which can move the last bit
-    of the marginal and so of the residual.
+    np.sum and np.add.reduce add a lone row's terms pairwise, which can
+    move the last bit of the marginal and so of the residual. The running
+    sum adds the axis-1 slices one by one, in the order np.cumsum would.
     """
     _check_real(batch)
     qubits = list(qubits)
@@ -223,7 +224,10 @@ def sample_rows(
     measured = [num_qubits - 1 - q for q in reversed(qubits)]
     split = cols.reshape((2,) * num_qubits + (rows,))
     view = np.moveaxis(split, measured, range(k)).reshape(1 << k, 1 << (num_qubits - k), rows)
-    marginal = np.cumsum(view**2, axis=1)[:, -1]
+    squares = view**2
+    marginal = squares[:, 0]
+    for i in range(1, squares.shape[1]):
+        marginal += squares[:, i]
     cum = np.cumsum(marginal, axis=0)
     r = np.asarray(u) * cum[-1]
     picked = np.minimum(np.sum(cum <= r, axis=0), (1 << k) - 1)

@@ -34,6 +34,7 @@ from ghzcast.analysis import (
     wilson_interval,
 )
 from ghzcast.bitvec import BitVector, concat_secrets, xor_all
+from ghzcast.messages import ClassicalMessage
 from ghzcast.protocol import STACK_AMPLITUDES, Registers, Scenario, execute_run, run_trials
 
 
@@ -337,7 +338,7 @@ class TestDetectionExperiment:
         class FirstStack(Exception):
             pass
 
-        def first_stack(scenario, seeds):
+        def first_stack(scenario, seeds, *invariants):
             raise FirstStack(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(protocol, "_run_stack", first_stack)
@@ -348,6 +349,24 @@ class TestDetectionExperiment:
         finally:
             tracemalloc.stop()
         assert stop.value.args[0] < 1 << 20
+
+    def test_honest_trials_build_no_message(self, monkeypatch):
+        # the secrecy check and Eve's fold read the message columns, so an
+        # experiment never needs a message object
+        built = []
+        init = ClassicalMessage.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClassicalMessage, "__init__", counted)
+        scenario = Scenario(n=8, secrets=BROADCAST, noise_p=0.02, seed=8)
+        stats = detection_experiment(scenario, 10)
+        assert stats.aborts == 0 and stats.secrecy_violations == 0
+        assert built == []
+        # reading the messages still builds them, through the same class
+        assert len(list(protocol.run_protocol(scenario).messages)) == len(built) > 0
 
 
 EXAMPLE = (BitVector.from_text("010"), BitVector.from_text("101"))

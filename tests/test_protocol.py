@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
 from ghzcast.bitvec import BitVector, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
+from ghzcast.messages import MessageTable
 from ghzcast.protocol import (
     ALL_AGENTS,
     BROKER,
@@ -19,7 +20,6 @@ from ghzcast.protocol import (
     STAGE_RECOVERY,
     STAGE_VALIDATION,
     ClassicalMessage,
-    Registers,
     Scenario,
     ValidationReport,
     check_transcript_secrecy,
@@ -28,6 +28,7 @@ from ghzcast.protocol import (
     run_protocol,
     run_trials,
 )
+from ghzcast.statevec import prepare_ghz
 from test_acceptance import ATTACK_SCENARIOS
 
 
@@ -166,7 +167,7 @@ class TestMessages:
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         # the broker's records, rebuilt from the run's protocol generator
         protocol_rng = np.random.default_rng(np.random.SeedSequence(12).spawn(2)[0])
-        plan = build_plan(6, 6, 3, [protocol_rng])
+        plan = build_plan(6, 6, 3, [protocol_rng], prepare_ghz(3))
         assert tuple(np.flatnonzero(plan.is_decoy).tolist()) == transcript.decoy_positions
         reports = [
             m
@@ -181,6 +182,47 @@ class TestMessages:
             wrong = transcript.validation.wrong[:, m.sender]
             expected = plan.signs[:, m.sender]
             assert m.payload.bits() == tuple((expected ^ wrong).tolist())
+
+    def test_pinned_run_sends_the_same_messages_in_the_same_order(self):
+        # the preamble, the decoy positions, every agent's decoy outcomes,
+        # then the broker's segments and every agent's, receiver by receiver
+        secrets = tuple(BitVector.from_text(s) for s in ("10", "011", "1"))
+        transcript = run_protocol(Scenario(n=4, secrets=secrets, d=3, noise_p=0.1, seed=21))
+        bits = BitVector.from_text
+        expected = [
+            ClassicalMessage(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths", (2, 3, 1)),
+            ClassicalMessage(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", (0, 5, 8)),
+            ClassicalMessage(STAGE_VALIDATION, 0, BROKER, "decoy_outcomes", bits("101")),
+            ClassicalMessage(STAGE_VALIDATION, 1, BROKER, "decoy_outcomes", bits("111")),
+            ClassicalMessage(STAGE_VALIDATION, 2, BROKER, "decoy_outcomes", bits("000")),
+            ClassicalMessage(STAGE_EXCHANGE, BROKER, 0, "broker_segment", bits("00"), 0),
+            ClassicalMessage(STAGE_EXCHANGE, BROKER, 1, "broker_segment", bits("100"), 1),
+            ClassicalMessage(STAGE_EXCHANGE, BROKER, 2, "broker_segment", bits("1"), 2),
+            ClassicalMessage(STAGE_EXCHANGE, 0, 1, "register_segment", bits("100"), 1),
+            ClassicalMessage(STAGE_EXCHANGE, 0, 2, "register_segment", bits("0"), 2),
+            ClassicalMessage(STAGE_EXCHANGE, 1, 0, "register_segment", bits("11"), 0),
+            ClassicalMessage(STAGE_EXCHANGE, 1, 2, "register_segment", bits("0"), 2),
+            ClassicalMessage(STAGE_EXCHANGE, 2, 0, "register_segment", bits("00"), 0),
+            ClassicalMessage(STAGE_EXCHANGE, 2, 1, "register_segment", bits("010"), 1),
+        ]
+        assert not transcript.aborted
+        assert list(transcript.messages) == expected
+        assert [transcript.messages[i] for i in (0, 4, -1)] == [expected[i] for i in (0, 4, -1)]
+        # the columns are those of the same messages written as a table
+        assert transcript.messages == MessageTable.of(expected)
+        assert transcript.messages == MessageTable.of(expected[:5]) + expected[5:]
+
+    def test_stacked_transcripts_are_read_only(self, example_secrets):
+        # the runs of a stack share their payload ends and slice one register
+        # array, so a write into one transcript must not reach another
+        stack = next(run_trials(Scenario(n=3, secrets=example_secrets), [12, 13]))
+        first, second = (outcome.transcript for outcome in stack)
+        assert not first.aborted and not second.aborted
+        before = list(second.messages), second.registers
+        for array in (first.messages.ends, first.messages.payload, first.register_bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] ^= 1
+        assert (list(second.messages), second.registers) == before
 
     def test_broadcasts_carry_typed_payloads(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
@@ -258,13 +300,13 @@ class TestAbort:
 class TestRecoverSecret:
     def test_all_zero_registers(self):
         zero = BitVector.zeros(4)
-        assert recover_secret(Registers(broker=zero, agents=(zero, zero))) == zero
+        assert recover_secret(np.zeros((3, 4), dtype=np.int64)) == zero
 
     def test_folds_every_held_segment(self, example_secrets):
         # segment i of the register fold is the fold of every party's segment i
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         registers, layout = transcript.registers, transcript.layout
-        recovered = split(recover_secret(registers), layout)
+        recovered = split(recover_secret(transcript.register_bits), layout)
         for i, secret in enumerate(example_secrets):
             held = [split(r, layout)[i] for r in (registers.broker, *registers.agents)]
             assert recovered[i] == xor_all(held) == secret
@@ -354,7 +396,9 @@ def test_no_stage_upcasts_the_real_batch(name):
     scenario = REAL_BATCH_CASES[name]
     payload, _ = concat_secrets(scenario.secrets)
     rng = np.random.default_rng(scenario.seed)
-    plan = build_plan(payload.length, scenario.resolved_d, scenario.n, [rng])
+    plan = build_plan(
+        payload.length, scenario.resolved_d, scenario.n, [rng], prepare_ghz(scenario.n)
+    )
     assert plan.states.dtype == np.float64
     # without decoys every run passes validation and decrypts
     outcome = execute_run(replace(scenario, d=0))

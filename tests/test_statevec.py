@@ -67,7 +67,7 @@ class TestPreparation:
         assert np.allclose(plus_minus((0, 1, 0)), expect)
 
     def test_minus_fraction_of_random_decoys(self):
-        signs = build_plan(1, 10_000, 4, [np.random.default_rng(5)]).signs
+        signs = build_plan(1, 10_000, 4, [np.random.default_rng(5)], prepare_ghz(4)).signs
         assert signs.shape == (10_000, 4)
         assert np.all(np.abs(signs.mean(axis=0) - 0.5) < 0.02)
 
