@@ -271,8 +271,9 @@ def eve_postprocess(
     # withheld segment; known holds those folds at their payload positions
     starts = (0, *accumulate(layout.lengths))
     known = np.zeros(m, dtype=np.int64)
-    for r, bits in transcript.messages.rows(STAGE_EXCHANGE):
-        known[starts[r.segment_index] : starts[r.segment_index + 1]] ^= bits
+    for r, bits in transcript.messages:
+        if r.stage == STAGE_EXCHANGE:
+            known[starts[r.segment_index] : starts[r.segment_index + 1]] ^= bits
 
     if tag == ENTANGLE_ANCILLA:
         # the ancillas extend every tuple to a larger GHZ state, so the

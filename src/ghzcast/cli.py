@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -95,7 +96,10 @@ def _expect_float(doc: dict, key: str, default: float) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"key {key!r} does not fit in a float") from None
 
 
 def _parse_eve(doc: object) -> EveStrategy:
@@ -220,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "decoy_positions": list(transcript.decoy_positions),
         },
         "stages": list(transcript.stages),
-        "message_counts": _message_counts(transcript),
+        "message_counts": dict(Counter(r.stage for r in transcript.messages.routes)),
         "validation": {
             "decoy_checks": transcript.validation.decoy_checks,
             "errors": transcript.validation.errors,
@@ -254,13 +258,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     doc["status"] = "ok" if all(matches) else "recovery_mismatch"
     emit_report(doc)
     return EXIT_OK if all(matches) else EXIT_MISMATCH
-
-
-def _message_counts(transcript) -> dict:
-    counts: dict[str, int] = {}
-    for msg in transcript.messages:
-        counts[msg.stage] = counts.get(msg.stage, 0) + 1
-    return counts
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:

@@ -15,12 +15,10 @@ Ordering is load bearing: an abort happens strictly before the embedding
 stage, so an aborted run contains no secret-dependent quantum operation at
 all.
 
-The transcript is typed data: its messages name parties by index (see
-messages) and carry bit vectors and int tuples, so nothing parses them and
-only the CLI renders text. They are held as columns, a MessageTable, and so
-are the registers, one bit array per run: the secrecy check and the
-adversary read those arrays, and messages and register bit vectors are
-built only when something reads them as such.
+The transcript is typed data: its traffic is a MessageTable of routes,
+which name parties by index (see messages), and payload entries, bits and
+ints, so nothing parses it and only the CLI renders text. The registers
+are one bit array per run, read as bit vectors only on request.
 
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams into one batch: every stage makes one kernel
@@ -55,7 +53,6 @@ from .messages import (
     STAGE_PREAMBLE,
     STAGE_RECOVERY,
     STAGE_VALIDATION,
-    ClassicalMessage,
     MessageTable,
     Route,
 )
@@ -63,7 +60,6 @@ from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
 
 __all__ = [
     "Scenario",
-    "ClassicalMessage",
     "ValidationReport",
     "Registers",
     "Transcript",
@@ -330,15 +326,18 @@ def run_validation(
     return report, reported.transpose(0, 2, 1)
 
 
-def classical_exchange(registers: np.ndarray, layout: SegmentLayout) -> list[MessageTable]:
+def classical_exchange(
+    registers: np.ndarray, layout: SegmentLayout
+) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
     """Send every register segment to the agent it belongs to, in every run.
 
     The broker sends agent t her segment t; every agent i sends agent t the
     segment t of their own register, for t != i, and keeps segment i private.
     Nothing flows towards the broker. Takes the (runs, n, m) registers of
-    one or more runs (see decrypt_and_measure) and returns every run's
-    messages, the broker's first, then agent 0's and up. Every run routes
-    the same rows; each carries its own payload bits.
+    one or more runs (see decrypt_and_measure). Every run routes the same
+    messages, the broker's first, then agent 0's and up; returns their
+    routes, their payload ends as in a MessageTable, and a (runs, bits)
+    array with every run's payload entries in one row.
     """
     n = registers.shape[1]
     # every (sender, receiver) pair but an agent's to itself, the broker's first
@@ -353,7 +352,7 @@ def classical_exchange(registers: np.ndarray, layout: SegmentLayout) -> list[Mes
     # in row order, every sender's register but the segment it owns
     owner = np.repeat(np.arange(n - 1), layout.lengths)
     payload = registers[:, [n - 1, *range(n - 1)]][:, owner != np.array(senders)[:, None]]
-    return [MessageTable(routes, ends, bits) for bits in payload]
+    return routes, ends, payload
 
 
 def recover_secret(registers: np.ndarray) -> BitVector:
@@ -441,22 +440,28 @@ def _run_stack(
         check_rows(residual)
         # every transcript that passed holds a view of this
         registers.flags.writeable = False
-        exchanges = classical_exchange(registers, layout)
+        routes, ends, exchanged = classical_exchange(registers, layout)
+        # a run that passed sends the opening, then the exchange: the same
+        # routes and ends for every such run, and one row of payloads each
+        sent = np.concatenate((opened[passed], exchanged), axis=1)
+        routes = opening[0] + routes
+        ends = np.concatenate((opening[1], opening[1][-1] + ends))
 
     # run t's place among the runs that passed
     completed = np.cumsum(passed) - 1
     outcomes = []
     for t, positions in enumerate(decoys.tolist()):
         record = eve_record.run_record(t, m + d)
-        messages = MessageTable(*opening, opened[t])
         run_registers = recovered = None
         if passed[t]:
             p = completed[t]
             run_registers = registers[p]
-            messages += exchanges[p]
+            messages = MessageTable(routes, ends, sent[p])
             recovered = split(recover_secret(run_registers), layout)
             if scenario.eve.active:
                 record.final_states = residual[p * m : (p + 1) * m]
+        else:
+            messages = MessageTable(*opening, opened[t])
 
         transcript = Transcript(
             layout=layout,

@@ -540,8 +540,8 @@ EVE_DOCS = st.fixed_dictionaries(
 OPTIONAL_KEYS = {
     "d": st.sampled_from([0, 1, 3, 8, -1]),
     "eve": EVE_DOCS,
-    "noise_p": st.sampled_from([0.0, 0.05, 0.5, 1.0, 1.5, float("nan")]),
-    "threshold_fraction": st.sampled_from([0.125, 0.5, 0.9, 0.0, 1.0]),
+    "noise_p": st.sampled_from([0.0, 0.05, 0.5, 1.0, 1.5, float("nan"), 10**400]),
+    "threshold_fraction": st.sampled_from([0.125, 0.5, 0.9, 0.0, 1.0, 10**400]),
     "seed": st.integers(-3, 10**6) | st.just(2**70),
     "trials": st.sampled_from([1, 2, 3, 0, -1]),
 }

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
-from ghzcast.bitvec import BitVector, concat_secrets, split, xor_all
+from ghzcast.bitvec import BitVector, bit_vectors, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
-from ghzcast.messages import MessageTable
+from ghzcast.messages import MessageTable, Route
 from ghzcast.protocol import (
     ALL_AGENTS,
     BROKER,
@@ -19,7 +19,6 @@ from ghzcast.protocol import (
     STAGE_PREAMBLE,
     STAGE_RECOVERY,
     STAGE_VALIDATION,
-    ClassicalMessage,
     Scenario,
     ValidationReport,
     check_transcript_secrecy,
@@ -130,38 +129,38 @@ class TestHonestRun:
 class TestMessages:
     def test_exchange_message_count(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        exchange = [m for m in transcript.messages if m.stage == STAGE_EXCHANGE]
+        exchange = [r for r in transcript.messages.routes if r.stage == STAGE_EXCHANGE]
         n = 3
         assert len(exchange) == (n - 1) + (n - 1) * (n - 2)
 
     def test_broker_sends_each_agent_their_segment(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        registers = transcript.registers
+        broker = transcript.registers.broker.bits()
         by_receiver = {
-            m.receiver: m.payload
-            for m in transcript.messages
-            if m.stage == STAGE_EXCHANGE and m.sender == BROKER
+            r.receiver: tuple(bits.tolist())
+            for r, bits in transcript.messages
+            if r.stage == STAGE_EXCHANGE and r.sender == BROKER
         }
-        assert str(by_receiver[0]) == str(registers.broker)[3:]
-        assert str(by_receiver[1]) == str(registers.broker)[:3]
+        assert by_receiver[0] == broker[:3]
+        assert by_receiver[1] == broker[3:]
 
     def test_cross_agent_segments(self, example_secrets):
         # agent 1 receives segment 1 of agent 0's register and vice versa
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        registers = transcript.registers
+        agents = transcript.registers.agents
         cross = {
-            (m.sender, m.receiver): m.payload
-            for m in transcript.messages
-            if m.stage == STAGE_EXCHANGE and m.sender != BROKER
+            (r.sender, r.receiver): tuple(bits.tolist())
+            for r, bits in transcript.messages
+            if r.stage == STAGE_EXCHANGE and r.sender != BROKER
         }
-        assert str(cross[(0, 1)]) == str(registers.agents[0])[:3]
-        assert str(cross[(1, 0)]) == str(registers.agents[1])[3:]
+        assert cross[(0, 1)] == agents[0].bits()[3:]
+        assert cross[(1, 0)] == agents[1].bits()[:3]
 
     def test_no_agent_to_broker_after_validation(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        for m in transcript.messages:
-            if m.stage in (STAGE_EMBEDDING, STAGE_DECRYPTION, STAGE_EXCHANGE, STAGE_RECOVERY):
-                assert m.receiver != BROKER
+        for r in transcript.messages.routes:
+            if r.stage in (STAGE_EMBEDDING, STAGE_DECRYPTION, STAGE_EXCHANGE, STAGE_RECOVERY):
+                assert r.receiver != BROKER
 
     def test_validation_reports_flow_to_broker(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
@@ -170,47 +169,45 @@ class TestMessages:
         plan = build_plan(6, 6, 3, [protocol_rng], prepare_ghz(3))
         assert tuple(np.flatnonzero(plan.is_decoy).tolist()) == transcript.decoy_positions
         reports = [
-            m
-            for m in transcript.messages
-            if m.stage == STAGE_VALIDATION and m.receiver == BROKER
+            (r, bits)
+            for r, bits in transcript.messages
+            if r.stage == STAGE_VALIDATION and r.receiver == BROKER
         ]
         assert len(reports) == 2
-        assert all(m.label == "decoy_outcomes" for m in reports)
-        assert [m.sender for m in reports] == [0, 1]
+        assert all(r.label == "decoy_outcomes" for r, _ in reports)
+        assert [r.sender for r, _ in reports] == [0, 1]
         # agent i reports the column of its slot, decoy j as bit j
-        for m in reports:
-            wrong = transcript.validation.wrong[:, m.sender]
-            expected = plan.signs[:, m.sender]
-            assert m.payload.bits() == tuple((expected ^ wrong).tolist())
+        for r, bits in reports:
+            wrong = transcript.validation.wrong[:, r.sender]
+            expected = plan.signs[:, r.sender]
+            assert bits.tolist() == (expected ^ wrong).tolist()
 
     def test_pinned_run_sends_the_same_messages_in_the_same_order(self):
         # the preamble, the decoy positions, every agent's decoy outcomes,
         # then the broker's segments and every agent's, receiver by receiver
         secrets = tuple(BitVector.from_text(s) for s in ("10", "011", "1"))
         transcript = run_protocol(Scenario(n=4, secrets=secrets, d=3, noise_p=0.1, seed=21))
-        bits = BitVector.from_text
+        def bits(text):
+            return list(BitVector.from_text(text).bits())
+
         expected = [
-            ClassicalMessage(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths", (2, 3, 1)),
-            ClassicalMessage(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions", (0, 5, 8)),
-            ClassicalMessage(STAGE_VALIDATION, 0, BROKER, "decoy_outcomes", bits("101")),
-            ClassicalMessage(STAGE_VALIDATION, 1, BROKER, "decoy_outcomes", bits("111")),
-            ClassicalMessage(STAGE_VALIDATION, 2, BROKER, "decoy_outcomes", bits("000")),
-            ClassicalMessage(STAGE_EXCHANGE, BROKER, 0, "broker_segment", bits("00"), 0),
-            ClassicalMessage(STAGE_EXCHANGE, BROKER, 1, "broker_segment", bits("100"), 1),
-            ClassicalMessage(STAGE_EXCHANGE, BROKER, 2, "broker_segment", bits("1"), 2),
-            ClassicalMessage(STAGE_EXCHANGE, 0, 1, "register_segment", bits("100"), 1),
-            ClassicalMessage(STAGE_EXCHANGE, 0, 2, "register_segment", bits("0"), 2),
-            ClassicalMessage(STAGE_EXCHANGE, 1, 0, "register_segment", bits("11"), 0),
-            ClassicalMessage(STAGE_EXCHANGE, 1, 2, "register_segment", bits("0"), 2),
-            ClassicalMessage(STAGE_EXCHANGE, 2, 0, "register_segment", bits("00"), 0),
-            ClassicalMessage(STAGE_EXCHANGE, 2, 1, "register_segment", bits("010"), 1),
+            (Route(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths"), [2, 3, 1]),
+            (Route(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions"), [0, 5, 8]),
+            (Route(STAGE_VALIDATION, 0, BROKER, "decoy_outcomes"), bits("101")),
+            (Route(STAGE_VALIDATION, 1, BROKER, "decoy_outcomes"), bits("111")),
+            (Route(STAGE_VALIDATION, 2, BROKER, "decoy_outcomes"), bits("000")),
+            (Route(STAGE_EXCHANGE, BROKER, 0, "broker_segment", 0), bits("00")),
+            (Route(STAGE_EXCHANGE, BROKER, 1, "broker_segment", 1), bits("100")),
+            (Route(STAGE_EXCHANGE, BROKER, 2, "broker_segment", 2), bits("1")),
+            (Route(STAGE_EXCHANGE, 0, 1, "register_segment", 1), bits("100")),
+            (Route(STAGE_EXCHANGE, 0, 2, "register_segment", 2), bits("0")),
+            (Route(STAGE_EXCHANGE, 1, 0, "register_segment", 0), bits("11")),
+            (Route(STAGE_EXCHANGE, 1, 2, "register_segment", 2), bits("0")),
+            (Route(STAGE_EXCHANGE, 2, 0, "register_segment", 0), bits("00")),
+            (Route(STAGE_EXCHANGE, 2, 1, "register_segment", 1), bits("010")),
         ]
         assert not transcript.aborted
-        assert list(transcript.messages) == expected
-        assert [transcript.messages[i] for i in (0, 4, -1)] == [expected[i] for i in (0, 4, -1)]
-        # the columns are those of the same messages written as a table
-        assert transcript.messages == MessageTable.of(expected)
-        assert transcript.messages == MessageTable.of(expected[:5]) + expected[5:]
+        assert [(r, entries.tolist()) for r, entries in transcript.messages] == expected
 
     def test_stacked_transcripts_are_read_only(self, example_secrets):
         # the runs of a stack share their payload ends and slice one register
@@ -218,22 +215,28 @@ class TestMessages:
         stack = next(run_trials(Scenario(n=3, secrets=example_secrets), [12, 13]))
         first, second = (outcome.transcript for outcome in stack)
         assert not first.aborted and not second.aborted
-        before = list(second.messages), second.registers
+        def read(transcript):
+            return [(r, bits.tolist()) for r, bits in transcript.messages], transcript.registers
+
+        before = read(second)
         for array in (first.messages.ends, first.messages.payload, first.register_bits):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] ^= 1
-        assert (list(second.messages), second.registers) == before
+        assert read(second) == before
 
     def test_broadcasts_carry_typed_payloads(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         broadcasts = {
-            m.label: m.payload for m in transcript.messages if m.receiver == ALL_AGENTS
+            r.label: tuple(entries.tolist())
+            for r, entries in transcript.messages
+            if r.receiver == ALL_AGENTS
         }
         assert broadcasts == {
             "segment_lengths": (3, 3),
             "decoy_positions": transcript.decoy_positions,
         }
-        assert all(m.sender == BROKER for m in transcript.messages if m.receiver == ALL_AGENTS)
+        routes = transcript.messages.routes
+        assert all(r.sender == BROKER for r in routes if r.receiver == ALL_AGENTS)
 
 
 class TestAbort:
@@ -253,7 +256,8 @@ class TestAbort:
         transcript = run_protocol(
             Scenario(n=3, secrets=example_secrets, d=200, eve=eve, seed=4)
         )
-        assert all(m.stage in (STAGE_PREAMBLE, STAGE_VALIDATION) for m in transcript.messages)
+        routes = transcript.messages.routes
+        assert all(r.stage in (STAGE_PREAMBLE, STAGE_VALIDATION) for r in routes)
 
     def test_threshold_boundary(self, example_secrets):
         # 12 checks at fraction 1/8 aborts from 1.5, so from the 2nd error on
@@ -335,16 +339,27 @@ class TestRecoverSecret:
             layout, registers = transcript.layout, transcript.registers
             for t in range(n - 1):
                 incoming = [
-                    m
-                    for m in transcript.messages
-                    if m.stage == STAGE_EXCHANGE and m.receiver == t
+                    (r, bits)
+                    for r, bits in transcript.messages
+                    if r.stage == STAGE_EXCHANGE and r.receiver == t
                 ]
                 senders = [BROKER, *(p for p in range(n - 1) if p != t)]
-                assert sorted(m.sender for m in incoming) == senders
-                assert all(m.segment_index == t for m in incoming)
+                assert sorted(r.sender for r, _ in incoming) == senders
+                assert all(r.segment_index == t for r, _ in incoming)
                 withheld = split(registers.agents[t], layout)[t]
-                held = xor_all([withheld, *(m.payload for m in incoming)])
+                held = xor_all([withheld, *bit_vectors(np.array([b for _, b in incoming]))])
                 assert transcript.recovered[t] == held == secrets[t]
+
+
+def with_row(transcript, route, entries):
+    """The transcript with one more message, route and payload entries, at the end."""
+    table = transcript.messages
+    messages = MessageTable(
+        table.routes + (route,),
+        np.append(table.ends, table.ends[-1] + len(entries)),
+        np.append(table.payload, entries),
+    )
+    return replace(transcript, messages=messages)
 
 
 class TestSecrecyChecker:
@@ -354,30 +369,28 @@ class TestSecrecyChecker:
 
     def test_flags_agent_to_broker_leak(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        bad = ClassicalMessage(
+        bad = Route(
             stage=STAGE_EXCHANGE,
             sender=0,
             receiver=BROKER,
             label="register_segment",
-            payload=BitVector.zeros(3),
             segment_index=1,
         )
-        tampered = replace(transcript, messages=transcript.messages + (bad,))
+        tampered = with_row(transcript, bad, [0, 0, 0])
         violations = check_transcript_secrecy(tampered)
         assert len(violations) == 1
         assert "broker" in violations[0]
 
     def test_flags_own_segment_transmission(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        bad = ClassicalMessage(
+        bad = Route(
             stage=STAGE_EXCHANGE,
             sender=1,
             receiver=0,
             label="register_segment",
-            payload=BitVector.zeros(3),
             segment_index=1,
         )
-        tampered = replace(transcript, messages=transcript.messages + (bad,))
+        tampered = with_row(transcript, bad, [0, 0, 0])
         violations = check_transcript_secrecy(tampered)
         assert len(violations) == 1
         assert "own segment" in violations[0]
