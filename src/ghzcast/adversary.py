@@ -3,7 +3,8 @@
 Eve sits on the broker-to-agent channels and processes every tuple in transit
 the same way, because nothing in the stream marks which tuples are decoys.
 The attack interface enforces that: attack_tuple sees only the in-flight
-stream batch, never the tuple kinds or the broker's decoy records.
+stream, its distinct states and the index of each tuple's, never the tuple
+kinds or the broker's decoy records.
 
 Three attacks are modeled:
 
@@ -135,10 +136,11 @@ class EveRecord:
     targets lists the attacked agent slots, one column each. hadamard and
     outcomes hold her in-transit measurements, one row per tuple: which
     qubits she measured in the Hadamard basis, and what she read. For a run
-    that got through decryption, final_states holds what is left of
-    information tuple j in row j: the qubits Eve kept, qubit n + i of the
-    tuple as qubit i of the row; eve_postprocess measures kept ancillas there
-    in one call.
+    that got through decryption, final_states and final_index hold what is
+    left of its information tuples, in the stream's form: information tuple
+    j is in final_states[final_index[j]], the qubits Eve kept, qubit n + i
+    of the tuple as qubit i of the row. eve_postprocess measures kept
+    ancillas there in one call.
     """
 
     strategy: EveStrategy
@@ -146,6 +148,7 @@ class EveRecord:
     hadamard: np.ndarray | None = None
     outcomes: np.ndarray | None = None
     final_states: np.ndarray | None = None
+    final_index: np.ndarray | None = None
 
     def run_record(self, t: int, rows: int) -> "EveRecord":
         """Record of run t, when this one covers a stack of runs of rows tuples each."""
@@ -159,49 +162,61 @@ class EveRecord:
 
 def attack_tuple(
     strategy: EveStrategy,
-    batch: np.ndarray,
+    states: np.ndarray,
+    index: np.ndarray,
     rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, EveRecord]:
-    """Apply the attack to every tuple of the in-flight (T, 2**n) stream batch.
+) -> tuple[np.ndarray, np.ndarray, EveRecord]:
+    """Apply the attack to every tuple of the in-flight stream.
 
-    The returned batch keeps the protocol slots on qubits 0..n-1; any qubits
-    Eve retains are appended above them. Positions and kinds of tuples are
-    deliberately absent from this interface: every row gets the same
-    treatment. The batch stacks the streams of one or more runs and comes
-    with one generator per run; each run's rows draw from their own
-    generator, and the record covers the whole stack.
+    The stream is its distinct (U, 2**n) states and the index of each
+    tuple's (see statevec.sample_rows); returns the attacked stream in the
+    same form, and the record. The attacked states keep the protocol slots
+    on qubits 0..n-1; any qubits Eve retains are appended above them.
+    Positions and kinds of tuples are deliberately absent from this
+    interface: every tuple gets the same treatment. The stream stacks the
+    streams of one or more runs and comes with one generator per run; each
+    run's tuples draw from their own generator, and the record covers the
+    whole stack.
     """
     if not strategy.active:
         raise ValueError("attack_tuple called with the inactive strategy")
-    n = width(batch)
+    n = width(states)
     targets = strategy.resolved_targets(n)
     k = len(targets)
     record = EveRecord(strategy=strategy, targets=targets)
 
     if strategy.tag == MEASURE_RESEND:
-        rows = batch.shape[0]
-        per_run = rows // len(rngs)
+        tuples = index.size
+        per_run = tuples // len(rngs)
         if strategy.basis_policy == ALWAYS_COMPUTATIONAL:
-            record.hadamard = np.zeros((rows, k), dtype=bool)
+            record.hadamard = np.zeros((tuples, k), dtype=bool)
             u = np.concatenate([r.random(per_run) for r in rngs])
         else:
             draws = [_coins_then_uniform(r, per_run, k) for r in rngs]
             record.hadamard = np.concatenate([c for c, _ in draws])
             u = np.concatenate([x for _, x in draws])
-        record.outcomes, batch = measure_rows(batch, targets, record.hadamard, u)
-        return batch, record
+        # her bases differ between tuples: measure each distinct pair of a
+        # state and a mask once, so her outputs are keyed by the state, the
+        # mask and her outcome
+        masks = record.hadamard @ (1 << np.arange(k))
+        pairs, pair_index = np.unique((index << k) + masks, return_inverse=True)
+        hadamard = (pairs[:, None] >> np.arange(k)) & 1 == 1
+        record.outcomes, states, index = measure_rows(
+            states[pairs >> k], pair_index, targets, hadamard, u
+        )
+        return states, index, record
 
     if strategy.tag == INTERCEPT_REPLACE:
-        joint = append_rows(batch, prepare_ghz(n))
+        joint = append_rows(states, prepare_ghz(n))
         for j, slot in enumerate(targets):
             joint = swap_rows(joint, slot, n + j)
-        return joint, record
+        return joint, index, record
 
     if strategy.tag == ENTANGLE_ANCILLA:
-        joint = append_rows(batch, prepare_basis(BitVector.zeros(k)))
+        joint = append_rows(states, prepare_basis(BitVector.zeros(k)))
         for j, slot in enumerate(targets):
             joint = cnot_rows(joint, slot, n + j)
-        return joint, record
+        return joint, index, record
 
     raise AssertionError("unreachable")
 
@@ -280,7 +295,9 @@ def eve_postprocess(
         # parity of all Hadamard outcomes, hers included, equals the payload
         # bit; the known fold still lacks the owner's withheld register bit
         k = len(record.targets)
-        bits, _ = sample_rows(record.final_states, range(k), True, rng.random(m))
+        bits, _, _ = sample_rows(
+            record.final_states, record.final_index, range(k), True, rng.random(m)
+        )
         leaked = np.ones(m, dtype=bool)
         eve_bits = bits.sum(axis=1) & 1
     else:

@@ -74,9 +74,15 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def __eq__(self, other: object) -> bool:
+        """Same shape and the same probability for every key, in any key order."""
         if not isinstance(other, OutcomeDistribution):
             return NotImplemented
-        return (self.n, self.m, self.entries) == (other.n, other.m, other.entries)
+        if (self.n, self.m) != (other.n, other.m):
+            return False
+        mine, theirs = np.argsort(self.keys), np.argsort(other.keys)
+        return np.array_equal(self.keys[mine], other.keys[theirs]) and np.array_equal(
+            self.probs[mine], other.probs[theirs]
+        )
 
     @cached_property
     def entries(self) -> dict[int, float]:
@@ -87,7 +93,7 @@ class OutcomeDistribution:
         return np.sort(self.keys).tolist()
 
     def probability(self, key: int) -> float:
-        return self.entries.get(key, 0.0)
+        return float(self.probabilities(np.array([key]))[0])
 
     def probabilities(self, keys: np.ndarray) -> np.ndarray:
         """Probabilities of the given keys, 0.0 off the support."""

@@ -6,12 +6,14 @@ random, keeps qubit n-1 of every tuple and sends qubit i of every tuple to
 agent i. Decoy positions and preparations are recorded so the validation
 stage can compare reported outcomes against them.
 
-The stream is one (m + d, 2**n) batch with one tuple per row in transmission
-order. Tuples are never entangled with each other, so rows stay separate
-states rather than one joint register, which keeps memory linear in the
-stream length; the joint picture is recovered exactly by the analysis
-oracles. A plan stacks the streams of one or more independent runs, one
-generator each, into one (trials * (m + d), 2**n) batch, run after run.
+Tuples are never entangled with each other, so they stay separate states
+rather than one joint register; the joint picture is recovered exactly by the
+analysis oracles. A stream holds few distinct states: every information tuple
+is the GHZ row, and a decoy is one of 2**n sign patterns. So the stream is
+kept as its distinct states, a (U, 2**n) batch, plus one index per tuple in
+transmission order naming its row. A plan stacks the streams of one or more
+independent runs, one generator each, run after run; the runs share the
+distinct states, and the index covers trials * (m + d) tuples.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ __all__ = ["DistributionPlan", "build_plan", "prepare_ghz"]
 class DistributionPlan:
     """Stream of m information tuples and d decoys in transmission order.
 
-    states holds the prepared tuples, one row per stream position, and
-    is_decoy marks the decoy rows; the j-th information row of a run
-    carries payload bit j. signs is the broker's private record of the
-    decoy preparations: row i holds the signs (0 plus, 1 minus) of the i-th
-    decoy in stream order. A plan stacks the streams of its runs one after
-    another, so every field counts over the whole stack and run t owns rows
+    states holds the distinct prepared tuples: row 0 the GHZ row, then the
+    decoy sign patterns the stack holds, each once. index names the row of
+    every stream position, and is_decoy marks the decoy positions; the
+    j-th information tuple of a run carries payload bit j. signs is the
+    broker's private record of the decoy preparations: row i holds the
+    signs (0 plus, 1 minus) of the i-th decoy in stream order. A plan
+    stacks the streams of its runs one after another, so every per-position
+    field counts over the whole stack and run t owns positions
     t*(m+d) .. (t+1)*(m+d)-1.
     """
 
@@ -45,6 +49,7 @@ class DistributionPlan:
     is_decoy: np.ndarray
     signs: np.ndarray
     states: np.ndarray
+    index: np.ndarray
 
     @property
     def trials(self) -> int:
@@ -79,7 +84,11 @@ def build_plan(
     is_decoy = np.concatenate(is_decoy)
     signs = np.concatenate(signs)
 
-    states = np.empty((is_decoy.size, 1 << n))
-    states[~is_decoy] = ghz
-    states[is_decoy] = hadamard_product_rows(signs)
-    return DistributionPlan(n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states)
+    # the sign patterns the decoys use, each once, as packed minus masks
+    patterns, pattern = np.unique(signs @ (1 << np.arange(n)), return_inverse=True)
+    states = np.concatenate((ghz, hadamard_product_rows((patterns[:, None] >> np.arange(n)) & 1)))
+    index = np.zeros(is_decoy.size, dtype=np.intp)
+    index[is_decoy] = 1 + pattern
+    return DistributionPlan(
+        n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states, index=index
+    )

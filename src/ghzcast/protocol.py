@@ -21,14 +21,20 @@ ints, so nothing parses it and only the CLI renders text. The registers
 are one bit array per run, read as bit vectors only on request.
 
 run_trials simulates many runs of one scenario, each from its own seed, by
-stacking their tuple streams into one batch: every stage makes one kernel
-call per stack, and each run still draws from its own generators in the
-order a lone run would, so a stacked run is the run execute_run makes at the
-same seed. The classical layer works per stack too: the decoy reports, the
-registers and the exchanged segments of all runs are arrays, which each
-run's transcript slices. Measured decoy tuples are not kept, and decryption
-keeps of each information tuple only the qubits an adversary holds, the
-part her late measurement needs.
+stacking their tuple streams: every stage makes one kernel call per stack,
+and each run still draws from its own generators in the order a lone run
+would, so a stacked run is the run execute_run makes at the same seed. A
+stack's stream is its few distinct tuple states plus the index of each
+tuple's (see distribution), so every stage simulates each distinct state
+once however many runs share it: the GHZ row, or after embedding it and its
+phase-flipped twin, and the decoy sign patterns. A stack is bounded by what
+it allocates, its distinct amplitudes plus its per-run arrays (see
+Scenario.stack_entries), so a stack of honest runs holds tens of them. The
+classical layer works per stack too: the decoy reports, the registers and
+the exchanged segments of all runs are arrays, which each run's transcript
+slices. Measured decoy tuples are not kept, and decryption keeps of each
+information tuple only the qubits an adversary holds, the part her late
+measurement needs.
 """
 
 from __future__ import annotations
@@ -39,7 +45,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adversary import EveRecord, EveStrategy, attack_tuple, eve_postprocess
+from .adversary import (
+    MEASURE_RESEND,
+    RANDOM_BASIS,
+    EveRecord,
+    EveStrategy,
+    attack_tuple,
+    eve_postprocess,
+)
 from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split
 from . import distribution
 from .distribution import DistributionPlan, build_plan
@@ -67,6 +80,7 @@ __all__ = [
     "embed_secret",
     "decrypt_and_measure",
     "run_validation",
+    "exchange_routes",
     "classical_exchange",
     "recover_secret",
     "run_trials",
@@ -75,14 +89,15 @@ __all__ = [
     "check_transcript_secrecy",
 ]
 
-# A run's whole tuple stream is one batch of amplitudes; scenarios whose
-# stream would need more than this many are refused (2**25 float64
-# amplitudes are 256 MiB).
+# Scenarios whose whole tuple stream, one state per tuple, would need more
+# than this many amplitudes are refused (2**25 float64 amplitudes are
+# 256 MiB).
 MAX_STREAM_AMPLITUDES = 1 << 25
-# run_trials simulates as many runs together as fit in this many amplitudes,
-# at least one: enough rows to spread per-call overhead, few enough that the
-# stack and the temporaries of a measurement stay in cache.
-STACK_AMPLITUDES = 1 << 15
+# run_trials simulates as many runs together as keep Scenario.stack_entries
+# within this many array entries (2 MiB of float64), at least one: enough
+# tuples to spread per-call overhead over tens of runs, few enough that a
+# stack and the temporaries of a measurement stay small for any trial count.
+STACK_ENTRIES = 1 << 18
 
 ABORTED_STAGES = (STAGE_PREAMBLE, STAGE_DISTRIBUTION, STAGE_VALIDATION)
 POST_VALIDATION_STAGES = (STAGE_EMBEDDING, STAGE_DECRYPTION, STAGE_EXCHANGE, STAGE_RECOVERY)
@@ -148,9 +163,57 @@ class Scenario:
         return self.n + self.eve.extra_qubits(self.n)
 
     @property
+    def stream_length(self) -> int:
+        """Tuples of one run's stream."""
+        return self.payload_length + self.resolved_d
+
+    @property
     def stream_amplitudes(self) -> int:
-        """Amplitudes of one run's whole tuple stream."""
-        return (self.payload_length + self.resolved_d) << self.tuple_qubits
+        """Amplitudes of one run's whole tuple stream, one state per tuple."""
+        return self.stream_length << self.tuple_qubits
+
+    @property
+    def distinct_states(self) -> int:
+        """Most distinct tuple states one stage of a stack holds, for any run count.
+
+        Information tuples share the GHZ row, after embedding it and its
+        phase-flipped twin, and a decoy is one of 2**n sign patterns.
+        Measure-resend splits a state once per mask of Eve's bases and
+        outcome of hers; the other attacks map states one to one.
+        """
+        branches = 1
+        if self.eve.tag == MEASURE_RESEND:
+            masks = 1 << self.eve.k if self.eve.basis_policy == RANDOM_BASIS else 1
+            branches = masks << self.eve.k
+        return (1 + (1 << self.n)) * branches
+
+    @property
+    def run_entries(self) -> int:
+        """Array entries a run adds to a stack besides the distinct states.
+
+        Per tuple: its index, draws, bits and reports, a few entries per
+        qubit, and the residual of the qubits Eve keeps. Per run: its two
+        generators and its transcript's objects, about 4 KiB.
+        """
+        per_tuple = 4 * self.tuple_qubits + (1 << (self.tuple_qubits - self.n))
+        return self.stream_length * per_tuple + 512
+
+    def stack_entries(self, runs: int) -> int:
+        """Array entries a stack of runs allocates: its distinct amplitudes
+        plus what each run adds. A stage holds at most distinct_states
+        states, and never more than one per tuple."""
+        distinct = min(runs * self.stream_length, self.distinct_states)
+        return (distinct << self.tuple_qubits) + runs * self.run_entries
+
+    def stack_runs(self, entries: int) -> int:
+        """The most runs whose stack_entries fit in entries, and at least one.
+
+        A stack fits if it would fit with one state per tuple (dense) or
+        with every distinct state the scenario can reach (shared).
+        """
+        dense = entries // (self.run_entries + self.stream_amplitudes)
+        shared = (entries - (self.distinct_states << self.tuple_qubits)) // self.run_entries
+        return max(1, dense, shared)
 
 
 @dataclass(eq=False)
@@ -257,46 +320,54 @@ class RunOutcome:
         return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
 
 
-def embed_secret(batch: np.ndarray, payload: BitVector, n: int) -> np.ndarray:
-    """Embed payload bit j into information tuple j, row j of the batch.
+def embed_secret(
+    states: np.ndarray, index: np.ndarray, payload: BitVector, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed payload bit j into information tuple j of the stream (states, index).
 
-    A batch may hold the information tuples of several runs, run after run,
-    and every run gets the same payload. The broker's output qubit stays in
-    the minus state while each of her tuple qubits controls a CNOT onto it,
-    which kicks a phase of -1 onto the branch where tuple qubit j is 1
-    whenever payload bit j is 1. The oracle module keeps an
+    The stream may hold the information tuples of several runs, run after
+    run, and every run gets the same payload. The broker's output qubit
+    stays in the minus state while each of her tuple qubits controls a CNOT
+    onto it, which kicks a phase of -1 onto the branch where tuple qubit j
+    is 1 whenever payload bit j is 1. Returns the embedded stream in the
+    same form, with each distinct state and its phase-flipped twin made
+    once, as the tuples need them. The oracle module keeps an
     explicit-output-qubit variant for cross-checking.
     """
-    runs, rest = divmod(batch.shape[0], payload.length)
+    runs, rest = divmod(index.size, payload.length)
     if rest:
-        raise ValueError(f"need a multiple of {payload.length} tuples, got {batch.shape[0]}")
-    flips = np.tile(np.array(payload.bits(), dtype=bool), runs)
-    out = batch.copy()
-    out[flips] = phase_flip_rows(batch[flips], n - 1)
-    return out
+        raise ValueError(f"need a multiple of {payload.length} tuples, got {index.size}")
+    flips = np.tile(np.array(payload.bits(), dtype=np.intp), runs)
+    pairs, index = np.unique(2 * index + flips, return_inverse=True)
+    out = states[pairs >> 1]
+    flipped = (pairs & 1) == 1
+    out[flipped] = phase_flip_rows(out[flipped], n - 1)
+    return out, index
 
 
 def decrypt_and_measure(
-    batch: np.ndarray, n: int, rngs: Sequence[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
+    states: np.ndarray, index: np.ndarray, n: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hadamard every protocol qubit of every tuple and measure.
 
-    The batch holds the embedded information tuples of one run per
-    generator, run after run. Returns the registers as a (runs, n, m) bit
-    array, party p's register of run t in row [t, p] with the broker's
-    last, and the residual of every tuple: the qubits above n, which only
-    an adversary holds, or one amplitude per tuple when there are none.
+    The stream (states, index) holds the embedded information tuples of one
+    run per generator, run after run. Returns the registers as a
+    (runs, n, m) bit array, party p's register of run t in row [t, p] with
+    the broker's last, and the residual of every tuple as distinct states
+    and an index (see statevec.sample_rows): the qubits above n, which only
+    an adversary holds, or one amplitude per state when there are none.
     """
     runs = len(rngs)
-    per_run = batch.shape[0] // runs
+    per_run = index.size // runs
     u = np.concatenate([r.random(per_run) for r in rngs])
-    bits, residual = sample_rows(batch, range(n), True, u)
-    return bits.reshape(runs, per_run, n).transpose(0, 2, 1), residual
+    bits, residual, residual_index = sample_rows(states, index, range(n), True, u)
+    return bits.reshape(runs, per_run, n).transpose(0, 2, 1), residual, residual_index
 
 
 def run_validation(
     plan: DistributionPlan,
-    batch: np.ndarray,
+    states: np.ndarray,
+    index: np.ndarray,
     noise_p: float,
     threshold_fraction: float,
     rngs: Sequence[np.random.Generator],
@@ -306,17 +377,17 @@ def run_validation(
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The plan and batch stack one or more runs, one generator
-    each; returns the comparison of the stack and every run's reports as a
-    (runs, n - 1, d) bit array, agent i's outcome of the j-th decoy in
-    [t, i, j]. Decoy tuples are never read again, so their post-measurement
-    states are not kept.
+    independently. The plan and the stream (states, index) in flight stack
+    one or more runs, one generator each; returns the comparison of the
+    stack and every run's reports as a (runs, n - 1, d) bit array, agent
+    i's outcome of the j-th decoy in [t, i, j]. Decoy tuples are never read
+    again, so their post-measurement states are not kept.
     """
     n, d, runs = plan.n, plan.d, plan.trials
     # per decoy in stream order: the measurement's sample draw, then one
     # noise draw per agent slot
     draws = np.concatenate([r.random((d, n)) for r in rngs])
-    bits, _ = sample_rows(batch[plan.is_decoy], range(n - 1), True, draws[:, 0])
+    bits, _, _ = sample_rows(states, index[plan.is_decoy], range(n - 1), True, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     report = ValidationReport(
@@ -326,20 +397,17 @@ def run_validation(
     return report, reported.transpose(0, 2, 1)
 
 
-def classical_exchange(
-    registers: np.ndarray, layout: SegmentLayout
-) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
-    """Send every register segment to the agent it belongs to, in every run.
+def exchange_routes(layout: SegmentLayout) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
+    """The messages of the closing exchange, the same in every run that sends it.
 
     The broker sends agent t her segment t; every agent i sends agent t the
-    segment t of their own register, for t != i, and keeps segment i private.
-    Nothing flows towards the broker. Takes the (runs, n, m) registers of
-    one or more runs (see decrypt_and_measure). Every run routes the same
-    messages, the broker's first, then agent 0's and up; returns their
-    routes, their payload ends as in a MessageTable, and a (runs, bits)
-    array with every run's payload entries in one row.
+    segment t of their own register, for t != i, and keeps segment i
+    private. Nothing flows towards the broker. The broker's messages come
+    first, then agent 0's and up. Returns their routes, their payload ends
+    as in a MessageTable, and where each payload entry sits in a run's
+    flattened (n, m) registers.
     """
-    n = registers.shape[1]
+    n = layout.segments + 1
     # every (sender, receiver) pair but an agent's to itself, the broker's first
     senders = [BROKER, *range(n - 1)]
     routes = tuple(
@@ -349,10 +417,24 @@ def classical_exchange(
         if i != t
     )
     ends = np.cumsum([layout.lengths[r.receiver] for r in routes])
-    # in row order, every sender's register but the segment it owns
+    # in sending order, every sender's register but the segment it owns
     owner = np.repeat(np.arange(n - 1), layout.lengths)
-    payload = registers[:, [n - 1, *range(n - 1)]][:, owner != np.array(senders)[:, None]]
-    return routes, ends, payload
+    rows = np.array([n - 1, *range(n - 1)])[:, None] * layout.total + np.arange(layout.total)
+    return routes, ends, rows[owner != np.array(senders)[:, None]]
+
+
+def classical_exchange(
+    registers: np.ndarray, exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray]
+) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
+    """Send every register segment to the agent it belongs to, in every run.
+
+    Takes the (runs, n, m) registers of one or more runs (see
+    decrypt_and_measure) and the exchange_routes of their layout, built
+    once per scenario. Returns the routes, their payload ends and a
+    (runs, bits) array with every run's payload entries in one row.
+    """
+    routes, ends, entries = exchange
+    return routes, ends, registers.reshape(registers.shape[0], -1)[:, entries]
 
 
 def recover_secret(registers: np.ndarray) -> BitVector:
@@ -369,21 +451,22 @@ def recover_secret(registers: np.ndarray) -> BitVector:
 def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOutcome]]:
     """Run the scenario once per seed, simulating several runs as one stack.
 
-    A stack holds as many runs as fit in STACK_AMPLITUDES amplitudes, and at
-    least one; seeds is read one stack at a time, so it may be a lazy
-    stream of any length. Yields the outcomes of each stack in seed order.
-    Every run draws only from the two generators spawned from its own seed,
-    in the order a lone run draws, so it matches execute_run at that seed.
-    A lone run is a stack of one. Validation reports on the whole stack,
-    and each run's verdict is read from its own slice of that report.
+    A stack holds as many runs as keep its stack_entries within
+    STACK_ENTRIES, and at least one; seeds is read one stack at a time, so
+    it may be a lazy stream of any length. Yields the outcomes of each stack
+    in seed order. Every run draws only from the two generators spawned
+    from its own seed, in the order a lone run draws, so it matches
+    execute_run at that seed. A lone run is a stack of one. Validation
+    reports on the whole stack, and each run's verdict is read from its own
+    slice of that report.
     """
-    size = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
+    size = scenario.stack_runs(STACK_ENTRIES)
     payload, layout = concat_secrets(scenario.secrets)
     n, d = scenario.n, scenario.resolved_d
     # the same in every stack: the GHZ row, looked up in distribution at
-    # call time like build_plan, and the routes and payload ends of what
-    # every run sends up to its verdict, the segment lengths, the decoy
-    # positions and every agent's decoy outcomes
+    # call time like build_plan; the routes and payload ends of what every
+    # run sends up to its verdict, the segment lengths, the decoy positions
+    # and every agent's decoy outcomes; and the exchange a passing run sends
     ghz = distribution.prepare_ghz(n)
     opening = (
         (
@@ -393,9 +476,10 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOut
         ),
         np.cumsum([n - 1, *[d] * n]),
     )
+    exchange = exchange_routes(layout)
     seeds = iter(seeds)
     while stack := list(islice(seeds, size)):
-        yield _run_stack(scenario, stack, payload, layout, ghz, opening)
+        yield _run_stack(scenario, stack, payload, layout, ghz, opening, exchange)
 
 
 def _run_stack(
@@ -405,6 +489,7 @@ def _run_stack(
     layout: SegmentLayout,
     ghz: np.ndarray,
     opening: tuple[tuple[Route, ...], np.ndarray],
+    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray],
 ) -> list[RunOutcome]:
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
@@ -413,15 +498,15 @@ def _run_stack(
     m, d = payload.length, scenario.resolved_d
 
     plan = build_plan(m, d, n, rngs, ghz)
-    batch = plan.states
+    states, index = plan.states, plan.index
     if scenario.eve.active:
-        batch, eve_record = attack_tuple(scenario.eve, batch, eve_rngs)
+        states, index, eve_record = attack_tuple(scenario.eve, states, index, eve_rngs)
     else:
         eve_record = EveRecord(strategy=scenario.eve)
-    check_rows(batch)
+    check_rows(states)
 
     validation, reported = run_validation(
-        plan, batch, scenario.noise_p, scenario.threshold_fraction, rngs
+        plan, states, index, scenario.noise_p, scenario.threshold_fraction, rngs
     )
     reports = [validation.run(t) for t in range(runs)]
     passed = np.array([not report.failed for report in reports])
@@ -433,14 +518,14 @@ def _run_stack(
     if passed.any():
         # the information tuples of the runs that passed, run after run
         info = (~plan.is_decoy).reshape(runs, m + d) & passed[:, None]
-        embedded = embed_secret(batch[info.ravel()], payload, n)
-        registers, residual = decrypt_and_measure(
-            embedded, n, [r for r, ok in zip(rngs, passed) if ok]
+        embedded, embedded_index = embed_secret(states, index[info.ravel()], payload, n)
+        registers, residual, residual_index = decrypt_and_measure(
+            embedded, embedded_index, n, [r for r, ok in zip(rngs, passed) if ok]
         )
         check_rows(residual)
         # every transcript that passed holds a view of this
         registers.flags.writeable = False
-        routes, ends, exchanged = classical_exchange(registers, layout)
+        routes, ends, exchanged = classical_exchange(registers, exchange)
         # a run that passed sends the opening, then the exchange: the same
         # routes and ends for every such run, and one row of payloads each
         sent = np.concatenate((opened[passed], exchanged), axis=1)
@@ -459,7 +544,8 @@ def _run_stack(
             messages = MessageTable(routes, ends, sent[p])
             recovered = split(recover_secret(run_registers), layout)
             if scenario.eve.active:
-                record.final_states = residual[p * m : (p + 1) * m]
+                record.final_states = residual
+                record.final_index = residual_index[p * m : (p + 1) * m]
         else:
             messages = MessageTable(*opening, opened[t])
 

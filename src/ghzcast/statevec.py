@@ -2,34 +2,43 @@
 
 Conventions used throughout the package:
 
-- A state over k qubits is a row of 2**k real amplitudes. T states of
-  the same width form one (T, 2**k) float64 batch, one state per row;
-  the protocol simulates a whole tuple stream, or the streams of several
-  runs stacked, as one batch, and a single state is a batch of one row.
-  Amplitudes stay real because the preparations are real and so are CNOT,
-  H, Z, swaps and computational or Hadamard measurements; check_rows and
-  the measuring kernels refuse a batch of any other dtype.
+- A state over k qubits is a row of 2**k real amplitudes. U states of
+  the same width form one (U, 2**k) float64 batch, one state per row, and
+  a single state is a batch of one row. Amplitudes stay real because the
+  preparations are real and so are CNOT, H, Z, swaps and computational or
+  Hadamard measurements; check_rows and the measuring kernels refuse a
+  batch of any other dtype.
+- A stream of T tuples, such as the tuple stream of a run or the streams
+  of several runs stacked, holds few distinct states, so it is given as
+  (states, index): its distinct states as a (U, 2**k) batch, and a (T,)
+  index naming the row of each tuple, tuple t being states[index[t]]. The
+  gate kernels act on the distinct states and leave the index as it is; a
+  dense batch of one state per tuple is the stream with index
+  np.arange(T).
 - Qubit j corresponds to bit j of the flat index, so qubit 0 is the least
   significant bit and basis label text (most significant first) matches
   BitVector text.
 - Every measurement is in the Hadamard or the computational basis, so a
   basis is one bit: the measuring kernels take a boolean hadamard mask,
-  one bool for all measured qubits, one per measured qubit, or a (T, k)
-  array for bases that differ between rows. A Hadamard-basis measurement
-  is simulated by rotating the qubit with H and measuring in the
-  computational basis; outcome 0 means the plus state and outcome 1 means
-  the minus state.
+  one bool for all measured qubits, one per measured qubit, or a (U, k)
+  array for bases that differ between distinct states. A Hadamard-basis
+  measurement is simulated by rotating the qubit with H and measuring in
+  the computational basis; outcome 0 means the plus state and outcome 1
+  means the minus state.
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
 check_rows between stages. There are no single-state gate wrappers:
 the preparations return one-row batches and distribution takes a batch.
-Measurement comes in two forms: sample_rows returns the outcome bits and
-the normalised residual state of the unmeasured qubits, which is all the
-protocol reads; measure_rows also rebuilds every whole collapsed row in the
-physical frame, for gates that act after the measurement. Both read the
+Measurement takes a stream and comes in two forms: sample_rows returns each
+tuple's outcome bits and the normalised residual state of the unmeasured
+qubits, which is all the protocol reads; measure_rows also rebuilds every
+whole collapsed state in the physical frame, for gates that act after the
+measurement. Both rotate, square and sum each distinct state once, read the
 amplitudes through one outcome-major view, an axis permutation that puts
-each outcome's amplitudes in one block (see sample_rows).
+each outcome's amplitudes in one block, and return their states in the
+stream form: one per distinct pair of a state and an outcome, with each
+tuple's index (see sample_rows).
 """
 
 from __future__ import annotations
@@ -187,79 +196,106 @@ def _rotate_cols(cols: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) 
 
 
 def sample_rows(
-    batch: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the same qubits of every row; returns (T, k) bits and the residual.
+    states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure the same qubits of every tuple of a stream; returns (T, k) bits and the residual.
 
-    hadamard masks the qubits measured in the Hadamard basis. u holds one
-    uniform draw in [0, 1) per row: the outcome is the first whose
-    cumulative marginal probability exceeds u times the row's total. The
-    residual is the normalised state each row leaves on its unmeasured
-    qubits, in ascending qubit order: a (T, 2**(q - k)) batch, one
-    amplitude per row when every qubit is measured. The measured qubits are
-    simply gone from it, so no measurement frame has to be undone.
+    The stream is given as its distinct states, a (U, 2**q) batch, and
+    index, which names the row of each of its T tuples: tuple t is in
+    states[index[t]]. Every distinct state is rotated, squared and summed
+    once, however many tuples share it; a dense batch is the stream with
+    index np.arange(T). hadamard masks the qubits measured in the Hadamard
+    basis, per distinct state. u holds one uniform draw in [0, 1) per
+    tuple: the outcome is the first whose cumulative marginal probability
+    exceeds u times the state's total. The residual is the normalised
+    state each tuple leaves on its unmeasured qubits, in ascending qubit
+    order, in the same form: (V, 2**(q - k)) distinct residuals, one per
+    distinct (state, outcome) pair the tuples reached, and the (T,) index
+    of each tuple's, one amplitude per residual when every qubit is
+    measured. The measured qubits are simply gone from it, so no
+    measurement frame has to be undone.
 
     The kernel reads the rotated columns through one outcome-major view of
-    shape (2**k, 2**(q - k), T): the measured qubits' axes are moved to the
+    shape (2**k, 2**(q - k), U): the measured qubits' axes are moved to the
     front, the highest bit of the outcome first, so axis 0 indexes the
     outcome (qubits[0] its lowest bit) and axis 1 the residual amplitude.
-    The marginal is then a sum over axis 1 and the residual of row t is
-    view[outcome, :, t]. That sum is a running sum, so each outcome's
+    The marginal is then a sum over axis 1 and the residual of a pair is
+    view[outcome, :, state]. That sum is a running sum, so each outcome's
     terms are added in ascending basis index whatever the batch size;
     np.sum and np.add.reduce add a lone row's terms pairwise, which can
     move the last bit of the marginal and so of the residual. The running
     sum adds the axis-1 slices one by one, in the order np.cumsum would.
+    Every step acts column by column, so a tuple gets the same bits and
+    residual as it would from a batch of its own.
     """
-    _check_real(batch)
+    _check_real(states)
     qubits = list(qubits)
-    num_qubits = width(batch)
-    rows, k = batch.shape[0], len(qubits)
+    num_qubits = width(states)
+    distinct, k = states.shape[0], len(qubits)
     if len(set(qubits)) != k:
         raise ValueError("measured qubits must be distinct")
     for q in qubits:
         _check_qubit(num_qubits, q)
-    cols = _rotate_cols(batch.T, qubits, _hadamard_mask(hadamard, rows, k))
+    index = np.asarray(index, dtype=np.intp)
+    cols = _rotate_cols(states.T, qubits, _hadamard_mask(hadamard, distinct, k))
 
     # axis i of the split columns holds qubit num_qubits - 1 - i
     measured = [num_qubits - 1 - q for q in reversed(qubits)]
-    split = cols.reshape((2,) * num_qubits + (rows,))
-    view = np.moveaxis(split, measured, range(k)).reshape(1 << k, 1 << (num_qubits - k), rows)
+    split = cols.reshape((2,) * num_qubits + (distinct,))
+    view = np.moveaxis(split, measured, range(k)).reshape(1 << k, 1 << (num_qubits - k), distinct)
     squares = view**2
     marginal = squares[:, 0]
     for i in range(1, squares.shape[1]):
         marginal += squares[:, i]
     cum = np.cumsum(marginal, axis=0)
-    r = np.asarray(u) * cum[-1]
-    picked = np.minimum(np.sum(cum <= r, axis=0), (1 << k) - 1)
+    # the outcome of tuple t counts the cumulative sums of its state that
+    # are <= r[t]. Complex numbers sort by real part, then imaginary part:
+    # with the state as the real part and the sum as the imaginary part,
+    # one sorted array holds every state's sums in turn, and one search
+    # counts them for every tuple, comparing the same floats.
+    sums = np.empty((distinct, 1 << k), dtype=np.complex128)
+    sums.real = np.arange(distinct)[:, None]
+    sums.imag = cum.T
+    draws = np.empty(index.size, dtype=np.complex128)
+    draws.real = index
+    draws.imag = np.asarray(u) * cum[-1, index]
+    counted = np.searchsorted(sums.ravel(), draws, side="right") - (index << k)
+    picked = np.minimum(counted, (1 << k) - 1)
     bits = (picked[:, None] >> np.arange(k)) & 1
 
-    row = np.arange(rows)
-    residual = view[picked, :, row]
-    residual /= np.sqrt(marginal[picked, row])[:, None]
-    return bits, residual
+    pairs, pair_index = np.unique((index << k) + picked, return_inverse=True)
+    state, outcome = pairs >> k, pairs & ((1 << k) - 1)
+    residual = view[outcome, :, state]
+    residual /= np.sqrt(marginal[outcome, state])[:, None]
+    return bits, residual, pair_index
 
 
 def measure_rows(
-    batch: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sample_rows, returning each row's whole collapsed state instead.
+    states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sample_rows, returning each tuple's whole collapsed state instead.
 
-    Collapsed rows are returned in the physical frame: a qubit measured in
-    the Hadamard basis is left in the plus or minus state, so later gates
-    act on what a receiver would hold.
+    The collapsed states come in the stream's form, one per distinct
+    (state, outcome) pair, with the index of each tuple's. They are in the
+    physical frame: a qubit measured in the Hadamard basis is left in the
+    plus or minus state, so later gates act on what a receiver would hold.
     """
     qubits = list(qubits)
-    bits, residual = sample_rows(batch, qubits, hadamard, u)
-    rows, k = bits.shape
-    num_qubits = width(batch)
+    bits, residual, pair_index = sample_rows(states, index, qubits, hadamard, u)
+    k, num_qubits, pairs = len(qubits), width(states), residual.shape[0]
+    # the state and outcome of every pair, from any tuple that reached it
+    state = np.empty(pairs, dtype=np.intp)
+    state[pair_index] = index
+    outcome = np.empty(pairs, dtype=np.intp)
+    outcome[pair_index] = bits @ (1 << np.arange(k))
     # scatter into sample_rows' outcome-major view, then move the axes back
-    kept = np.zeros((1 << k, batch.shape[1] >> k, rows))
-    kept[bits @ (1 << np.arange(k)), :, np.arange(rows)] = residual
+    kept = np.zeros((1 << k, states.shape[1] >> k, pairs))
+    kept[outcome, :, np.arange(pairs)] = residual
     measured = [num_qubits - 1 - q for q in reversed(qubits)]
-    split = np.moveaxis(kept.reshape((2,) * num_qubits + (rows,)), range(k), measured)
-    mask = _hadamard_mask(hadamard, rows, k)
-    frame = _rotate_cols(split.reshape(batch.T.shape), qubits, mask)
-    return bits, np.ascontiguousarray(frame.T)
+    split = np.moveaxis(kept.reshape((2,) * num_qubits + (pairs,)), range(k), measured)
+    mask = _hadamard_mask(hadamard, states.shape[0], k)[state]
+    frame = _rotate_cols(split.reshape(states.shape[1], pairs), qubits, mask)
+    return bits, np.ascontiguousarray(frame.T), pair_index
 
 
 def prepare_basis(labels: BitVector) -> np.ndarray:

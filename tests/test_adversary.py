@@ -52,18 +52,19 @@ class TestStrategyValidation:
 
     def test_inactive_attack_rejected(self, rng):
         with pytest.raises(ValueError):
-            attack_tuple(EveStrategy(), ghz_batch(3), [rng])
+            attack_tuple(EveStrategy(), *ghz_stream(3), [rng])
 
 
-def ghz_batch(n, rows=1):
-    return np.tile(prepare_ghz(n), (rows, 1))
+def ghz_stream(n, tuples=1):
+    """A stream of GHZ tuples: one distinct state, indexed by every tuple."""
+    return prepare_ghz(n), np.zeros(tuples, dtype=np.intp)
 
 
 class TestAttackStates:
     def test_measure_resend_keeps_width(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        batch, record = attack_tuple(eve, ghz_batch(3, rows=4), [rng])
-        assert batch.shape == (4, 8)
+        states, index, record = attack_tuple(eve, *ghz_stream(3, tuples=4), [rng])
+        assert states[index].shape == (4, 8)
         assert record.targets == (0,)
         assert record.hadamard.shape == record.outcomes.shape == (4, 1)
         assert record.hadamard.dtype == bool and not record.hadamard.any()
@@ -71,14 +72,16 @@ class TestAttackStates:
 
     def test_measure_resend_collapses_ghz_computationally(self, rng):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        batch, record = attack_tuple(eve, ghz_batch(3, rows=20), [rng])
-        for row, c in zip(batch, record.outcomes[:, 0]):
+        states, index, record = attack_tuple(eve, *ghz_stream(3, tuples=20), [rng])
+        # one collapsed state per outcome she read
+        assert len(states) == len(set(record.outcomes[:, 0].tolist()))
+        for row, c in zip(states[index], record.outcomes[:, 0]):
             # GHZ collapses to the all-c product state
             assert abs(row[c * 7]) == pytest.approx(1.0)
 
     def test_random_basis_uses_both(self):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS)
-        _, record = attack_tuple(eve, ghz_batch(3, rows=50), [np.random.default_rng(4)])
+        _, _, record = attack_tuple(eve, *ghz_stream(3, tuples=50), [np.random.default_rng(4)])
         assert set(record.hadamard[:, 0].tolist()) == {False, True}
         # the mask is Eve's coins as drawn
         coins, _ = _coins_then_uniform(np.random.default_rng(4), 50, 1)
@@ -86,21 +89,21 @@ class TestAttackStates:
 
     def test_intercept_replace_structure(self, rng):
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2)
-        batch, _ = attack_tuple(eve, ghz_batch(3), [rng])
-        assert batch.shape == (1, 64)
+        states, index, _ = attack_tuple(eve, *ghz_stream(3), [rng])
+        assert states.shape == (1, 64) and index.tolist() == [0]
 
     def test_intercept_replace_forwards_fresh_members(self, rng):
         # the forwarded replacement qubits read uniform in the Hadamard basis
         eve = EveStrategy(tag=INTERCEPT_REPLACE, k=1)
         trials = 400
-        plus = np.tile(hadamard_product_rows([(0, 0, 0)])[0], (trials, 1))
-        batch, _ = attack_tuple(eve, plus, [rng])
-        bits, _ = measure_rows(batch, (0,), True, rng.random(trials))
+        plus = hadamard_product_rows([(0, 0, 0)])
+        states, index, _ = attack_tuple(eve, plus, np.zeros(trials, dtype=np.intp), [rng])
+        bits, _, _ = measure_rows(states, index, (0,), True, rng.random(trials))
         assert abs(bits.mean() - 0.5) < 0.07
 
     def test_entangle_ancilla_extends_ghz(self, rng):
         eve = EveStrategy(tag=ENTANGLE_ANCILLA, k=1)
-        batch, _ = attack_tuple(eve, ghz_batch(3), [rng])
+        batch, _, _ = attack_tuple(eve, *ghz_stream(3), [rng])
         assert batch.shape == (1, 16)
         # CNOT from a GHZ member onto |0> grows the GHZ by one qubit
         expect = np.zeros(16)

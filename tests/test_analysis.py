@@ -34,7 +34,7 @@ from ghzcast.analysis import (
     wilson_interval,
 )
 from ghzcast.bitvec import BitVector, concat_secrets, xor_all
-from ghzcast.protocol import STACK_AMPLITUDES, Registers, Scenario, execute_run, run_trials
+from ghzcast.protocol import STACK_ENTRIES, Registers, Scenario, execute_run, run_trials
 
 
 def fold(registers: Registers) -> BitVector:
@@ -80,6 +80,12 @@ class TestOutcomeDistribution:
         assert dist == explicit_kickback_oracle(payload, 3)[0]
         assert dist != joint_oracle(BitVector.from_text("100"), 3)
         assert dist != joint_oracle(payload, 2)
+        # key order does not matter, every probability does
+        order = np.random.default_rng(3).permutation(dist.keys.size)
+        assert dist == OutcomeDistribution(3, 3, dist.keys[order], dist.probs[order])
+        nudged = dist.probs.copy()
+        nudged[[0, 1]] += (1e-15, -1e-15)
+        assert dist != OutcomeDistribution(3, 3, dist.keys, nudged)
         assert dist != "101"
 
     def test_key_round_trip(self):
@@ -428,7 +434,7 @@ class TestStackedRuns:
     @pytest.mark.parametrize("name", sorted(STACKED_SCENARIOS))
     def test_experiment_is_the_aggregate_of_lone_runs(self, name):
         scenario = STACKED_SCENARIOS[name]
-        per_stack = max(1, STACK_AMPLITUDES // scenario.stream_amplitudes)
+        per_stack = scenario.stack_runs(STACK_ENTRIES)
         trials = 2 * per_stack + 1
         assert per_stack > 1 and trials % per_stack
 
@@ -462,12 +468,27 @@ class TestStackedRuns:
             (r.errors, r.verdict) for r in reports
         ]
 
+    @given(scenario=small_scenarios(), entries=st.integers(1, 1 << 20))
+    @settings(max_examples=200, deadline=None)
+    def test_a_stack_is_the_most_runs_within_the_bound(self, scenario, entries):
+        runs = scenario.stack_runs(entries)
+        assert runs == 1 or scenario.stack_entries(runs) <= entries
+        assert scenario.stack_entries(runs + 1) > entries
+
+    def test_stack_sizes(self):
+        # the benchmark's honest n=8 op of 10 trials is one stack, and a
+        # stream over the bound on its own is a stack of one run
+        assert STACKED_SCENARIOS["honest_n8"].stack_runs(STACK_ENTRIES) >= 10
+        wide = Scenario(n=12, secrets=(BitVector(1, 1),) * 11, d=200)
+        assert wide.stream_amplitudes > STACK_ENTRIES
+        assert wide.stack_runs(STACK_ENTRIES) == 1
+
     @given(scenario=small_scenarios(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_stacks_of_any_size_match_lone_runs(self, scenario, data):
         seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7))
         per_stack = data.draw(st.integers(1, len(seeds)), label="runs per stack")
-        with patch.object(protocol, "STACK_AMPLITUDES", per_stack * scenario.stream_amplitudes):
+        with patch.object(protocol, "STACK_ENTRIES", scenario.stack_entries(per_stack)):
             stacks = list(run_trials(scenario, seeds))
         full, rest = divmod(len(seeds), per_stack)
         assert [len(stack) for stack in stacks] == [per_stack] * full + [rest] * (rest > 0)

@@ -9,7 +9,7 @@ from ghzcast.statevec import hadamard_product_rows, prepare_ghz
 def test_decoy_tuple_records_preparation(rng):
     plan = build_plan(2, 6, 3, [rng], prepare_ghz(3))
     # the i-th decoy row in stream order holds the preparation of signs row i
-    for signs, state in zip(plan.signs, plan.states[plan.is_decoy]):
+    for signs, state in zip(plan.signs, plan.states[plan.index[plan.is_decoy]]):
         assert np.array_equal(state, hadamard_product_rows([signs])[0])
 
 
@@ -33,14 +33,17 @@ class TestBuildPlan:
 
     def test_counts(self, rng):
         plan = build_plan(6, 4, 3, [rng], prepare_ghz(3))
-        assert plan.states.shape == (10, 8)
+        assert plan.index.shape == (10,)
+        # the GHZ row, then each decoy sign pattern once
+        assert plan.states.shape == (1 + len(set(map(tuple, plan.signs.tolist()))), 8)
         assert plan.signs.shape == (4, 3)
         assert np.count_nonzero(plan.is_decoy) == 4
 
     def test_information_tuples_share_ghz(self, rng):
         plan = build_plan(4, 2, 3, [rng], prepare_ghz(3))
         ghz = prepare_ghz(3)
-        for state in plan.states[~plan.is_decoy]:
+        assert not plan.index[~plan.is_decoy].any()
+        for state in plan.states[plan.index[~plan.is_decoy]]:
             assert np.array_equal(state, ghz[0])
 
     def test_interleave_is_uniform(self):
@@ -57,7 +60,12 @@ class TestBuildPlan:
     def test_plan_invariants(self, m, d, n, seed):
         plan = build_plan(m, d, n, [np.random.default_rng(seed)], prepare_ghz(n))
         assert plan.is_decoy.shape == (m + d,) and np.count_nonzero(plan.is_decoy) == d
-        assert plan.states.shape == (m + d, 1 << n)
-        assert np.array_equal(plan.states[plan.is_decoy], hadamard_product_rows(plan.signs))
+        assert plan.index.shape == (m + d,)
+        # every distinct state once: no two rows alike, and every row used
+        assert len(np.unique(plan.states, axis=0)) == len(plan.states)
+        assert set(plan.index.tolist()) == set(range(len(plan.states)))
+        stream = plan.states[plan.index]
+        assert stream.shape == (m + d, 1 << n)
+        assert np.array_equal(stream[plan.is_decoy], hadamard_product_rows(plan.signs))
         ghz = np.tile(prepare_ghz(n), (m, 1))
-        assert np.array_equal(plan.states[~plan.is_decoy], ghz)
+        assert np.array_equal(stream[~plan.is_decoy], ghz)

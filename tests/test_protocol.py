@@ -417,7 +417,7 @@ def test_no_stage_upcasts_the_real_batch(name):
     outcome = execute_run(replace(scenario, d=0))
     assert not outcome.transcript.aborted
     if scenario.eve.active:
-        attacked, _ = attack_tuple(scenario.eve, plan.states, [rng])
+        attacked, _, _ = attack_tuple(scenario.eve, plan.states, plan.index, [rng])
         assert attacked.dtype == np.float64
         assert outcome.eve_record.final_states.dtype == np.float64
     else:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzcast.bitvec import BitVector
@@ -33,10 +33,15 @@ def plus_minus(signs):
     return hadamard_product_rows([signs])
 
 
+def every_row(batch):
+    """The index of a dense batch, one tuple per row."""
+    return np.arange(batch.shape[0])
+
+
 def measure_one(state, qubits, hadamard, rng):
     """Measure a one-row batch: its bits and its collapsed one-row batch."""
-    bits, collapsed = measure_rows(state, list(qubits), hadamard, rng.random(1))
-    return tuple(bits[0].tolist()), collapsed
+    bits, collapsed, index = measure_rows(state, [0], list(qubits), hadamard, rng.random(1))
+    return tuple(bits[0].tolist()), collapsed[index]
 
 
 class TestPreparation:
@@ -255,7 +260,7 @@ class TestMeasurement:
         # name must not be read as a Hadamard measurement
         batch = np.tile(prepare_ghz(2), (3, 1))
         with pytest.raises(ValueError, match="boolean"):
-            sample_rows(batch, (0,), mask, np.full(3, 0.5))
+            sample_rows(batch, every_row(batch), (0,), mask, np.full(3, 0.5))
 
 
 class TestCombinators:
@@ -308,20 +313,20 @@ class TestBatchKernels:
         empty = np.zeros((0, 16))
         for kernel, args in KERNEL_CASES:
             assert kernel(empty, *args).shape[0] == 0
-        bits, collapsed = measure_rows(empty, (0, 1), True, np.zeros(0))
-        assert bits.shape == (0, 2) and collapsed.shape == (0, 16)
+        bits, collapsed, index = measure_rows(empty, every_row(empty), (0, 1), True, np.zeros(0))
+        assert bits.shape == (0, 2) and collapsed.shape == (0, 16) and index.shape == (0,)
 
     def test_measurement_acts_row_by_row(self):
         rng = np.random.default_rng(2)
         batch = random_batch(rng, 8, 4)
         hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, collapsed = measure_rows(batch, (2, 0), hadamard, u)
+        bits, collapsed, index = measure_rows(batch, every_row(batch), (2, 0), hadamard, u)
         assert bits.shape == (8, 2)
         for t in range(8):
-            row_bits, row = measure_rows(batch[t : t + 1], (2, 0), hadamard[t], u[t : t + 1])
+            row_bits, row, _ = measure_rows(batch[t : t + 1], [0], (2, 0), hadamard[t], u[t : t + 1])
             assert np.array_equal(bits[t], row_bits[0])
-            assert np.array_equal(collapsed[t], row[0])
+            assert np.array_equal(collapsed[index[t]], row[0])
         check_rows(collapsed)
 
     def test_sampling_draws_the_outcomes_of_a_measurement(self):
@@ -329,8 +334,8 @@ class TestBatchKernels:
         batch = random_batch(rng, 8, 4)
         hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, _ = sample_rows(batch, (2, 0), hadamard, u)
-        measured, _ = measure_rows(batch, (2, 0), hadamard, u)
+        bits, _, _ = sample_rows(batch, every_row(batch), (2, 0), hadamard, u)
+        measured, _, _ = measure_rows(batch, every_row(batch), (2, 0), hadamard, u)
         assert np.array_equal(bits, measured)
 
     def test_residual_is_the_unmeasured_part_of_the_collapsed_rows(self):
@@ -339,8 +344,9 @@ class TestBatchKernels:
         qubits = (2, 0)
         hadamard = rng.integers(0, 2, size=(8, 2)) == 1
         u = rng.random(8)
-        bits, residual = sample_rows(batch, qubits, hadamard, u)
-        _, collapsed = measure_rows(batch, qubits, hadamard, u)
+        bits, residual, index = sample_rows(batch, every_row(batch), qubits, hadamard, u)
+        _, collapsed, collapsed_index = measure_rows(batch, every_row(batch), qubits, hadamard, u)
+        residual, collapsed = residual[index], collapsed[collapsed_index]
         # qubits 1 and 3 remain, as residual qubits 0 and 1
         assert residual.shape == (8, 4)
         assert np.allclose(np.linalg.norm(residual, axis=1), 1.0, atol=1e-12)
@@ -354,8 +360,8 @@ class TestBatchKernels:
 
     def test_residual_of_a_full_measurement_is_a_phase(self):
         batch = random_batch(np.random.default_rng(7), 5, 3)
-        bits, residual = sample_rows(batch, range(3), True, np.full(5, 0.5))
-        assert bits.shape == (5, 3) and residual.shape == (5, 1)
+        bits, residual, index = sample_rows(batch, every_row(batch), range(3), True, np.full(5, 0.5))
+        assert bits.shape == (5, 3) and residual.shape == (5, 1) and index.shape == (5,)
         # one real amplitude of modulus 1: the phase is a sign
         assert residual.dtype == np.float64
         assert np.allclose(np.abs(residual), 1.0, atol=1e-12)
@@ -374,8 +380,8 @@ class TestBatchKernels:
     "call",
     [
         check_rows,
-        lambda batch: sample_rows(batch, (0,), True, np.zeros(1)),
-        lambda batch: measure_rows(batch, (0,), True, np.zeros(1)),
+        lambda batch: sample_rows(batch, [0], (0,), True, np.zeros(1)),
+        lambda batch: measure_rows(batch, [0], (0,), True, np.zeros(1)),
         lambda batch: distribution(batch, False),
     ],
     ids=["check_rows", "sample_rows", "measure_rows", "distribution"],
@@ -395,8 +401,7 @@ def test_measurement_statistics_match_distribution(n, data):
     rng = np.random.default_rng(seed)
     ghz = prepare_ghz(n)
     probs = distribution(ghz, False)[0]
-    batch = np.tile(ghz, (200, 1))
-    bits, _ = sample_rows(batch, range(n), [False] * n, rng.random(200))
+    bits, _, _ = sample_rows(ghz, np.zeros(200, dtype=int), range(n), [False] * n, rng.random(200))
     counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
     assert abs(counts[0] / 200 - probs[0]) < 0.15
@@ -459,8 +464,9 @@ def test_kernels_equal_the_reference_bit_for_bit(shape, rows, seed):
     batch = random_batch(rng, rows, q)
     hadamard = rng.integers(0, 2, size=(rows, len(qubits))) == 1
     u = rng.random(rows)
-    bits, residual = sample_rows(batch, qubits, hadamard, u)
-    measured, collapsed = measure_rows(batch, qubits, hadamard, u)
+    bits, residual, index = sample_rows(batch, every_row(batch), qubits, hadamard, u)
+    measured, collapsed, collapsed_index = measure_rows(batch, every_row(batch), qubits, hadamard, u)
+    residual, collapsed = residual[index], collapsed[collapsed_index]
     assert bits.shape == measured.shape == (rows, len(qubits))
     assert residual.shape == (rows, 1 << (q - len(qubits)))
     assert collapsed.shape == batch.shape
@@ -471,3 +477,50 @@ def test_kernels_equal_the_reference_bit_for_bit(shape, rows, seed):
         assert bits[t].tolist() == measured[t].tolist() == ref_bits
         assert np.array_equal(residual[t], ref_residual)
         assert np.array_equal(collapsed[t], ref_collapsed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.permutations(range(q)).flatmap(
+                lambda order: st.integers(0, q).map(lambda k: order[:k])
+            ),
+        )
+    ),
+    st.integers(0, 4),
+    st.lists(st.integers(0, 3), max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+@example(shape=(3, [2, 0, 1]), distinct=2, picks=[1, 1, 1, 1], seed=1)  # every qubit, one row used
+@example(shape=(4, [1]), distinct=3, picks=[], seed=2)  # zero tuples
+@example(shape=(2, [0]), distinct=0, picks=[], seed=3)  # zero tuples, no states
+def test_index_form_equals_the_expanded_batch(shape, distinct, picks, seed):
+    """A stream given as distinct states plus an index measures exactly as
+    the dense batch of one row per tuple, states[index]: same bits, same
+    residuals and same collapsed rows, with duplicate and unused rows and a
+    Hadamard mask per distinct state."""
+    q, qubits = shape
+    rng = np.random.default_rng(seed)
+    states = random_batch(rng, distinct, q)
+    index = np.array([p % distinct for p in picks] if distinct else [], dtype=np.intp)
+    hadamard = rng.integers(0, 2, size=(distinct, len(qubits))) == 1
+    u = rng.random(index.size)
+    dense = states[index]
+
+    bits, residual, residual_index = sample_rows(states, index, qubits, hadamard, u)
+    dense_bits, dense_residual, dense_index = sample_rows(
+        dense, every_row(dense), qubits, hadamard[index], u
+    )
+    assert np.array_equal(bits, dense_bits)
+    assert np.array_equal(residual[residual_index], dense_residual[dense_index])
+    # one residual per distinct (state, outcome) pair the tuples reached
+    assert residual.shape[0] == len(set(zip(index.tolist(), map(tuple, bits.tolist()))))
+
+    measured, collapsed, collapsed_index = measure_rows(states, index, qubits, hadamard, u)
+    _, dense_collapsed, dense_collapsed_index = measure_rows(
+        dense, every_row(dense), qubits, hadamard[index], u
+    )
+    assert np.array_equal(measured, bits)
+    assert np.array_equal(collapsed[collapsed_index], dense_collapsed[dense_collapsed_index])
