@@ -23,7 +23,9 @@ from ghzcast.adversary import (
 )
 from ghzcast.analysis import (
     JOINT_ORACLE_QUBIT_CAP,
+    ExperimentStats,
     OutcomeDistribution,
+    TrialRow,
     analytic_sample_keys,
     detection_experiment,
     explicit_kickback_oracle,
@@ -34,7 +36,15 @@ from ghzcast.analysis import (
     wilson_interval,
 )
 from ghzcast.bitvec import BitVector, concat_secrets, xor_all
-from ghzcast.protocol import STACK_ENTRIES, Registers, Scenario, execute_run, run_trials
+from ghzcast.messages import STAGE_VALIDATION
+from ghzcast.protocol import (
+    STACK_ENTRIES,
+    Registers,
+    Scenario,
+    check_transcript_secrecy,
+    execute_run,
+    run_trials,
+)
 
 
 def fold(registers: Registers) -> BitVector:
@@ -498,3 +508,103 @@ class TestStackedRuns:
         for a, b in zip(stacked, alone, strict=True):
             assert a.transcript == b.transcript
             assert a.eve_guesses() == b.eve_guesses()
+
+
+def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:
+    """What detection_experiment reports, counted from lone execute_runs at
+    its trial seeds, one run, one transcript and one guess at a time."""
+    master = np.random.default_rng(scenario.seed)
+    seeds = [int(master.integers(0, 2**63)) for _ in range(trials)]
+    targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
+    aborts = checks = errors = violations = eve_bits = eve_correct = 0
+    attacked_checks = attacked_errors = attacked_tuples = tuples_with_error = 0
+    rows = []
+    for t, seed in enumerate(seeds):
+        outcome = execute_run(replace(scenario, seed=seed))
+        transcript = outcome.transcript
+        report = transcript.validation
+        aborts += transcript.aborted
+        checks += report.decoy_checks
+        errors += report.errors
+        if targets:
+            attacked = report.wrong[:, targets]
+            attacked_checks += attacked.size
+            attacked_errors += int(attacked.sum())
+            attacked_tuples += attacked.shape[0]
+            tuples_with_error += int(attacked.any(axis=1).sum())
+        violations += len(check_transcript_secrecy(transcript))
+        bits = correct = 0
+        for guess, truth in zip(outcome.eve_guesses(), scenario.secrets, strict=True):
+            bits += len(truth)
+            correct += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
+        eve_bits += bits
+        eve_correct += correct
+        rows.append(TrialRow(t, report.errors, report.decoy_checks, report.verdict, correct / bits))
+
+    def rate(hits: int, total: int):
+        return (hits / total, wilson_interval(hits, total)[1]) if total else (None, None)
+
+    attacked_rate, attacked_radius = rate(attacked_errors, attacked_checks)
+    tuple_rate, tuple_radius = rate(tuples_with_error, attacked_tuples)
+    return ExperimentStats(
+        trials=trials,
+        aborts=aborts,
+        abort_rate=aborts / trials,
+        abort_radius=wilson_interval(aborts, trials)[1],
+        all_checks=checks,
+        all_errors=errors,
+        check_error_rate=errors / checks if checks else 0.0,
+        attacked_checks=attacked_checks,
+        attacked_errors=attacked_errors,
+        attacked_error_rate=attacked_rate,
+        attacked_error_radius=attacked_radius,
+        attacked_tuples=attacked_tuples,
+        tuples_with_error=tuples_with_error,
+        tuple_error_rate=tuple_rate,
+        tuple_error_radius=tuple_radius,
+        eve_bits=eve_bits,
+        eve_correct=eve_correct,
+        eve_accuracy=eve_correct / eve_bits,
+        eve_accuracy_radius=wilson_interval(eve_correct, eve_bits)[1],
+        secrecy_violations=violations,
+        rows=rows,
+    )
+
+
+@st.composite
+def passing_attacks(draw):
+    """n 2-5, every attack and basis policy on 1..n-1 slots, noise 0 or 0.2,
+    and thresholds up to 0.99, so that attacked runs pass and reach the
+    exchange while others of the same scenario abort."""
+    scenario = draw(small_scenarios())
+    return replace(
+        scenario,
+        d=draw(st.sampled_from((4, 8, 2, 0))),
+        noise_p=draw(st.sampled_from((0.2, 0.0))),
+        threshold_fraction=draw(st.sampled_from((0.1, 0.25, 0.5, 0.99))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(scenario=passing_attacks(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_experiment_counts_what_lone_runs_report(scenario, data):
+    """Every ExperimentStats field, the rows included, is the aggregate of
+    lone runs, over stacks of several runs that end with a partial one.
+
+    When reports_leak is drawn, the agents' decoy reports count as
+    post-validation traffic to the broker, so every run carries n - 1
+    secrecy violations that must be counted run by run.
+    """
+    per_stack = data.draw(st.integers(2, 4), label="runs per stack")
+    full = data.draw(st.integers(1, 2), label="full stacks")
+    trials = full * per_stack + data.draw(st.integers(1, per_stack - 1), label="last stack")
+    stages = protocol.POST_VALIDATION_STAGES
+    if data.draw(st.booleans(), label="reports_leak"):
+        stages = stages + (STAGE_VALIDATION,)
+    with patch.object(protocol, "STACK_ENTRIES", scenario.stack_entries(per_stack)), patch.object(
+        protocol, "POST_VALIDATION_STAGES", stages
+    ):
+        stats = detection_experiment(scenario, trials, collect_rows=True)
+        expected = lone_aggregate(scenario, trials)
+    assert stats == expected
