@@ -17,36 +17,34 @@ Three attacks are modeled:
   ancilla qubit that Eve keeps, delaying her measurement until the protocol
   has finished.
 
-After a run, eve_postprocess combines whatever Eve measured in transit, one
-late Hadamard-basis measurement of the ancillas she kept, and everything that
-crossed the public classical channel into her best guess of each agent's
-secret, as whole-array operations over the payload; bits she has no handle
-on, every bit of an intercept_replace run among them, are fair coin flips.
+After a stack of runs, eve_postprocess combines whatever Eve measured in
+transit, one late Hadamard-basis measurement of the ancillas she kept, and
+everything that crossed the public classical channel into her best guess of
+every run's payload, as whole-array operations over the stack; bits she has
+no handle on, every bit of an intercept_replace run among them, are fair coin
+flips from each run's own generator. A lone run is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bitvec import BitVector, bit_vectors, split
-from .messages import STAGE_EXCHANGE
+from .bitvec import BitVector, SegmentLayout
+from .messages import Route
 from .statevec import (
     append_rows,
     cnot_rows,
     measure_rows,
+    pick_rows,
     prepare_basis,
     prepare_ghz,
-    sample_rows,
     swap_rows,
     width,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .protocol import Transcript
 
 __all__ = [
     "NONE",
@@ -131,16 +129,16 @@ class EveStrategy:
 
 @dataclass
 class EveRecord:
-    """Eve's bookkeeping for one tuple stream, one row per stream position.
+    """Eve's bookkeeping for a stack's tuple stream, one row per stream position.
 
     targets lists the attacked agent slots, one column each. hadamard and
     outcomes hold her in-transit measurements, one row per tuple: which
-    qubits she measured in the Hadamard basis, and what she read. For a run
-    that got through decryption, final_states and final_index hold what is
-    left of its information tuples, in the stream's form: information tuple
-    j is in final_states[final_index[j]], the qubits Eve kept, qubit n + i
-    of the tuple as qubit i of the row. eve_postprocess measures kept
-    ancillas there in one call.
+    qubits she measured in the Hadamard basis, and what she read. For the
+    runs that got through decryption, final_states and final_index hold
+    what is left of their information tuples, run after run, in the
+    stream's form: the j-th of them is in final_states[final_index[j]], the
+    qubits Eve kept, qubit n + i of the tuple as qubit i of the row.
+    eve_postprocess measures kept ancillas there in one call.
     """
 
     strategy: EveStrategy
@@ -150,13 +148,18 @@ class EveRecord:
     final_states: np.ndarray | None = None
     final_index: np.ndarray | None = None
 
-    def run_record(self, t: int, rows: int) -> "EveRecord":
-        """Record of run t, when this one covers a stack of runs of rows tuples each."""
-        span = slice(t * rows, (t + 1) * rows)
+    def select(self, tuples: slice, info: slice | None) -> "EveRecord":
+        """The record of the runs whose tuples sit at tuples of this one.
+
+        info slices final_index to what is left of their information tuples,
+        or is None when none of them got through decryption.
+        """
         return replace(
             self,
-            hadamard=None if self.hadamard is None else self.hadamard[span],
-            outcomes=None if self.outcomes is None else self.outcomes[span],
+            hadamard=None if self.hadamard is None else self.hadamard[tuples],
+            outcomes=None if self.outcomes is None else self.outcomes[tuples],
+            final_states=None if info is None else self.final_states,
+            final_index=None if info is None or self.final_index is None else self.final_index[info],
         )
 
 
@@ -264,52 +267,68 @@ def _coins_then_uniform(
 
 
 def eve_postprocess(
-    record: EveRecord, transcript: "Transcript", rng: np.random.Generator
-) -> tuple[BitVector, ...]:
-    """Eve's best reconstruction of every agent's secret.
+    record: EveRecord,
+    layout: SegmentLayout,
+    is_decoy: np.ndarray,
+    passed: np.ndarray,
+    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Eve's best reconstruction of the payload of every run of a stack.
 
-    Works from her in-transit records, one late measurement of what she
-    kept, and all classical traffic, in one pass over the payload. Bits she
-    has no handle on are fair coins, drawn in payload order. All of them
-    are coins when the run aborted, since no exchange traffic exists; when
-    Eve is inactive, since she holds no records; and for intercept_replace,
-    whose kept qubits carry GHZ branch labels with no dependence on the
-    embedded payload.
+    Works from her in-transit record of the stack, one late measurement of
+    what she kept, and the public classical traffic: every run's decoy
+    positions (is_decoy, a (runs, m + d) mask), which runs passed
+    validation, and the exchange the passing runs sent, as
+    classical_exchange returns it (routes, payload ends, and one row of
+    payload entries per passing run). Returns a (runs, m) bit array: row t
+    is run t's guess of the payload, which layout splits into one guess
+    per agent. Bits she has no handle on are fair coins, drawn from run t's
+    own generator rngs[t] in payload order. All of them are coins when the
+    run aborted, since no exchange traffic exists; when Eve is inactive,
+    since she holds no records; and for intercept_replace, whose kept
+    qubits carry GHZ branch labels with no dependence on the embedded
+    payload.
     """
-    layout = transcript.layout
-    m = layout.total
-    tag = record.strategy.tag
-    if transcript.aborted or tag in (NONE, INTERCEPT_REPLACE):
-        return split(bit_vectors(rng.integers(0, 2, size=m)[None])[0], layout)
+    m, tag = layout.total, record.strategy.tag
+    guesses = np.empty((len(rngs), m), dtype=np.int64)
+    reads = passed & (tag in (MEASURE_RESEND, ENTANGLE_ANCILLA))
+    for t in np.flatnonzero(~reads):
+        guesses[t] = rngs[t].integers(0, 2, size=m)
+    if not reads.any():
+        return guesses
+    readers = [rngs[t] for t in np.flatnonzero(passed)]
 
     # the fold of every public share of secret t lacks only the owner's
     # withheld segment; known holds those folds at their payload positions
+    routes, ends, payload = exchange
     starts = (0, *accumulate(layout.lengths))
-    known = np.zeros(m, dtype=np.int64)
-    for r, bits in transcript.messages:
-        if r.stage == STAGE_EXCHANGE:
-            known[starts[r.segment_index] : starts[r.segment_index + 1]] ^= bits
+    known = np.zeros((len(readers), m), dtype=np.int64)
+    for r, start, end in zip(routes, [0, *ends.tolist()], ends.tolist()):
+        known[:, starts[r.segment_index] : starts[r.segment_index + 1]] ^= payload[:, start:end]
 
     if tag == ENTANGLE_ANCILLA:
         # the ancillas extend every tuple to a larger GHZ state, so the
         # parity of all Hadamard outcomes, hers included, equals the payload
-        # bit; the known fold still lacks the owner's withheld register bit
-        k = len(record.targets)
-        bits, _, _ = sample_rows(
-            record.final_states, record.final_index, range(k), True, rng.random(m)
-        )
-        leaked = np.ones(m, dtype=bool)
-        eve_bits = bits.sum(axis=1) & 1
+        # bit; the known fold still lacks the owner's withheld register bit.
+        # One measurement serves every passing run, each with its own draws.
+        u = np.concatenate([r.random(m) for r in readers])
+        bits = pick_rows(record.final_states, record.final_index, range(len(record.targets)), True, u)
+        leaked = np.ones(known.shape, dtype=bool)
+        eve_bits = (bits.sum(axis=1) & 1).reshape(known.shape)
     else:
         # a qubit resent in the Hadamard basis passes decryption unchanged,
-        # so its owner's register bit equals Eve's outcome
-        info = np.delete(np.arange(transcript.stream_length), transcript.decoy_positions)
+        # so its owner's register bit equals Eve's outcome; info holds the
+        # record rows of every passing run's information tuples
+        info = np.flatnonzero((~is_decoy & passed[:, None]).ravel()).reshape(known.shape)
         col = np.full(layout.segments, -1)
         col[list(record.targets)] = np.arange(len(record.targets))
         owner_col = np.repeat(col, layout.lengths)
         leaked = (owner_col >= 0) & record.hadamard[info, owner_col]
         eve_bits = record.outcomes[info, owner_col]
-        eve_bits[~leaked] = rng.integers(0, 2, size=m - int(np.count_nonzero(leaked)))
+        for blind, bits, r in zip(~leaked, eve_bits, readers):
+            bits[blind] = r.integers(0, 2, size=int(np.count_nonzero(blind)))
 
     # a leaked bit is the known fold xor Eve's bit, any other bit her coin
-    return split(bit_vectors((known & leaked ^ eve_bits)[None])[0], layout)
+    guesses[passed] = known & leaked ^ eve_bits
+    return guesses

@@ -14,7 +14,8 @@ each other honest:
 
 The experiment helpers quantify detection and secrecy: per-decoy-qubit error
 rates under each attack, abort frequency against the validation threshold,
-and the adversary's per-bit guess accuracy.
+and the adversary's per-bit guess accuracy, each an array reduction over the
+stacks of runs that protocol.run_trials yields.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitvec import BitVector
-from .protocol import Registers, Scenario, check_transcript_secrecy, run_trials
+from .bitvec import BitVector, concat_secrets
+from .protocol import Registers, Scenario, check_route_secrecy, run_trials
 from .statevec import distribution, phase_flip_rows, prepare_ghz
 
 __all__ = [
@@ -379,16 +380,25 @@ class ExperimentStats:
 def detection_experiment(
     scenario: Scenario, trials: int, collect_rows: bool = False
 ) -> ExperimentStats:
-    """Run a scenario many times with independent per-trial seed streams."""
+    """Run a scenario many times with independent per-trial seed streams.
+
+    Counts straight from the arrays of each stack of runs (see
+    protocol.RunStack), so no run's transcript is built. Every run of a
+    stack sends one of two route tuples, the opening alone or the opening
+    and the exchange, so secrecy is checked once per tuple and counted per
+    run that sent it.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
+    payload, _ = concat_secrets(scenario.secrets)
+    truth, m = np.array(payload.bits()), len(payload)
     aborts = 0
     all_checks = all_errors = 0
     attacked_checks = attacked_errors = 0
     attacked_tuples = tuples_with_error = 0
-    eve_bits = eve_correct = 0
+    eve_correct = 0
     secrecy_violations = 0
     rows: list[TrialRow] | None = [] if collect_rows else None
 
@@ -396,45 +406,43 @@ def detection_experiment(
     # are drawn as the stacks need them, so no trial count has to fit in memory
     master = np.random.default_rng(scenario.seed)
     seeds = (int(master.integers(0, 2**63)) for _ in range(trials))
-    t = 0
     for stack in run_trials(scenario, seeds):
+        report, passed = stack.validation, stack.passed
+        runs, passes = passed.size, int(np.count_nonzero(passed))
+        aborts += runs - passes
+        all_checks += report.decoy_checks
+        all_errors += report.errors
         if targets:
-            wrong = np.stack([o.transcript.validation.wrong for o in stack])
-            # (trials, d, k): the checks of the targeted slots
-            attacked = wrong[:, :, targets]
+            # (runs, d, k): the checks of the targeted slots
+            attacked = report.wrong[:, :, targets]
             attacked_checks += attacked.size
             attacked_errors += int(np.count_nonzero(attacked))
             attacked_tuples += attacked.shape[0] * attacked.shape[1]
             tuples_with_error += int(np.count_nonzero(attacked.any(axis=2)))
 
-        for outcome in stack:
-            transcript = outcome.transcript
-            report = transcript.validation
-            secrecy_violations += len(check_transcript_secrecy(transcript))
+        opening = stack.opening[0]
+        for routes, senders in ((opening, runs - passes), (opening + stack.exchange[0], passes)):
+            if senders:
+                secrecy_violations += senders * len(check_route_secrecy(routes))
 
-            aborts += transcript.aborted
-            all_checks += report.decoy_checks
-            all_errors += report.errors
+        correct = m - np.count_nonzero(stack.eve_guesses() != truth, axis=1)
+        eve_correct += int(correct.sum())
 
-            trial_bits = trial_correct = 0
-            for guess, truth in zip(outcome.eve_guesses(), scenario.secrets):
-                trial_bits += len(truth)
-                trial_correct += len(truth) - (guess.value ^ truth.value).bit_count()
-            eve_bits += trial_bits
-            eve_correct += trial_correct
-
-            if rows is not None:
+        if rows is not None:
+            errors = np.count_nonzero(report.wrong, axis=(1, 2)).tolist()
+            checks = report.decoy_checks // runs
+            for t, correct_bits in enumerate(correct.tolist()):
                 rows.append(
                     TrialRow(
-                        trial=t,
-                        errors=report.errors,
-                        decoy_checks=report.decoy_checks,
-                        verdict=report.verdict,
-                        eve_bit_accuracy=trial_correct / trial_bits if trial_bits else 0.0,
+                        trial=len(rows),
+                        errors=errors[t],
+                        decoy_checks=checks,
+                        verdict="pass" if passed[t] else "fail",
+                        eve_bit_accuracy=correct_bits / m,
                     )
                 )
-            t += 1
 
+    eve_bits = trials * m
     _, abort_radius = wilson_interval(aborts, trials)
     attacked_rate, attacked_radius = (
         (attacked_errors / attacked_checks, wilson_interval(attacked_errors, attacked_checks)[1])
@@ -466,7 +474,7 @@ def detection_experiment(
         tuple_error_radius=tuple_radius,
         eve_bits=eve_bits,
         eve_correct=eve_correct,
-        eve_accuracy=eve_correct / eve_bits if eve_bits else 0.0,
+        eve_accuracy=eve_correct / eve_bits,
         eve_accuracy_radius=eve_radius,
         secrecy_violations=secrecy_violations,
         rows=rows,

@@ -30,16 +30,19 @@ once however many runs share it: the GHZ row, or after embedding it and its
 phase-flipped twin, and the decoy sign patterns. A stack is bounded by what
 it allocates, its distinct amplitudes plus its per-run arrays (see
 Scenario.stack_entries), so a stack of honest runs holds tens of them. The
-classical layer works per stack too: the decoy reports, the registers and
-the exchanged segments of all runs are arrays, which each run's transcript
-slices. Measured decoy tuples are not kept, and decryption keeps of each
-information tuple only the qubits an adversary holds, the part her late
-measurement needs.
+classical layer works per stack too: the decoy reports, the verdicts, the
+registers and the exchanged segments of all runs are arrays, held by the
+RunStack that run_trials yields. Statistics are counted from those arrays;
+a run's RunOutcome, its transcript and Eve's guesses are views of one
+stack row, built only when read. Measured decoy tuples are not kept, and
+decryption keeps of each information tuple only the qubits an adversary
+holds, the part her late measurement needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -69,7 +72,7 @@ from .messages import (
     MessageTable,
     Route,
 )
-from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, sample_rows
+from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, pick_rows, sample_rows
 
 __all__ = [
     "Scenario",
@@ -77,6 +80,7 @@ __all__ = [
     "Registers",
     "Transcript",
     "RunOutcome",
+    "RunStack",
     "embed_secret",
     "decrypt_and_measure",
     "run_validation",
@@ -87,6 +91,7 @@ __all__ = [
     "execute_run",
     "run_protocol",
     "check_transcript_secrecy",
+    "check_route_secrecy",
 ]
 
 # Scenarios whose whole tuple stream, one state per tuple, would need more
@@ -192,8 +197,9 @@ class Scenario:
         """Array entries a run adds to a stack besides the distinct states.
 
         Per tuple: its index, draws, bits and reports, a few entries per
-        qubit, and the residual of the qubits Eve keeps. Per run: its two
-        generators and its transcript's objects, about 4 KiB.
+        qubit, and the residual of the qubits Eve keeps. Per run: a fixed
+        512 entries (4 KiB), which hold its two generators and their seed
+        sequences, about 2.6 KB; no per-run transcript is built.
         """
         per_tuple = 4 * self.tuple_qubits + (1 << (self.tuple_qubits - self.n))
         return self.stream_length * per_tuple + 512
@@ -226,7 +232,8 @@ class ValidationReport:
     with a (d, n - 1) array. decoy_checks and errors total the report. The
     threshold is threshold_fraction times one run's transmitted decoy
     qubits, d * (n - 1); the verdict is a run's, fail exactly when its
-    errors reach the threshold, so a stack has none.
+    errors reach the threshold, so a stack has none and reads every run's
+    from passed.
     """
 
     wrong: np.ndarray
@@ -249,6 +256,12 @@ class ValidationReport:
     @property
     def verdict(self) -> str:
         return "fail" if self.failed else "pass"
+
+    @property
+    def passed(self) -> np.ndarray:
+        """The verdict of every run of a stack, as a (runs,) mask of the runs that passed."""
+        runs, d, slots = self.wrong.shape
+        return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(1, 2)) < self.threshold)
 
     def run(self, t: int) -> ValidationReport:
         """Run t's own report."""
@@ -308,16 +321,114 @@ class Transcript:
         return True
 
 
-@dataclass
 class RunOutcome:
-    """Transcript plus the simulator-private adversary bookkeeping."""
+    """One run of a stack: its transcript plus the simulator-private adversary bookkeeping.
 
-    transcript: Transcript
-    eve_record: EveRecord
-    eve_rng: np.random.Generator
+    A view of a stack of one (see RunStack.run): the transcript is built
+    from the stack's arrays when first read.
+    """
+
+    def __init__(self, stack: RunStack) -> None:
+        self.stack = stack
+        self.eve_record = stack.eve
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        s = self.stack
+        layout, aborted = s.layout, not s.passed[0]
+        positions = np.flatnonzero(s.is_decoy[0])
+        # the opening's payloads: segment lengths, decoy positions, decoy outcomes
+        sent = np.concatenate((layout.lengths, positions, s.reported[0].ravel()))
+        routes, ends = s.opening
+        registers = recovered = None
+        if not aborted:
+            exchanged, exchange_ends, payload = s.exchange
+            routes = routes + exchanged
+            ends = np.concatenate((ends, ends[-1] + exchange_ends))
+            sent = np.concatenate((sent, payload[0]))
+            registers = s.registers[0]
+            recovered = split(recover_secret(registers), layout)
+        return Transcript(
+            layout=layout,
+            stream_length=s.is_decoy.shape[1],
+            decoy_positions=tuple(positions.tolist()),
+            stages=ABORTED_STAGES if aborted else COMPLETED_STAGES,
+            messages=MessageTable(routes, ends, sent),
+            validation=s.validation.run(0),
+            aborted=aborted,
+            register_bits=registers,
+            recovered=recovered,
+        )
 
     def eve_guesses(self) -> tuple[BitVector, ...]:
-        return eve_postprocess(self.eve_record, self.transcript, self.eve_rng)
+        return split(bit_vectors(self.stack.eve_guesses())[0], self.stack.layout)
+
+
+@dataclass(eq=False)
+class RunStack:
+    """The outcome of a stack of runs as arrays, as run_trials yields it.
+
+    validation compares every run's decoys, (runs, d, n - 1), and passed
+    holds every run's verdict. reported holds the decoy outcomes the agents
+    sent, (runs, n - 1, d), and is_decoy marks every run's decoy positions,
+    (runs, m + d). The runs that passed own, in order, one row each of
+    registers, their measured (P, n, m) registers, and of the payload of
+    exchange, what they sent in the closing exchange as classical_exchange
+    returns it. Every run sends the routes and payload ends of opening up
+    to its verdict, and the exchange's after it if it passed. eve is Eve's
+    record of the stack and eve_rngs her generator of every run.
+
+    A stack reads as a sequence of runs: stack[t] is run t's RunOutcome,
+    whose transcript is built from these arrays only when read.
+    """
+
+    layout: SegmentLayout
+    opening: tuple[tuple[Route, ...], np.ndarray]
+    validation: ValidationReport
+    reported: np.ndarray
+    is_decoy: np.ndarray
+    passed: np.ndarray
+    registers: np.ndarray
+    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray]
+    eve: EveRecord
+    eve_rngs: Sequence[np.random.Generator]
+
+    def __len__(self) -> int:
+        return self.passed.size
+
+    def __getitem__(self, t: int) -> RunOutcome:
+        return RunOutcome(self.run(t))
+
+    def run(self, t: int) -> RunStack:
+        """Run t alone, as a stack of one that shares these arrays."""
+        t = range(len(self))[t]  # IndexError past the end, which ends iteration
+        tuples, m = self.is_decoy.shape[1], self.layout.total
+        p = int(np.count_nonzero(self.passed[:t]))
+        own = slice(p, p + int(self.passed[t]))
+        routes, ends, payload = self.exchange
+        return replace(
+            self,
+            validation=ValidationReport(self.validation.wrong[t : t + 1], self.validation.threshold),
+            reported=self.reported[t : t + 1],
+            is_decoy=self.is_decoy[t : t + 1],
+            passed=self.passed[t : t + 1],
+            registers=self.registers[own],
+            exchange=(routes, ends, payload[own]),
+            eve=self.eve.select(
+                slice(t * tuples, (t + 1) * tuples),
+                slice(p * m, (p + 1) * m) if self.passed[t] else None,
+            ),
+            eve_rngs=self.eve_rngs[t : t + 1],
+        )
+
+    def eve_guesses(self) -> np.ndarray:
+        """Eve's (runs, m) guess of every run's payload (see eve_postprocess).
+
+        Her coins come from each run's generator, so every call draws anew.
+        """
+        return eve_postprocess(
+            self.eve, self.layout, self.is_decoy, self.passed, self.exchange, self.eve_rngs
+        )
 
 
 def embed_secret(
@@ -387,7 +498,7 @@ def run_validation(
     # per decoy in stream order: the measurement's sample draw, then one
     # noise draw per agent slot
     draws = np.concatenate([r.random((d, n)) for r in rngs])
-    bits, _, _ = sample_rows(states, index[plan.is_decoy], range(n - 1), True, draws[:, 0])
+    bits = pick_rows(states, index[plan.is_decoy], range(n - 1), True, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     report = ValidationReport(
@@ -448,17 +559,18 @@ def recover_secret(registers: np.ndarray) -> BitVector:
     return bit_vectors(np.bitwise_xor.reduce(registers, axis=0)[None])[0]
 
 
-def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[list[RunOutcome]]:
+def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     """Run the scenario once per seed, simulating several runs as one stack.
 
     A stack holds as many runs as keep its stack_entries within
     STACK_ENTRIES, and at least one; seeds is read one stack at a time, so
-    it may be a lazy stream of any length. Yields the outcomes of each stack
-    in seed order. Every run draws only from the two generators spawned
-    from its own seed, in the order a lone run draws, so it matches
-    execute_run at that seed. A lone run is a stack of one. Validation
-    reports on the whole stack, and each run's verdict is read from its own
-    slice of that report.
+    it may be a lazy stream of any length. Yields each stack's RunStack in
+    seed order, whose arrays hold the outcome of all its runs and whose
+    items are the runs' outcomes, built when read. Every run draws only
+    from the two generators spawned from its own seed, in the order a lone
+    run draws, so it matches execute_run at that seed. A lone run is a
+    stack of one. Validation reports on the whole stack, and each run's
+    verdict is read from its own slice of that report.
     """
     size = scenario.stack_runs(STACK_ENTRIES)
     payload, layout = concat_secrets(scenario.secrets)
@@ -490,7 +602,7 @@ def _run_stack(
     ghz: np.ndarray,
     opening: tuple[tuple[Route, ...], np.ndarray],
     exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray],
-) -> list[RunOutcome]:
+) -> RunStack:
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
     eve_rngs = [np.random.default_rng(eve) for _protocol, eve in streams]
@@ -508,62 +620,35 @@ def _run_stack(
     validation, reported = run_validation(
         plan, states, index, scenario.noise_p, scenario.threshold_fraction, rngs
     )
-    reports = [validation.run(t) for t in range(runs)]
-    passed = np.array([not report.failed for report in reports])
-    # decoys[t]: run t's decoy positions, broadcast and kept in its transcript
-    decoys = plan.is_decoy.reshape(runs, m + d).nonzero()[1].reshape(runs, d)
-    # every run's payloads up to its verdict, in the opening's row order
-    lengths = np.broadcast_to(layout.lengths, (runs, n - 1))
-    opened = np.concatenate((lengths, decoys, reported.reshape(runs, (n - 1) * d)), axis=1)
+    passed = validation.passed
+    is_decoy = plan.is_decoy.reshape(runs, m + d)
+    registers = np.zeros((0, n, m), dtype=np.intp)
+    sent = exchange[0], exchange[1], np.zeros((0, exchange[2].size), dtype=np.intp)
     if passed.any():
         # the information tuples of the runs that passed, run after run
-        info = (~plan.is_decoy).reshape(runs, m + d) & passed[:, None]
+        info = ~is_decoy & passed[:, None]
         embedded, embedded_index = embed_secret(states, index[info.ravel()], payload, n)
         registers, residual, residual_index = decrypt_and_measure(
             embedded, embedded_index, n, [r for r, ok in zip(rngs, passed) if ok]
         )
         check_rows(residual)
-        # every transcript that passed holds a view of this
-        registers.flags.writeable = False
-        routes, ends, exchanged = classical_exchange(registers, exchange)
-        # a run that passed sends the opening, then the exchange: the same
-        # routes and ends for every such run, and one row of payloads each
-        sent = np.concatenate((opened[passed], exchanged), axis=1)
-        routes = opening[0] + routes
-        ends = np.concatenate((opening[1], opening[1][-1] + ends))
-
-    # run t's place among the runs that passed
-    completed = np.cumsum(passed) - 1
-    outcomes = []
-    for t, positions in enumerate(decoys.tolist()):
-        record = eve_record.run_record(t, m + d)
-        run_registers = recovered = None
-        if passed[t]:
-            p = completed[t]
-            run_registers = registers[p]
-            messages = MessageTable(routes, ends, sent[p])
-            recovered = split(recover_secret(run_registers), layout)
-            if scenario.eve.active:
-                record.final_states = residual
-                record.final_index = residual_index[p * m : (p + 1) * m]
-        else:
-            messages = MessageTable(*opening, opened[t])
-
-        transcript = Transcript(
-            layout=layout,
-            stream_length=m + d,
-            decoy_positions=tuple(positions),
-            stages=COMPLETED_STAGES if passed[t] else ABORTED_STAGES,
-            messages=messages,
-            validation=reports[t],
-            aborted=not passed[t],
-            register_bits=run_registers,
-            recovered=recovered,
-        )
-        outcomes.append(
-            RunOutcome(transcript=transcript, eve_record=record, eve_rng=eve_rngs[t])
-        )
-    return outcomes
+        if scenario.eve.active:
+            eve_record.final_states, eve_record.final_index = residual, residual_index
+        sent = classical_exchange(registers, exchange)
+    # every transcript that passed holds a view of this
+    registers.flags.writeable = False
+    return RunStack(
+        layout=layout,
+        opening=opening,
+        validation=validation,
+        reported=reported,
+        is_decoy=is_decoy,
+        passed=passed,
+        registers=registers,
+        exchange=sent,
+        eve=eve_record,
+        eve_rngs=eve_rngs,
+    )
 
 
 def execute_run(scenario: Scenario) -> RunOutcome:
@@ -576,14 +661,20 @@ def run_protocol(scenario: Scenario) -> Transcript:
 
 
 def check_transcript_secrecy(transcript: Transcript) -> list[str]:
-    """Structural secrecy checks on the classical traffic.
+    """Structural secrecy checks on the classical traffic of a run.
 
-    Returns a description of every violation found: an agent sending their
-    own withheld segment, or any message to the broker after validation.
-    Reads the routes of the transcript's own messages.
+    Reads the routes of the transcript's own messages (see
+    check_route_secrecy).
     """
+    return check_route_secrecy(transcript.messages.routes)
+
+
+def check_route_secrecy(routes: Sequence[Route]) -> list[str]:
+    """Returns a description of every violation among the routes of a run's
+    messages: an agent sending their own withheld segment, or any message to
+    the broker after validation."""
     violations: list[str] = []
-    for r in transcript.messages.routes:
+    for r in routes:
         if r.stage in POST_VALIDATION_STAGES and r.receiver == BROKER:
             violations.append(f"party {r.sender} sent {r.label!r} to the broker during {r.stage}")
         # segment indices are agent indices, so only an agent sender can match

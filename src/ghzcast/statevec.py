@@ -30,15 +30,16 @@ The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
 check_rows between stages. There are no single-state gate wrappers:
 the preparations return one-row batches and distribution takes a batch.
-Measurement takes a stream and comes in two forms: sample_rows returns each
-tuple's outcome bits and the normalised residual state of the unmeasured
-qubits, which is all the protocol reads; measure_rows also rebuilds every
-whole collapsed state in the physical frame, for gates that act after the
-measurement. Both rotate, square and sum each distinct state once, read the
-amplitudes through one outcome-major view, an axis permutation that puts
-each outcome's amplitudes in one block, and return their states in the
-stream form: one per distinct pair of a state and an outcome, with each
-tuple's index (see sample_rows).
+Measurement takes a stream. pick_rows draws each tuple's outcome bits;
+project_rows projects every tuple onto given outcomes, returning each
+branch's weight and the normalised residual state of the unmeasured
+qubits; sample_rows is the two in one, bits and residuals, which is all the
+protocol reads; measure_rows also rebuilds every whole collapsed state in
+the physical frame, for gates that act after the measurement. All of them
+rotate, square and sum each distinct state once, in one outcome-major copy,
+an axis permutation that puts each outcome's amplitudes in one block, and
+return their states in the stream form: one per distinct pair of a state
+and an outcome, with each tuple's index (see sample_rows).
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ __all__ = [
     "phase_flip_rows",
     "swap_rows",
     "append_rows",
+    "pick_rows",
+    "project_rows",
     "sample_rows",
     "measure_rows",
     "prepare_basis",
@@ -114,20 +117,22 @@ def hadamard_product_rows(signs: np.ndarray) -> np.ndarray:
     return sign * (0.5 ** (n / 2))
 
 
-def _hadamard_axis(x: np.ndarray, qubit: int) -> np.ndarray:
-    """H on one qubit of the amplitude axis of an (outer, 2**k, inner) array."""
+def _hadamard_axis(x: np.ndarray, qubit: int) -> None:
+    """H in place on one qubit of the amplitude axis of a C-contiguous (outer, 2**k, inner) array."""
     outer, dim, inner = x.shape
     _check_qubit(dim.bit_length() - 1, qubit)
-    view = x.reshape(outer * (dim >> (qubit + 1)), 2, (1 << qubit) * inner)
-    out = np.empty_like(view)
-    np.add(view[:, 0], view[:, 1], out=out[:, 0])
-    np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
-    out *= _SQRT_HALF
-    return out.reshape(x.shape)
+    pairs = x.reshape(outer * (dim >> (qubit + 1)), 2, (1 << qubit) * inner)
+    low, high = pairs[:, 0], pairs[:, 1]
+    total = low + high
+    np.subtract(low, high, out=high)
+    low[...] = total
+    pairs *= _SQRT_HALF
 
 
 def hadamard_rows(batch: np.ndarray, qubit: int) -> np.ndarray:
-    return _hadamard_axis(batch[:, :, None], qubit)[:, :, 0]
+    out = batch.copy()
+    _hadamard_axis(out.reshape(out.shape[0], out.shape[1], 1), qubit)
+    return out
 
 
 def cnot_rows(batch: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -175,24 +180,129 @@ def _hadamard_mask(hadamard, rows: int, k: int) -> np.ndarray:
     return np.broadcast_to(mask, (rows, k))  # ValueError on a shape that does not fit
 
 
-def _rotate_cols(cols: np.ndarray, qubits: Sequence[int], hadamard: np.ndarray) -> np.ndarray:
-    """Hadamard on qubit j of column t wherever hadamard[t, j] is set, in qubit order.
+def _rotate(flat: np.ndarray, bits: Sequence[int], hadamard: np.ndarray) -> None:
+    """Hadamard in place on index bit bits[j] of column t wherever hadamard[t, j] is set, in order.
 
-    cols is a batch in the transposed (2**k, T) layout, where the innermost
-    loop of every pass spans whole columns of rows rather than runs of
-    2**qubit amplitudes.
+    flat is a C-contiguous (2**q, U) array of amplitudes, one column per
+    state, so the innermost loop of every pass spans whole rows of columns.
     """
-    if not hadamard.any():
-        return cols
-    cols = np.ascontiguousarray(cols)[None]
-    for j, q in enumerate(qubits):
-        rows = hadamard[:, j]
-        if rows.all():
-            cols = _hadamard_axis(cols, q)
-        elif rows.any():
-            cols = cols.copy()
-            cols[:, :, rows] = _hadamard_axis(cols[:, :, rows], q)
-    return cols[0]
+    for j, bit in enumerate(bits):
+        cols = hadamard[:, j]
+        if cols.all():
+            _hadamard_axis(flat[None], bit)
+        elif cols.any():
+            # a boolean column pick may come out in Fortran order
+            some = np.ascontiguousarray(flat[:, cols])
+            _hadamard_axis(some[None], bit)
+            flat[:, cols] = some
+
+
+def _outcome_axes(num_qubits: int, qubits: list[int]) -> list[int]:
+    """Axis order that takes (U, 2, ..., 2) split states, axis 1 + i holding
+    qubit num_qubits - 1 - i, to the outcome-major (2, ..., 2, U) order: the
+    measured qubits first, the outcome's highest bit first, then the others."""
+    measured = [num_qubits - q for q in reversed(qubits)]
+    return measured + [a for a in range(1, num_qubits + 1) if a not in measured] + [0]
+
+
+def _measured_view(states: np.ndarray, qubits: list[int], hadamard) -> np.ndarray:
+    """Every distinct state in its measurement bases, as a new (2**k, 2**(q - k), U) array.
+
+    Axis 0 indexes the outcome, qubits[0] its lowest bit, axis 1 the
+    residual amplitude and axis 2 the state. The states are permuted into
+    this outcome-major order by one copy and rotated there: each Hadamard
+    pass adds and subtracts the same amplitude pairs whatever their memory
+    order, so every float is the one the physical order would give.
+    """
+    _check_real(states)
+    num_qubits, distinct, k = width(states), states.shape[0], len(qubits)
+    if len(set(qubits)) != k:
+        raise ValueError("measured qubits must be distinct")
+    for q in qubits:
+        _check_qubit(num_qubits, q)
+    mask = _hadamard_mask(hadamard, distinct, k)
+    split = states.reshape((distinct,) + (2,) * num_qubits)
+    view = split.transpose(_outcome_axes(num_qubits, qubits)).copy()
+    _rotate(view.reshape(1 << num_qubits, distinct), range(num_qubits - k, num_qubits), mask)
+    return view.reshape(1 << k, 1 << (num_qubits - k), distinct)
+
+
+def _marginal(view: np.ndarray, keep: bool) -> np.ndarray:
+    """(2**k, U) probability of every outcome of every state of an outcome-major view.
+
+    It is a running sum over axis 1, so each outcome's terms are added in
+    ascending basis index whatever the batch size; np.sum and np.add.reduce
+    add a lone row's terms pairwise, which can move the last bit of the
+    marginal and so of the residual. Each axis-1 slice is squared over
+    itself, unless keep asks for the view's amplitudes to survive.
+    """
+    marginal = np.square(view[:, 0], out=None if keep else view[:, 0])
+    for i in range(1, view.shape[1]):
+        marginal += np.square(view[:, i], out=None if keep else view[:, i])
+    return marginal
+
+
+def _pick(marginal: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(T,) outcome of every tuple: the first whose cumulative marginal
+    probability exceeds u[t] times its state's total."""
+    outcomes, distinct = marginal.shape
+    # the outcome of tuple t counts the cumulative sums of its state that
+    # are <= r[t]. Complex numbers sort by real part, then imaginary part:
+    # with the state as the real part and the sum as the imaginary part,
+    # one sorted array holds every state's sums in turn, and one search
+    # counts them for every tuple, comparing the same floats.
+    sums = np.empty((distinct, outcomes), dtype=np.complex128)
+    sums.real = np.arange(distinct)[:, None]
+    np.cumsum(marginal.T, axis=1, out=sums.imag)
+    draws = np.empty(index.size, dtype=np.complex128)
+    draws.real = index
+    draws.imag = np.asarray(u) * sums.imag[index, -1]
+    counted = np.searchsorted(sums.ravel(), draws, side="right") - index * outcomes
+    return np.minimum(counted, outcomes - 1)
+
+
+def _project(
+    view: np.ndarray, marginal: np.ndarray, index: np.ndarray, picked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight and normalised residual of every distinct (state, outcome) pair, and each tuple's pair."""
+    outcomes = view.shape[0]
+    pairs, pair_index = np.unique(index * outcomes + picked, return_inverse=True)
+    state, outcome = pairs // outcomes, pairs % outcomes
+    weights = marginal[outcome, state]
+    residual = view[outcome, :, state]
+    residual /= np.sqrt(weights)[:, None]
+    return weights, residual, pair_index
+
+
+def pick_rows(
+    states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
+) -> np.ndarray:
+    """The (T, k) outcome bits of sample_rows alone, with no residual built.
+
+    Takes the arguments of sample_rows and returns the same bits.
+    """
+    qubits = list(qubits)
+    view = _measured_view(states, qubits, hadamard)
+    picked = _pick(_marginal(view, keep=False), np.asarray(index, dtype=np.intp), u)
+    return (picked[:, None] >> np.arange(len(qubits))) & 1
+
+
+def project_rows(
+    states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project every tuple of a stream onto the outcome bits[t] of its measurement.
+
+    Takes the stream and bases of sample_rows and a (T, k) bit array in
+    place of the draws. Returns, per distinct (state, outcome) pair the
+    tuples name, in the form of sample_rows: its weight, the squared norm
+    of the projection (the outcome's probability for a normalised state),
+    a (V,) array; its normalised residual, (V, 2**(q - k)); and the (T,)
+    index of each tuple's pair. An outcome of weight 0 has no residual.
+    """
+    qubits = list(qubits)
+    view = _measured_view(states, qubits, hadamard)
+    picked = np.asarray(bits, dtype=np.intp) @ (1 << np.arange(len(qubits)))
+    return _project(view, _marginal(view, keep=True), np.asarray(index, dtype=np.intp), picked)
 
 
 def sample_rows(
@@ -215,59 +325,20 @@ def sample_rows(
     measured. The measured qubits are simply gone from it, so no
     measurement frame has to be undone.
 
-    The kernel reads the rotated columns through one outcome-major view of
-    shape (2**k, 2**(q - k), U): the measured qubits' axes are moved to the
-    front, the highest bit of the outcome first, so axis 0 indexes the
-    outcome (qubits[0] its lowest bit) and axis 1 the residual amplitude.
-    The marginal is then a sum over axis 1 and the residual of a pair is
-    view[outcome, :, state]. That sum is a running sum, so each outcome's
-    terms are added in ascending basis index whatever the batch size;
-    np.sum and np.add.reduce add a lone row's terms pairwise, which can
-    move the last bit of the marginal and so of the residual. The running
-    sum adds the axis-1 slices one by one, in the order np.cumsum would.
+    It is the outcome pick of pick_rows followed by the projection of
+    project_rows onto the picked outcomes, on one outcome-major view of
+    the rotated states (see _measured_view): the marginal is a sum over
+    its axis 1 and the residual of a pair is view[outcome, :, state].
     Every step acts column by column, so a tuple gets the same bits and
     residual as it would from a batch of its own.
     """
-    _check_real(states)
     qubits = list(qubits)
-    num_qubits = width(states)
-    distinct, k = states.shape[0], len(qubits)
-    if len(set(qubits)) != k:
-        raise ValueError("measured qubits must be distinct")
-    for q in qubits:
-        _check_qubit(num_qubits, q)
+    view = _measured_view(states, qubits, hadamard)
+    marginal = _marginal(view, keep=True)
     index = np.asarray(index, dtype=np.intp)
-    cols = _rotate_cols(states.T, qubits, _hadamard_mask(hadamard, distinct, k))
-
-    # axis i of the split columns holds qubit num_qubits - 1 - i
-    measured = [num_qubits - 1 - q for q in reversed(qubits)]
-    split = cols.reshape((2,) * num_qubits + (distinct,))
-    view = np.moveaxis(split, measured, range(k)).reshape(1 << k, 1 << (num_qubits - k), distinct)
-    squares = view**2
-    marginal = squares[:, 0]
-    for i in range(1, squares.shape[1]):
-        marginal += squares[:, i]
-    cum = np.cumsum(marginal, axis=0)
-    # the outcome of tuple t counts the cumulative sums of its state that
-    # are <= r[t]. Complex numbers sort by real part, then imaginary part:
-    # with the state as the real part and the sum as the imaginary part,
-    # one sorted array holds every state's sums in turn, and one search
-    # counts them for every tuple, comparing the same floats.
-    sums = np.empty((distinct, 1 << k), dtype=np.complex128)
-    sums.real = np.arange(distinct)[:, None]
-    sums.imag = cum.T
-    draws = np.empty(index.size, dtype=np.complex128)
-    draws.real = index
-    draws.imag = np.asarray(u) * cum[-1, index]
-    counted = np.searchsorted(sums.ravel(), draws, side="right") - (index << k)
-    picked = np.minimum(counted, (1 << k) - 1)
-    bits = (picked[:, None] >> np.arange(k)) & 1
-
-    pairs, pair_index = np.unique((index << k) + picked, return_inverse=True)
-    state, outcome = pairs >> k, pairs & ((1 << k) - 1)
-    residual = view[outcome, :, state]
-    residual /= np.sqrt(marginal[outcome, state])[:, None]
-    return bits, residual, pair_index
+    picked = _pick(marginal, index, u)
+    _, residual, pair_index = _project(view, marginal, index, picked)
+    return (picked[:, None] >> np.arange(len(qubits))) & 1, residual, pair_index
 
 
 def measure_rows(
@@ -288,14 +359,15 @@ def measure_rows(
     state[pair_index] = index
     outcome = np.empty(pairs, dtype=np.intp)
     outcome[pair_index] = bits @ (1 << np.arange(k))
-    # scatter into sample_rows' outcome-major view, then move the axes back
+    # scatter into sample_rows' outcome-major view, rotate back there, then
+    # put the axes back in physical order
     kept = np.zeros((1 << k, states.shape[1] >> k, pairs))
     kept[outcome, :, np.arange(pairs)] = residual
-    measured = [num_qubits - 1 - q for q in reversed(qubits)]
-    split = np.moveaxis(kept.reshape((2,) * num_qubits + (pairs,)), range(k), measured)
     mask = _hadamard_mask(hadamard, states.shape[0], k)[state]
-    frame = _rotate_cols(split.reshape(states.shape[1], pairs), qubits, mask)
-    return bits, np.ascontiguousarray(frame.T), pair_index
+    _rotate(kept.reshape(states.shape[1], pairs), range(num_qubits - k, num_qubits), mask)
+    split = kept.reshape((2,) * num_qubits + (pairs,))
+    physical = split.transpose(np.argsort(_outcome_axes(num_qubits, qubits)))
+    return bits, physical.reshape(pairs, states.shape[1]), pair_index
 
 
 def prepare_basis(labels: BitVector) -> np.ndarray:
@@ -340,6 +412,5 @@ def prepare_ghz(n: int, topology: str = "linear") -> np.ndarray:
 def distribution(batch: np.ndarray, hadamard) -> np.ndarray:
     """Exact Born probabilities of each row, every qubit measured in the bases of the mask."""
     _check_real(batch)
-    k = width(batch)
-    cols = _rotate_cols(batch.T, range(k), _hadamard_mask(hadamard, batch.shape[0], k))
-    return (cols**2).T
+    view = _measured_view(batch, list(range(width(batch))), hadamard)
+    return _marginal(view, keep=False).T

@@ -347,6 +347,29 @@ class TestDetectionExperiment:
         b = detection_experiment(sc, trials=20)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "eve",
+        [
+            EveStrategy(),
+            EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS, k=2),
+            EveStrategy(tag=ENTANGLE_ANCILLA, k=1),
+        ],
+        ids=["honest", "measure_resend", "entangle_ancilla"],
+    )
+    def test_counting_builds_no_transcript(self, eve, example_secrets, monkeypatch):
+        # the counts come from each stack's arrays; at threshold 0.3 some
+        # attacked runs pass and some abort
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        for cls in (protocol.Transcript, protocol.RunOutcome, protocol.MessageTable):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        scenario = Scenario(
+            n=3, secrets=example_secrets, d=4, eve=eve, noise_p=0.1, threshold_fraction=0.3, seed=3
+        )
+        stats = detection_experiment(scenario, trials=30)
+        assert 0 < stats.aborts < stats.trials and stats.eve_bits == 30 * 6
+
     def test_seeds_are_drawn_as_the_stacks_need_them(self, example_secrets, monkeypatch):
         # a million seeds held at once take at least 8 MB before the first
         # stack runs; drawn lazily they take next to nothing

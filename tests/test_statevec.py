@@ -18,8 +18,10 @@ from ghzcast.statevec import (
     hadamard_rows,
     measure_rows,
     phase_flip_rows,
+    pick_rows,
     prepare_basis,
     prepare_ghz,
+    project_rows,
     sample_rows,
     swap_rows,
     width,
@@ -524,3 +526,47 @@ def test_index_form_equals_the_expanded_batch(shape, distinct, picks, seed):
     )
     assert np.array_equal(measured, bits)
     assert np.array_equal(collapsed[collapsed_index], dense_collapsed[dense_collapsed_index])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.permutations(range(q)).flatmap(
+                lambda order: st.integers(0, q).map(lambda k: order[:k])
+            ),
+        )
+    ),
+    st.integers(0, 4),
+    st.lists(st.integers(0, 3), max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_sampling_is_a_pick_then_a_projection(shape, distinct, picks, seed):
+    """pick_rows draws the bits sample_rows draws, and project_rows at those
+    bits returns its residuals, with each branch's Born weight; neither
+    touches the states."""
+    q, qubits = shape
+    rng = np.random.default_rng(seed)
+    states = random_batch(rng, distinct, q)
+    before = states.copy()
+    index = np.array([p % distinct for p in picks] if distinct else [], dtype=np.intp)
+    hadamard = rng.integers(0, 2, size=(distinct, len(qubits))) == 1
+    u = rng.random(index.size)
+
+    bits, residual, residual_index = sample_rows(states, index, qubits, hadamard, u)
+    assert np.array_equal(pick_rows(states, index, qubits, hadamard, u), bits)
+    weights, projected, projected_index = project_rows(states, index, qubits, hadamard, bits)
+    assert np.array_equal(projected, residual)
+    assert np.array_equal(projected_index, residual_index)
+    assert np.array_equal(states, before)
+
+    # a branch's weight sums the Born probabilities of its basis states
+    mask = np.zeros((distinct, q), dtype=bool)
+    mask[:, qubits] = hadamard
+    probs = distribution(states, mask)
+    basis = np.arange(1 << q)
+    outcome = sum((((basis >> qubit) & 1) << j for j, qubit in enumerate(qubits)), 0 * basis)
+    for t, pair in enumerate(projected_index):
+        branch = outcome == bits[t] @ (1 << np.arange(len(qubits)))
+        assert weights[pair] == pytest.approx(probs[index[t], branch].sum(), abs=1e-12)
