@@ -27,7 +27,7 @@ flips from each run's own generator. A lone run is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -131,14 +131,16 @@ class EveStrategy:
 class EveRecord:
     """Eve's bookkeeping for a stack's tuple stream, one row per stream position.
 
-    targets lists the attacked agent slots, one column each. hadamard and
-    outcomes hold her in-transit measurements, one row per tuple: which
-    qubits she measured in the Hadamard basis, and what she read. For the
-    runs that got through decryption, final_states and final_index hold
-    what is left of their information tuples, run after run, in the
-    stream's form: the j-th of them is in final_states[final_index[j]], the
-    qubits Eve kept, qubit n + i of the tuple as qubit i of the row.
-    eve_postprocess measures kept ancillas there in one call.
+    A record covers its whole stack and is never cut per run: a lone run's
+    is the record of its stack of one. targets lists the attacked agent
+    slots, one column each. hadamard and outcomes hold her in-transit
+    measurements, one row per tuple: which qubits she measured in the
+    Hadamard basis, and what she read. For the runs that got through
+    decryption, final_states and final_index hold what is left of their
+    information tuples, run after run, in the stream's form: the j-th of
+    them is in final_states[final_index[j]], the qubits Eve kept, qubit
+    n + i of the tuple as qubit i of the row. eve_postprocess measures
+    kept ancillas there in one call per stack.
     """
 
     strategy: EveStrategy
@@ -147,20 +149,6 @@ class EveRecord:
     outcomes: np.ndarray | None = None
     final_states: np.ndarray | None = None
     final_index: np.ndarray | None = None
-
-    def select(self, tuples: slice, info: slice | None) -> "EveRecord":
-        """The record of the runs whose tuples sit at tuples of this one.
-
-        info slices final_index to what is left of their information tuples,
-        or is None when none of them got through decryption.
-        """
-        return replace(
-            self,
-            hadamard=None if self.hadamard is None else self.hadamard[tuples],
-            outcomes=None if self.outcomes is None else self.outcomes[tuples],
-            final_states=None if info is None else self.final_states,
-            final_index=None if info is None or self.final_index is None else self.final_index[info],
-        )
 
 
 def attack_tuple(

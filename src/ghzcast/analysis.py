@@ -425,7 +425,7 @@ def detection_experiment(
             if senders:
                 secrecy_violations += senders * len(check_route_secrecy(routes))
 
-        correct = m - np.count_nonzero(stack.eve_guesses() != truth, axis=1)
+        correct = m - np.count_nonzero(stack.guesses != truth, axis=1)
         eve_correct += int(correct.sum())
 
         if rows is not None:

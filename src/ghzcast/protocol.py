@@ -31,18 +31,17 @@ phase-flipped twin, and the decoy sign patterns. A stack is bounded by what
 it allocates, its distinct amplitudes plus its per-run arrays (see
 Scenario.stack_entries), so a stack of honest runs holds tens of them. The
 classical layer works per stack too: the decoy reports, the verdicts, the
-registers and the exchanged segments of all runs are arrays, held by the
-RunStack that run_trials yields. Statistics are counted from those arrays;
-a run's RunOutcome, its transcript and Eve's guesses are views of one
-stack row, built only when read. Measured decoy tuples are not kept, and
+registers, the exchanged segments and Eve's guesses of all runs are
+arrays, held by the RunStack that run_trials yields, and statistics are
+counted from them. A lone run is a stack of one, from whose arrays
+execute_run builds its RunOutcome. Measured decoy tuples are not kept, and
 decryption keeps of each information tuple only the qubits an adversary
 holds, the part her late measurement needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -228,12 +227,12 @@ class ValidationReport:
 
     wrong is a (runs, d, n - 1) bit array: per run, one row per decoy in
     stream order and one column per agent slot, set where the agent's report
-    differs from the broker's record. run(t) slices out run t's own report,
-    with a (d, n - 1) array. decoy_checks and errors total the report. The
-    threshold is threshold_fraction times one run's transmitted decoy
-    qubits, d * (n - 1); the verdict is a run's, fail exactly when its
-    errors reach the threshold, so a stack has none and reads every run's
-    from passed.
+    differs from the broker's record; a lone run's transcript holds its own
+    report, with a (d, n - 1) array. decoy_checks and errors total the
+    report. The threshold is threshold_fraction times one run's transmitted
+    decoy qubits, d * (n - 1). A run fails exactly when its errors reach the
+    threshold, unless it has no checks; passed holds that verdict of every
+    run, and a lone run's report also reads it as failed and verdict.
     """
 
     wrong: np.ndarray
@@ -250,8 +249,8 @@ class ValidationReport:
     @property
     def failed(self) -> bool:
         if self.wrong.ndim != 2:
-            raise ValueError("a stack of runs has no verdict; read it from run(t)")
-        return self.decoy_checks > 0 and self.errors >= self.threshold
+            raise ValueError("a stack of runs has no single verdict; read every run's from passed")
+        return not self.passed
 
     @property
     def verdict(self) -> str:
@@ -259,13 +258,10 @@ class ValidationReport:
 
     @property
     def passed(self) -> np.ndarray:
-        """The verdict of every run of a stack, as a (runs,) mask of the runs that passed."""
-        runs, d, slots = self.wrong.shape
-        return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(1, 2)) < self.threshold)
-
-    def run(self, t: int) -> ValidationReport:
-        """Run t's own report."""
-        return ValidationReport(self.wrong[t], self.threshold)
+        """The verdict of every run of a stack, as a (runs,) mask of the runs
+        that passed; of a lone run's report, one numpy bool."""
+        d, slots = self.wrong.shape[-2:]
+        return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(-2, -1)) < self.threshold)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValidationReport):
@@ -322,46 +318,42 @@ class Transcript:
 
 
 class RunOutcome:
-    """One run of a stack: its transcript plus the simulator-private adversary bookkeeping.
+    """One run: its transcript plus the simulator-private adversary bookkeeping.
 
-    A view of a stack of one (see RunStack.run): the transcript is built
-    from the stack's arrays when first read.
+    Built from the run's stack of one (see execute_run): the transcript
+    from its arrays, and eve_guesses() splits Eve's guess of its payload.
     """
 
     def __init__(self, stack: RunStack) -> None:
-        self.stack = stack
-        self.eve_record = stack.eve
-
-    @cached_property
-    def transcript(self) -> Transcript:
-        s = self.stack
-        layout, aborted = s.layout, not s.passed[0]
-        positions = np.flatnonzero(s.is_decoy[0])
+        layout, aborted = stack.layout, not stack.passed[0]
+        positions = np.flatnonzero(stack.is_decoy[0])
         # the opening's payloads: segment lengths, decoy positions, decoy outcomes
-        sent = np.concatenate((layout.lengths, positions, s.reported[0].ravel()))
-        routes, ends = s.opening
+        sent = np.concatenate((layout.lengths, positions, stack.reported[0].ravel()))
+        routes, ends = stack.opening
         registers = recovered = None
         if not aborted:
-            exchanged, exchange_ends, payload = s.exchange
+            exchanged, exchange_ends, payload = stack.exchange
             routes = routes + exchanged
             ends = np.concatenate((ends, ends[-1] + exchange_ends))
             sent = np.concatenate((sent, payload[0]))
-            registers = s.registers[0]
+            registers = stack.registers[0]
             recovered = split(recover_secret(registers), layout)
-        return Transcript(
+        self.transcript = Transcript(
             layout=layout,
-            stream_length=s.is_decoy.shape[1],
+            stream_length=stack.is_decoy.shape[1],
             decoy_positions=tuple(positions.tolist()),
             stages=ABORTED_STAGES if aborted else COMPLETED_STAGES,
             messages=MessageTable(routes, ends, sent),
-            validation=s.validation.run(0),
+            validation=ValidationReport(stack.validation.wrong[0], stack.validation.threshold),
             aborted=aborted,
             register_bits=registers,
             recovered=recovered,
         )
+        self.eve_record = stack.eve
+        self._guesses = split(bit_vectors(stack.guesses)[0], layout)
 
     def eve_guesses(self) -> tuple[BitVector, ...]:
-        return split(bit_vectors(self.stack.eve_guesses())[0], self.stack.layout)
+        return self._guesses
 
 
 @dataclass(eq=False)
@@ -376,10 +368,8 @@ class RunStack:
     exchange, what they sent in the closing exchange as classical_exchange
     returns it. Every run sends the routes and payload ends of opening up
     to its verdict, and the exchange's after it if it passed. eve is Eve's
-    record of the stack and eve_rngs her generator of every run.
-
-    A stack reads as a sequence of runs: stack[t] is run t's RunOutcome,
-    whose transcript is built from these arrays only when read.
+    record of the stack, and guesses her (runs, m) guess of every run's
+    payload (see eve_postprocess), drawn once when the stack is made.
     """
 
     layout: SegmentLayout
@@ -391,44 +381,7 @@ class RunStack:
     registers: np.ndarray
     exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray]
     eve: EveRecord
-    eve_rngs: Sequence[np.random.Generator]
-
-    def __len__(self) -> int:
-        return self.passed.size
-
-    def __getitem__(self, t: int) -> RunOutcome:
-        return RunOutcome(self.run(t))
-
-    def run(self, t: int) -> RunStack:
-        """Run t alone, as a stack of one that shares these arrays."""
-        t = range(len(self))[t]  # IndexError past the end, which ends iteration
-        tuples, m = self.is_decoy.shape[1], self.layout.total
-        p = int(np.count_nonzero(self.passed[:t]))
-        own = slice(p, p + int(self.passed[t]))
-        routes, ends, payload = self.exchange
-        return replace(
-            self,
-            validation=ValidationReport(self.validation.wrong[t : t + 1], self.validation.threshold),
-            reported=self.reported[t : t + 1],
-            is_decoy=self.is_decoy[t : t + 1],
-            passed=self.passed[t : t + 1],
-            registers=self.registers[own],
-            exchange=(routes, ends, payload[own]),
-            eve=self.eve.select(
-                slice(t * tuples, (t + 1) * tuples),
-                slice(p * m, (p + 1) * m) if self.passed[t] else None,
-            ),
-            eve_rngs=self.eve_rngs[t : t + 1],
-        )
-
-    def eve_guesses(self) -> np.ndarray:
-        """Eve's (runs, m) guess of every run's payload (see eve_postprocess).
-
-        Her coins come from each run's generator, so every call draws anew.
-        """
-        return eve_postprocess(
-            self.eve, self.layout, self.is_decoy, self.passed, self.exchange, self.eve_rngs
-        )
+    guesses: np.ndarray
 
 
 def embed_secret(
@@ -565,12 +518,11 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     A stack holds as many runs as keep its stack_entries within
     STACK_ENTRIES, and at least one; seeds is read one stack at a time, so
     it may be a lazy stream of any length. Yields each stack's RunStack in
-    seed order, whose arrays hold the outcome of all its runs and whose
-    items are the runs' outcomes, built when read. Every run draws only
-    from the two generators spawned from its own seed, in the order a lone
-    run draws, so it matches execute_run at that seed. A lone run is a
-    stack of one. Validation reports on the whole stack, and each run's
-    verdict is read from its own slice of that report.
+    seed order, whose arrays hold the outcome of all its runs. Every run
+    draws only from the two generators spawned from its own seed, in the
+    order a lone run draws, so it matches execute_run at that seed. A lone
+    run is a stack of one. Validation reports on the whole stack, and
+    passed reads every run's verdict from it.
     """
     size = scenario.stack_runs(STACK_ENTRIES)
     payload, layout = concat_secrets(scenario.secrets)
@@ -635,7 +587,7 @@ def _run_stack(
         if scenario.eve.active:
             eve_record.final_states, eve_record.final_index = residual, residual_index
         sent = classical_exchange(registers, exchange)
-    # every transcript that passed holds a view of this
+    # a lone run's transcript holds a view of this, read-only like its messages
     registers.flags.writeable = False
     return RunStack(
         layout=layout,
@@ -647,13 +599,13 @@ def _run_stack(
         registers=registers,
         exchange=sent,
         eve=eve_record,
-        eve_rngs=eve_rngs,
+        guesses=eve_postprocess(eve_record, layout, is_decoy, passed, sent, eve_rngs),
     )
 
 
 def execute_run(scenario: Scenario) -> RunOutcome:
     """Run the protocol once and return the transcript plus Eve's records."""
-    return next(run_trials(scenario, [scenario.seed]))[0]
+    return RunOutcome(next(run_trials(scenario, [scenario.seed])))
 
 
 def run_protocol(scenario: Scenario) -> Transcript:

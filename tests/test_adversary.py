@@ -168,6 +168,20 @@ class TestDisturbanceRates:
 
 
 class TestPostprocess:
+    @pytest.mark.parametrize(
+        "eve",
+        [EveStrategy(), EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS)],
+        ids=["honest", "measure_resend"],
+    )
+    def test_guesses_are_drawn_once(self, eve):
+        # a run's guess is part of its outcome: asking twice reads the same
+        # guess, not fresh coins
+        secrets = (BitVector.from_text("0101"), BitVector.from_text("110"))
+        outcome = execute_run(
+            Scenario(n=3, secrets=secrets, d=4, eve=eve, threshold_fraction=0.99, seed=5)
+        )
+        assert outcome.eve_guesses() == outcome.eve_guesses()
+
     def test_aborted_run_guesses_are_shaped(self, example_secrets):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
         outcome = execute_run(

@@ -40,6 +40,8 @@ from ghzcast.messages import STAGE_VALIDATION
 from ghzcast.protocol import (
     STACK_ENTRIES,
     Registers,
+    RunOutcome,
+    RunStack,
     Scenario,
     check_transcript_secrecy,
     execute_run,
@@ -461,6 +463,38 @@ def small_scenarios(draw):
     )
 
 
+def stack_arrays(stack: RunStack) -> dict[str, np.ndarray | None]:
+    """The per-run arrays of a stack, each with one entry per run (or per
+    passing run) along axis 0, or None where the stack has none."""
+    eve = stack.eve
+    return {
+        "wrong": stack.validation.wrong,
+        "reported": stack.reported,
+        "is_decoy": stack.is_decoy,
+        "passed": stack.passed,
+        "registers": stack.registers,
+        "payload": stack.exchange[2],
+        "guesses": stack.guesses,
+        "hadamard": eve.hadamard,
+        "outcomes": eve.outcomes,
+        "final": None if eve.final_states is None else eve.final_states[eve.final_index],
+    }
+
+
+def assert_stacks_concatenate(stacks: list[RunStack], lone: list[RunStack]) -> None:
+    """Every stack holds, field by field, the lone stacks of its runs
+    concatenated in seed order."""
+    runs = iter(lone)
+    for stack in stacks:
+        parts = [stack_arrays(next(runs)) for _ in range(stack.passed.size)]
+        for name, array in stack_arrays(stack).items():
+            present = [part[name] for part in parts if part[name] is not None]
+            joined = np.concatenate(present) if present else None
+            assert (array is None) == (joined is None), name
+            assert array is None or np.array_equal(array, joined), name
+    assert next(runs, None) is None
+
+
 class TestStackedRuns:
     """Runs simulated as one stack match the same runs made one at a time."""
 
@@ -473,13 +507,12 @@ class TestStackedRuns:
 
         seeds = np.random.default_rng(scenario.seed).integers(0, 2**63, size=trials).tolist()
         stacks = list(run_trials(scenario, seeds))
-        assert [len(stack) for stack in stacks] == [per_stack, per_stack, 1]
-        stacked = [outcome for stack in stacks for outcome in stack]
-        alone = [execute_run(replace(scenario, seed=seed)) for seed in seeds]
-        for a, b in zip(stacked, alone):
-            assert a.transcript == b.transcript
+        assert [stack.passed.size for stack in stacks] == [per_stack, per_stack, 1]
+        lone = [next(run_trials(scenario, [seed])) for seed in seeds]
+        assert_stacks_concatenate(stacks, lone)
 
         stats = detection_experiment(scenario, trials, collect_rows=True)
+        alone = [RunOutcome(stack) for stack in lone]
         targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
         reports = [o.transcript.validation for o in alone]
         attacked = [r.wrong[:, targets] for r in reports]
@@ -524,13 +557,9 @@ class TestStackedRuns:
         with patch.object(protocol, "STACK_ENTRIES", scenario.stack_entries(per_stack)):
             stacks = list(run_trials(scenario, seeds))
         full, rest = divmod(len(seeds), per_stack)
-        assert [len(stack) for stack in stacks] == [per_stack] * full + [rest] * (rest > 0)
-
-        stacked = [outcome for stack in stacks for outcome in stack]
-        alone = [execute_run(replace(scenario, seed=seed)) for seed in seeds]
-        for a, b in zip(stacked, alone, strict=True):
-            assert a.transcript == b.transcript
-            assert a.eve_guesses() == b.eve_guesses()
+        sizes = [stack.passed.size for stack in stacks]
+        assert sizes == [per_stack] * full + [rest] * (rest > 0)
+        assert_stacks_concatenate(stacks, [next(run_trials(scenario, [seed])) for seed in seeds])
 
 
 def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:

@@ -25,7 +25,6 @@ from ghzcast.protocol import (
     execute_run,
     recover_secret,
     run_protocol,
-    run_trials,
 )
 from ghzcast.statevec import prepare_ghz
 from test_acceptance import ATTACK_SCENARIOS
@@ -210,19 +209,14 @@ class TestMessages:
         assert [(r, entries.tolist()) for r, entries in transcript.messages] == expected
 
     def test_stacked_transcripts_are_read_only(self, example_secrets):
-        # the runs of a stack share their payload ends and slice one register
-        # array, so a write into one transcript must not reach another
-        stack = next(run_trials(Scenario(n=3, secrets=example_secrets), [12, 13]))
-        first, second = (outcome.transcript for outcome in stack)
-        assert not first.aborted and not second.aborted
-        def read(transcript):
-            return [(r, bits.tolist()) for r, bits in transcript.messages], transcript.registers
-
-        before = read(second)
-        for array in (first.messages.ends, first.messages.payload, first.register_bits):
+        # a lone run's transcript holds a view of its stack's register array,
+        # so its arrays refuse writes rather than change the stack under it
+        transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
+        assert not transcript.aborted
+        messages = transcript.messages
+        for array in (messages.ends, messages.payload, transcript.register_bits):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] ^= 1
-        assert read(second) == before
 
     def test_broadcasts_carry_typed_payloads(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
@@ -271,16 +265,19 @@ class TestAbort:
         wrong[1, :2] = True
         report = ValidationReport(wrong, threshold=1.5)
         assert (report.decoy_checks, report.errors) == (24, 6)
-        runs = [report.run(t) for t in range(2)]
+        assert report.passed.tolist() == [True, False]
+        with pytest.raises(ValueError, match="from passed"):
+            report.failed
+        # a lone run's report reads its verdict by the same rule
+        runs = [ValidationReport(w, threshold=1.5) for w in wrong]
         assert [(r.decoy_checks, r.errors, r.verdict) for r in runs] == [
             (12, 0, "pass"),
             (12, 6, "fail"),
         ]
-        with pytest.raises(ValueError, match="run\\(t\\)"):
-            report.failed
         # without decoys a run has nothing to fail
         empty = np.zeros((1, 0, 3), dtype=bool)
-        assert ValidationReport(empty, threshold=0.0).run(0).verdict == "pass"
+        assert ValidationReport(empty, threshold=0.0).passed.tolist() == [True]
+        assert ValidationReport(empty[0], threshold=0.0).verdict == "pass"
 
     def test_heavy_noise_aborts(self, example_secrets):
         aborted = 0
@@ -331,9 +328,8 @@ class TestRecoverSecret:
             noise_p=data.draw(st.sampled_from([0.0, 0.3])),
         )
         first = data.draw(st.integers(0, 2**16))
-        seeds = range(first, first + data.draw(st.integers(1, 4)))
-        for outcome in (o for stack in run_trials(scenario, seeds) for o in stack):
-            transcript = outcome.transcript
+        for seed in range(first, first + data.draw(st.integers(1, 4))):
+            transcript = run_protocol(replace(scenario, seed=seed))
             if transcript.aborted:
                 continue
             layout, registers = transcript.layout, transcript.registers
