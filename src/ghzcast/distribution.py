@@ -6,6 +6,13 @@ random, keeps qubit n-1 of every tuple and sends qubit i of every tuple to
 agent i. Decoy positions and preparations are recorded so the validation
 stage can compare reported outcomes against them.
 
+A plan is those draws alone: the interleaving and the decoy signs, with no
+amplitudes. A decoy that nothing touches needs none: each agent measures its
+qubit in the Hadamard basis it was prepared in, so the outcome is the sign
+the broker recorded, and validation reads it from the plan (see
+protocol.run_validation). Only a stream an adversary acts on is built as
+states, by DistributionPlan.stream.
+
 Tuples are never entangled with each other, so they stay separate states
 rather than one joint register; the joint picture is recovered exactly by the
 analysis oracles. A stream holds few distinct states: every information tuple
@@ -32,15 +39,14 @@ __all__ = ["DistributionPlan", "build_plan", "prepare_ghz"]
 class DistributionPlan:
     """Stream of m information tuples and d decoys in transmission order.
 
-    states holds the distinct prepared tuples: row 0 the GHZ row, then the
-    decoy sign patterns the stack holds, each once. index names the row of
-    every stream position, and is_decoy marks the decoy positions; the
-    j-th information tuple of a run carries payload bit j. signs is the
-    broker's private record of the decoy preparations: row i holds the
-    signs (0 plus, 1 minus) of the i-th decoy in stream order. A plan
-    stacks the streams of its runs one after another, so every per-position
-    field counts over the whole stack and run t owns positions
-    t*(m+d) .. (t+1)*(m+d)-1.
+    is_decoy marks the decoy positions; the j-th information tuple of a run
+    carries payload bit j. signs is the broker's private record of the decoy
+    preparations: row i holds the signs (0 plus, 1 minus) of the i-th decoy
+    in stream order. It is also every untouched decoy's Hadamard-basis
+    outcome, so a plan holds no amplitudes; stream builds them for a stream
+    an adversary acts on. A plan stacks the streams of its runs one after
+    another, so every per-position field counts over the whole stack and
+    run t owns positions t*(m+d) .. (t+1)*(m+d)-1.
     """
 
     n: int
@@ -48,24 +54,32 @@ class DistributionPlan:
     d: int
     is_decoy: np.ndarray
     signs: np.ndarray
-    states: np.ndarray
-    index: np.ndarray
 
     @property
     def trials(self) -> int:
         return self.is_decoy.size // (self.m + self.d)
 
+    def stream(self, ghz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The prepared stream as (states, index), one entry of index per position.
 
-def build_plan(
-    m: int, d: int, n: int, rngs: Sequence[np.random.Generator], ghz: np.ndarray
-) -> DistributionPlan:
+        states holds the distinct prepared tuples: row 0 the GHZ row ghz,
+        prepare_ghz(n), then the decoy sign patterns the stack holds, each
+        once, in ascending order of their packed minus masks.
+        """
+        n = self.n
+        patterns, pattern = np.unique(self.signs @ (1 << np.arange(n)), return_inverse=True)
+        decoys = hadamard_product_rows((patterns[:, None] >> np.arange(n)) & 1)
+        index = np.zeros(self.is_decoy.size, dtype=np.intp)
+        index[self.is_decoy] = 1 + pattern
+        return np.concatenate((ghz, decoys)), index
+
+
+def build_plan(m: int, d: int, n: int, rngs: Sequence[np.random.Generator]) -> DistributionPlan:
     """Interleave m information tuples and d decoys uniformly at random.
 
     Each decoy qubit is plus or minus with probability one half. There is
     one generator per run: every run draws its own stream from its own
-    generator, and the plan stacks them. ghz is prepare_ghz(n), the row
-    every information tuple starts in; a caller building many plans
-    prepares it once, through this module's prepare_ghz.
+    generator, the permutation then the signs, and the plan stacks them.
     """
     if m < 1:
         raise ValueError("need at least one information tuple")
@@ -81,14 +95,6 @@ def build_plan(
     for r in rngs:
         is_decoy.append(r.permutation(m + d) >= m)
         signs.append(r.integers(0, 2, size=(d, n)))
-    is_decoy = np.concatenate(is_decoy)
-    signs = np.concatenate(signs)
-
-    # the sign patterns the decoys use, each once, as packed minus masks
-    patterns, pattern = np.unique(signs @ (1 << np.arange(n)), return_inverse=True)
-    states = np.concatenate((ghz, hadamard_product_rows((patterns[:, None] >> np.arange(n)) & 1)))
-    index = np.zeros(is_decoy.size, dtype=np.intp)
-    index[is_decoy] = 1 + pattern
     return DistributionPlan(
-        n=n, m=m, d=d, is_decoy=is_decoy, signs=signs, states=states, index=index
+        n=n, m=m, d=d, is_decoy=np.concatenate(is_decoy), signs=np.concatenate(signs)
     )

@@ -27,8 +27,12 @@ would, so a stacked run is the run execute_run makes at the same seed. A
 stack's stream is its few distinct tuple states plus the index of each
 tuple's (see distribution), so every stage simulates each distinct state
 once however many runs share it: the GHZ row, or after embedding it and its
-phase-flipped twin, and the decoy sign patterns. A stack is bounded by what
-it allocates, its distinct amplitudes plus its per-run arrays (see
+phase-flipped twin, and the decoy sign patterns of an attacked stream.
+Decoys that nothing touches are never simulated: an agent measures each in
+the basis the broker prepared it in, so its outcome is the broker's sign
+record, and validation reads it from the plan (see run_validation). An
+honest stack's stream is therefore the GHZ row alone. A stack is bounded by
+what it allocates, its distinct amplitudes plus its per-run arrays (see
 Scenario.stack_entries), so a stack of honest runs holds tens of them. The
 classical layer works per stack too: the decoy reports, the verdicts, the
 registers, the exchanged segments and Eve's guesses of all runs are
@@ -183,7 +187,10 @@ class Scenario:
         Information tuples share the GHZ row, after embedding it and its
         phase-flipped twin, and a decoy is one of 2**n sign patterns.
         Measure-resend splits a state once per mask of Eve's bases and
-        outcome of hers; the other attacks map states one to one.
+        outcome of hers; the other attacks map states one to one. An
+        honest stack builds no decoy states (see run_validation), so for it
+        this is an over-count that keeps a scenario whose one-run stream is
+        over the bound a stack of one.
         """
         branches = 1
         if self.eve.tag == MEASURE_RESEND:
@@ -430,8 +437,7 @@ def decrypt_and_measure(
 
 def run_validation(
     plan: DistributionPlan,
-    states: np.ndarray,
-    index: np.ndarray,
+    decoys: tuple[np.ndarray, np.ndarray] | None,
     noise_p: float,
     threshold_fraction: float,
     rngs: Sequence[np.random.Generator],
@@ -441,17 +447,26 @@ def run_validation(
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The plan and the stream (states, index) in flight stack
-    one or more runs, one generator each; returns the comparison of the
+    independently. The plan stacks one or more runs, one generator each.
+    decoys is the stream (states, index) of the decoy tuples in flight, in
+    stream order, or None when nothing touched them. An untouched decoy
+    qubit is measured in the basis it was prepared in, so its outcome is
+    certain and is the broker's sign record: every Hadamard pass takes a
+    product row's amplitude pairs to 0 or to one shared value, which leaves
+    the recorded outcome all the weight. Returns the comparison of the
     stack and every run's reports as a (runs, n - 1, d) bit array, agent
     i's outcome of the j-th decoy in [t, i, j]. Decoy tuples are never read
     again, so their post-measurement states are not kept.
     """
     n, d, runs = plan.n, plan.d, plan.trials
     # per decoy in stream order: the measurement's sample draw, then one
-    # noise draw per agent slot
+    # noise draw per agent slot; an untouched decoy still draws its sample,
+    # so every later draw is the one a simulated measurement leaves
     draws = np.concatenate([r.random((d, n)) for r in rngs])
-    bits = pick_rows(states, index[plan.is_decoy], range(n - 1), True, draws[:, 0])
+    if decoys is None:
+        bits = plan.signs[:, : n - 1]
+    else:
+        bits = pick_rows(*decoys, range(n - 1), True, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     report = ValidationReport(
@@ -561,16 +576,20 @@ def _run_stack(
     n, runs = scenario.n, len(seeds)
     m, d = payload.length, scenario.resolved_d
 
-    plan = build_plan(m, d, n, rngs, ghz)
-    states, index = plan.states, plan.index
+    plan = build_plan(m, d, n, rngs)
     if scenario.eve.active:
-        states, index, eve_record = attack_tuple(scenario.eve, states, index, eve_rngs)
+        states, index, eve_record = attack_tuple(scenario.eve, *plan.stream(ghz), eve_rngs)
+        decoys = states, index[plan.is_decoy]
+        index = index[~plan.is_decoy]
     else:
+        # nothing touches the decoys, so validation reads their outcomes off
+        # the plan and the stream is the information tuples' GHZ row
+        states, index, decoys = ghz, np.zeros(runs * m, dtype=np.intp), None
         eve_record = EveRecord(strategy=scenario.eve)
     check_rows(states)
 
     validation, reported = run_validation(
-        plan, states, index, scenario.noise_p, scenario.threshold_fraction, rngs
+        plan, decoys, scenario.noise_p, scenario.threshold_fraction, rngs
     )
     passed = validation.passed
     is_decoy = plan.is_decoy.reshape(runs, m + d)
@@ -578,8 +597,7 @@ def _run_stack(
     sent = exchange[0], exchange[1], np.zeros((0, exchange[2].size), dtype=np.intp)
     if passed.any():
         # the information tuples of the runs that passed, run after run
-        info = ~is_decoy & passed[:, None]
-        embedded, embedded_index = embed_secret(states, index[info.ravel()], payload, n)
+        embedded, embedded_index = embed_secret(states, index[np.repeat(passed, m)], payload, n)
         registers, residual, residual_index = decrypt_and_measure(
             embedded, embedded_index, n, [r for r, ok in zip(rngs, passed) if ok]
         )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzcast import distribution
 from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
+from ghzcast.analysis import detection_experiment
 from ghzcast.bitvec import BitVector, bit_vectors, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
 from ghzcast.messages import MessageTable, Route
@@ -165,7 +167,7 @@ class TestMessages:
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
         # the broker's records, rebuilt from the run's protocol generator
         protocol_rng = np.random.default_rng(np.random.SeedSequence(12).spawn(2)[0])
-        plan = build_plan(6, 6, 3, [protocol_rng], prepare_ghz(3))
+        plan = build_plan(6, 6, 3, [protocol_rng])
         assert tuple(np.flatnonzero(plan.is_decoy).tolist()) == transcript.decoy_positions
         reports = [
             (r, bits)
@@ -405,16 +407,37 @@ def test_no_stage_upcasts_the_real_batch(name):
     scenario = REAL_BATCH_CASES[name]
     payload, _ = concat_secrets(scenario.secrets)
     rng = np.random.default_rng(scenario.seed)
-    plan = build_plan(
-        payload.length, scenario.resolved_d, scenario.n, [rng], prepare_ghz(scenario.n)
-    )
-    assert plan.states.dtype == np.float64
+    plan = build_plan(payload.length, scenario.resolved_d, scenario.n, [rng])
+    states, index = plan.stream(prepare_ghz(scenario.n))
+    assert states.dtype == np.float64
     # without decoys every run passes validation and decrypts
     outcome = execute_run(replace(scenario, d=0))
     assert not outcome.transcript.aborted
     if scenario.eve.active:
-        attacked, _, _ = attack_tuple(scenario.eve, plan.states, plan.index, [rng])
+        attacked, _, _ = attack_tuple(scenario.eve, states, index, [rng])
         assert attacked.dtype == np.float64
         assert outcome.eve_record.final_states.dtype == np.float64
     else:
         assert outcome.eve_record.final_states is None
+
+
+class DecoyAmplitudesBuilt(Exception):
+    pass
+
+
+def test_honest_stacks_build_no_decoy_amplitudes(monkeypatch):
+    # an untouched decoy's outcome is its recorded sign, so only a stream an
+    # adversary acts on is prepared as amplitudes
+    def refuse(signs):
+        raise DecoyAmplitudesBuilt
+
+    monkeypatch.setattr(distribution, "hadamard_product_rows", refuse)
+    honest = REAL_BATCH_CASES["honest"]
+    noisy = replace(honest, noise_p=0.1)
+    stats = detection_experiment(noisy, 40)
+    assert stats.all_checks == 40 * noisy.resolved_d * (noisy.n - 1)
+    assert 0 < stats.aborts < 40
+    assert not execute_run(honest).transcript.aborted
+    for scenario in ATTACK_SCENARIOS.values():
+        with pytest.raises(DecoyAmplitudesBuilt):
+            execute_run(scenario)

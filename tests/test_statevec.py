@@ -74,7 +74,7 @@ class TestPreparation:
         assert np.allclose(plus_minus((0, 1, 0)), expect)
 
     def test_minus_fraction_of_random_decoys(self):
-        signs = build_plan(1, 10_000, 4, [np.random.default_rng(5)], prepare_ghz(4)).signs
+        signs = build_plan(1, 10_000, 4, [np.random.default_rng(5)]).signs
         assert signs.shape == (10_000, 4)
         assert np.all(np.abs(signs.mean(axis=0) - 0.5) < 0.02)
 
@@ -218,6 +218,18 @@ class TestMeasurement:
             assert bits == signs
             # a product state measured in its own basis is undisturbed
             assert np.allclose(collapsed, state, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_agents_read_a_decoy_as_its_signs_for_every_draw(self, n):
+        # validation takes an untouched decoy's outcomes from its signs; the
+        # kernel must agree exactly, at both ends of [0, 1) and between
+        rng = np.random.default_rng(n)
+        signs = rng.integers(0, 2, size=(400, n))
+        states, index = hadamard_product_rows(signs), np.arange(len(signs))
+        for u in (0.0, np.nextafter(1.0, 0.0), rng.random(len(signs))):
+            u = np.broadcast_to(u, index.shape)
+            bits = pick_rows(states, index, range(n - 1), True, u)
+            assert np.array_equal(bits, signs[:, : n - 1])
 
     def test_partial_measurement_collapses_ghz(self, rng):
         ghz = prepare_ghz(3)
