@@ -94,7 +94,7 @@ class OutcomeDistribution:
         return np.sort(self.keys).tolist()
 
     def probability(self, key: int) -> float:
-        return float(self.probabilities(np.array([key]))[0])
+        return self.entries.get(key, 0.0)
 
     def probabilities(self, keys: np.ndarray) -> np.ndarray:
         """Probabilities of the given keys, 0.0 off the support."""

@@ -18,7 +18,7 @@ import csv
 import os
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -310,13 +310,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
 def _open_output(path: str | None):
     """The --output file, opened before any simulation so that a path that
-    cannot be written fails at once."""
+    cannot be written fails at once; a failed write or close fails the same
+    way."""
     if path is None:
-        return nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as out:
+            yield out
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -31,9 +31,9 @@ phase-flipped twin, and the decoy sign patterns of an attacked stream.
 Decoys that nothing touches are never simulated: an agent measures each in
 the basis the broker prepared it in, so its outcome is the broker's sign
 record, and validation reads it from the plan (see run_validation). An
-honest stack's stream is therefore the GHZ row alone. A stack is bounded by
-what it allocates, its distinct amplitudes plus its per-run arrays (see
-Scenario.stack_entries), so a stack of honest runs holds tens of them. The
+honest stack's stream is therefore the GHZ row alone. A stack holds as many
+runs as fit a fixed bound on their arrays, counted per run (see
+Scenario.run_entries), so a stack of honest runs holds tens of them. The
 classical layer works per stack too: the decoy reports, the verdicts, the
 registers, the exchanged segments and Eve's guesses of all runs are
 arrays, held by the RunStack that run_trials yields, and statistics are
@@ -101,10 +101,11 @@ __all__ = [
 # than this many amplitudes are refused (2**25 float64 amplitudes are
 # 256 MiB).
 MAX_STREAM_AMPLITUDES = 1 << 25
-# run_trials simulates as many runs together as keep Scenario.stack_entries
-# within this many array entries (2 MiB of float64), at least one: enough
-# tuples to spread per-call overhead over tens of runs, few enough that a
-# stack and the temporaries of a measurement stay small for any trial count.
+# run_trials simulates together as many runs as fit, Scenario.run_entries
+# each, in this many array entries (2 MiB of float64), and at least one:
+# enough tuples to spread per-call overhead over tens of runs, few enough
+# that a stack and the temporaries of a measurement stay small for any trial
+# count.
 STACK_ENTRIES = 1 << 18
 
 ABORTED_STAGES = (STAGE_PREAMBLE, STAGE_DISTRIBUTION, STAGE_VALIDATION)
@@ -181,51 +182,35 @@ class Scenario:
         return self.stream_length << self.tuple_qubits
 
     @property
-    def distinct_states(self) -> int:
-        """Most distinct tuple states one stage of a stack holds, for any run count.
-
-        Information tuples share the GHZ row, after embedding it and its
-        phase-flipped twin, and a decoy is one of 2**n sign patterns.
-        Measure-resend splits a state once per mask of Eve's bases and
-        outcome of hers; the other attacks map states one to one. An
-        honest stack builds no decoy states (see run_validation), so for it
-        this is an over-count that keeps a scenario whose one-run stream is
-        over the bound a stack of one.
-        """
-        branches = 1
-        if self.eve.tag == MEASURE_RESEND:
-            masks = 1 << self.eve.k if self.eve.basis_policy == RANDOM_BASIS else 1
-            branches = masks << self.eve.k
-        return (1 + (1 << self.n)) * branches
-
-    @property
     def run_entries(self) -> int:
-        """Array entries a run adds to a stack besides the distinct states.
+        """Array entries one run adds to a stack; run_trials sizes stacks by it.
 
         Per tuple: its index, draws, bits and reports, a few entries per
         qubit, and the residual of the qubits Eve keeps. Per run: a fixed
         512 entries (4 KiB), which hold its two generators and their seed
-        sequences, about 2.6 KB; no per-run transcript is built.
+        sequences, about 2.6 KB; no per-run transcript is built. A stage
+        simulates each distinct tuple state once. Information tuples share
+        the GHZ row, after embedding it and its phase-flipped twin, and an
+        attacked decoy is one of 2**n sign patterns; measure-resend splits a
+        state once per mask of Eve's bases and outcome of hers, and the
+        other attacks map states one to one. Where an attacked stream can
+        reach more distinct states than one run has tuples, they grow with
+        the runs, so every tuple is charged a state. Otherwise they are
+        shared by the stack and bounded by the scenario: the two rows of an
+        honest stack, which builds no decoy states (see run_validation), or
+        at most one run's dense stream, which MAX_STREAM_AMPLITUDES admits
+        for a stack of one.
         """
-        per_tuple = 4 * self.tuple_qubits + (1 << (self.tuple_qubits - self.n))
+        q = self.tuple_qubits
+        per_tuple = 4 * q + (1 << (q - self.n))
+        if self.eve.active:
+            branches = 1
+            if self.eve.tag == MEASURE_RESEND:
+                masks = 1 << self.eve.k if self.eve.basis_policy == RANDOM_BASIS else 1
+                branches = masks << self.eve.k
+            if (1 + (1 << self.n)) * branches > self.stream_length:
+                per_tuple += 1 << q
         return self.stream_length * per_tuple + 512
-
-    def stack_entries(self, runs: int) -> int:
-        """Array entries a stack of runs allocates: its distinct amplitudes
-        plus what each run adds. A stage holds at most distinct_states
-        states, and never more than one per tuple."""
-        distinct = min(runs * self.stream_length, self.distinct_states)
-        return (distinct << self.tuple_qubits) + runs * self.run_entries
-
-    def stack_runs(self, entries: int) -> int:
-        """The most runs whose stack_entries fit in entries, and at least one.
-
-        A stack fits if it would fit with one state per tuple (dense) or
-        with every distinct state the scenario can reach (shared).
-        """
-        dense = entries // (self.run_entries + self.stream_amplitudes)
-        shared = (entries - (self.distinct_states << self.tuple_qubits)) // self.run_entries
-        return max(1, dense, shared)
 
 
 @dataclass(eq=False)
@@ -530,16 +515,16 @@ def recover_secret(registers: np.ndarray) -> BitVector:
 def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     """Run the scenario once per seed, simulating several runs as one stack.
 
-    A stack holds as many runs as keep its stack_entries within
-    STACK_ENTRIES, and at least one; seeds is read one stack at a time, so
-    it may be a lazy stream of any length. Yields each stack's RunStack in
-    seed order, whose arrays hold the outcome of all its runs. Every run
-    draws only from the two generators spawned from its own seed, in the
-    order a lone run draws, so it matches execute_run at that seed. A lone
-    run is a stack of one. Validation reports on the whole stack, and
-    passed reads every run's verdict from it.
+    A stack holds STACK_ENTRIES // scenario.run_entries runs, and at least
+    one; seeds is read one stack at a time, so it may be a lazy stream of
+    any length. Yields each stack's RunStack in seed order, whose arrays
+    hold the outcome of all its runs. Every run draws only from the two
+    generators spawned from its own seed, in the order a lone run draws, so
+    it matches execute_run at that seed. A lone run is a stack of one.
+    Validation reports on the whole stack, and passed reads every run's
+    verdict from it.
     """
-    size = scenario.stack_runs(STACK_ENTRIES)
+    size = max(1, STACK_ENTRIES // scenario.run_entries)
     payload, layout = concat_secrets(scenario.secrets)
     n, d = scenario.n, scenario.resolved_d
     # the same in every stack: the GHZ row, looked up in distribution at

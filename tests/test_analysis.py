@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 from unittest.mock import patch
 
@@ -393,8 +394,10 @@ class TestDetectionExperiment:
 
 EXAMPLE = (BitVector.from_text("010"), BitVector.from_text("101"))
 BROADCAST = tuple(BitVector(v, 4) for v in (3, 12, 5, 10, 6, 9, 15))
+WIDE = tuple(BitVector(v, 3) for v in (5, 2, 7, 0, 3, 6, 1, 4, 5, 3, 6))
 STACKED_SCENARIOS = {
     "honest_n8": Scenario(n=8, secrets=BROADCAST, noise_p=0.02, seed=8),
+    "honest_n12": Scenario(n=12, secrets=WIDE, d=200, noise_p=0.02, seed=12),
     "measure_resend/computational": Scenario(
         n=3,
         secrets=EXAMPLE,
@@ -432,6 +435,31 @@ STACKED_SCENARIOS = {
     ),
 }
 
+# honest stacks from 2 to 14 parties, the four acceptance attacks, and a
+# measure-resend stream whose distinct states grow with its runs
+MEMORY_SCENARIOS = {
+    "honest_n2": Scenario(n=2, secrets=(BitVector(5, 3),), noise_p=0.02, seed=2),
+    "honest_n14": Scenario(n=14, secrets=(*WIDE, *WIDE[:2]), noise_p=0.02, seed=14),
+    "measure_resend_n10": Scenario(
+        n=10,
+        secrets=(BitVector(1, 1),) * 9,
+        d=11,
+        eve=EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL, k=1),
+        seed=10,
+    ),
+    **{
+        name: STACKED_SCENARIOS[name]
+        for name in (
+            "honest_n8",
+            "honest_n12",
+            "measure_resend/computational",
+            "measure_resend/random",
+            "intercept_replace",
+            "entangle_ancilla",
+        )
+    },
+}
+
 ATTACKS = (
     EveStrategy(),
     EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL),
@@ -461,6 +489,11 @@ def small_scenarios(draw):
         noise_p=draw(st.sampled_from((0.0, 0.1))),
         threshold_fraction=draw(st.sampled_from((0.05, 0.2, 0.4))),
     )
+
+
+def stack_size(scenario: Scenario) -> int:
+    """Runs in the first stack run_trials makes of the scenario."""
+    return next(run_trials(scenario, count())).passed.size
 
 
 def stack_arrays(stack: RunStack) -> dict[str, np.ndarray | None]:
@@ -501,7 +534,7 @@ class TestStackedRuns:
     @pytest.mark.parametrize("name", sorted(STACKED_SCENARIOS))
     def test_experiment_is_the_aggregate_of_lone_runs(self, name):
         scenario = STACKED_SCENARIOS[name]
-        per_stack = scenario.stack_runs(STACK_ENTRIES)
+        per_stack = stack_size(scenario)
         trials = 2 * per_stack + 1
         assert per_stack > 1 and trials % per_stack
 
@@ -534,27 +567,38 @@ class TestStackedRuns:
             (r.errors, r.verdict) for r in reports
         ]
 
-    @given(scenario=small_scenarios(), entries=st.integers(1, 1 << 20))
-    @settings(max_examples=200, deadline=None)
-    def test_a_stack_is_the_most_runs_within_the_bound(self, scenario, entries):
-        runs = scenario.stack_runs(entries)
-        assert runs == 1 or scenario.stack_entries(runs) <= entries
-        assert scenario.stack_entries(runs + 1) > entries
-
     def test_stack_sizes(self):
-        # the benchmark's honest n=8 op of 10 trials is one stack, and a
-        # stream over the bound on its own is a stack of one run
-        assert STACKED_SCENARIOS["honest_n8"].stack_runs(STACK_ENTRIES) >= 10
-        wide = Scenario(n=12, secrets=(BitVector(1, 1),) * 11, d=200)
+        # the benchmark's honest n=8 op of 10 trials is one stack; an honest
+        # stack builds only the GHZ row and its twin, so a wide honest run
+        # stacks as well; an attacked stream over the bound on its own,
+        # whose distinct states grow with the runs, is a stack of one run
+        assert stack_size(STACKED_SCENARIOS["honest_n8"]) >= 10
+        assert stack_size(STACKED_SCENARIOS["honest_n12"]) >= 10
+        eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL, k=1)
+        wide = Scenario(n=12, secrets=(BitVector(1, 1),) * 11, d=200, eve=eve)
         assert wide.stream_amplitudes > STACK_ENTRIES
-        assert wide.stack_runs(STACK_ENTRIES) == 1
+        assert stack_size(wide) == 1
+
+    @pytest.mark.parametrize("name", sorted(MEMORY_SCENARIOS))
+    def test_an_experiment_peaks_as_one_stack(self, name):
+        # three stacks, one after another, stay within a few times the
+        # bound that sizes one
+        scenario = MEMORY_SCENARIOS[name]
+        trials = 3 * stack_size(scenario)
+        tracemalloc.start()
+        try:
+            detection_experiment(scenario, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * STACK_ENTRIES * 8
 
     @given(scenario=small_scenarios(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_stacks_of_any_size_match_lone_runs(self, scenario, data):
         seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7))
         per_stack = data.draw(st.integers(1, len(seeds)), label="runs per stack")
-        with patch.object(protocol, "STACK_ENTRIES", scenario.stack_entries(per_stack)):
+        with patch.object(protocol, "STACK_ENTRIES", per_stack * scenario.run_entries):
             stacks = list(run_trials(scenario, seeds))
         full, rest = divmod(len(seeds), per_stack)
         sizes = [stack.passed.size for stack in stacks]
@@ -654,7 +698,7 @@ def test_experiment_counts_what_lone_runs_report(scenario, data):
     stages = protocol.POST_VALIDATION_STAGES
     if data.draw(st.booleans(), label="reports_leak"):
         stages = stages + (STAGE_VALIDATION,)
-    with patch.object(protocol, "STACK_ENTRIES", scenario.stack_entries(per_stack)), patch.object(
+    with patch.object(protocol, "STACK_ENTRIES", per_stack * scenario.run_entries), patch.object(
         protocol, "POST_VALIDATION_STAGES", stages
     ):
         stats = detection_experiment(scenario, trials, collect_rows=True)

@@ -1,5 +1,8 @@
 import csv
+import errno
 import hashlib
+import io
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -309,6 +312,27 @@ class TestRunCommand:
         err = captured.err.strip()
         assert err.startswith("ghzcast: error: cannot write") and str(out) in err
         assert "\n" not in err
+
+    @pytest.mark.parametrize("failing", ["write", "close"])
+    @pytest.mark.parametrize("command", ["experiment", "distribution"])
+    def test_a_failed_output_write_is_one_line(
+        self, tmp_path, capsys, monkeypatch, command, failing
+    ):
+        # a full disk: the --output file opens, then a write or the flush on
+        # closing it fails
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        full_file = type("FullFile", (io.StringIO,), {failing: full})
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: full_file(), raising=False)
+        out = tmp_path / "rows.csv"
+        trials = ["--trials", "5"] if command == "experiment" else []
+        scenario = str(SCENARIO_DIR / "three_party.yaml")
+        code = main([command, scenario, *trials, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"ghzcast: error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
