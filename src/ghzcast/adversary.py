@@ -22,19 +22,19 @@ transit, one late Hadamard-basis measurement of the ancillas she kept, and
 everything that crossed the public classical channel into her best guess of
 every run's payload, as whole-array operations over the stack; bits she has
 no handle on, every bit of an intercept_replace run among them, are fair coin
-flips from each run's own generator. A lone run is a stack of one.
+flips from each run's own generator. A lone run is a stack of one. Eve draws
+only from that generator, the second one spawned from a run's seed; the
+protocol's draws are made by distribution.build_plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .bitvec import BitVector, SegmentLayout
-from .messages import Route
 from .statevec import (
     append_rows,
     cnot_rows,
@@ -259,7 +259,8 @@ def eve_postprocess(
     layout: SegmentLayout,
     is_decoy: np.ndarray,
     passed: np.ndarray,
-    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray],
+    payload: np.ndarray,
+    entries: np.ndarray,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Eve's best reconstruction of the payload of every run of a stack.
@@ -267,16 +268,15 @@ def eve_postprocess(
     Works from her in-transit record of the stack, one late measurement of
     what she kept, and the public classical traffic: every run's decoy
     positions (is_decoy, a (runs, m + d) mask), which runs passed
-    validation, and the exchange the passing runs sent, as
-    classical_exchange returns it (routes, payload ends, and one row of
-    payload entries per passing run). Returns a (runs, m) bit array: row t
-    is run t's guess of the payload, which layout splits into one guess
-    per agent. Bits she has no handle on are fair coins, drawn from run t's
-    own generator rngs[t] in payload order. All of them are coins when the
-    run aborted, since no exchange traffic exists; when Eve is inactive,
-    since she holds no records; and for intercept_replace, whose kept
-    qubits carry GHZ branch labels with no dependence on the embedded
-    payload.
+    validation, and the payload the passing runs sent, one row each (see
+    protocol.classical_exchange), with the register entries it was cut from
+    (see protocol.exchange_entries). Returns a (runs, m) bit array: row t is
+    run t's guess of the payload, which layout splits into one guess per
+    agent. Bits she has no handle on are fair coins, drawn from run t's own
+    generator rngs[t] in payload order. All of them are coins when the run
+    aborted, since no exchange traffic exists; when Eve is inactive, since
+    she holds no records; and for intercept_replace, whose kept qubits carry
+    GHZ branch labels with no dependence on the embedded payload.
     """
     m, tag = layout.total, record.strategy.tag
     guesses = np.empty((len(rngs), m), dtype=np.int64)
@@ -287,13 +287,10 @@ def eve_postprocess(
         return guesses
     readers = [rngs[t] for t in np.flatnonzero(passed)]
 
-    # the fold of every public share of secret t lacks only the owner's
-    # withheld segment; known holds those folds at their payload positions
-    routes, ends, payload = exchange
-    starts = (0, *accumulate(layout.lengths))
-    known = np.zeros((len(readers), m), dtype=np.int64)
-    for r, start, end in zip(routes, [0, *ends.tolist()], ends.tolist()):
-        known[:, starts[r.segment_index] : starts[r.segment_index + 1]] ^= payload[:, start:end]
+    # known holds the fold of every public share of each payload position:
+    # n - 1 parties send it, all but its owner, whose withheld bit it lacks
+    by_position = payload[:, np.argsort(entries % m, kind="stable")]
+    known = np.bitwise_xor.reduce(by_position.reshape(len(readers), m, -1), axis=2)
 
     if tag == ENTANGLE_ANCILLA:
         # the ancillas extend every tuple to a larger GHZ state, so the

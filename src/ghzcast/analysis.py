@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .bitvec import BitVector, concat_secrets
-from .protocol import Registers, Scenario, check_route_secrecy, run_trials
+from .protocol import Registers, Scenario, check_route_secrecy, run_routes, run_trials
 from .statevec import distribution, phase_flip_rows, prepare_ghz
 
 __all__ = [
@@ -383,23 +383,21 @@ def detection_experiment(
     """Run a scenario many times with independent per-trial seed streams.
 
     Counts straight from the arrays of each stack of runs (see
-    protocol.RunStack), so no run's transcript is built. Every run of a
-    stack sends one of two route tuples, the opening alone or the opening
-    and the exchange, so secrecy is checked once per tuple and counted per
-    run that sent it.
+    protocol.RunStack), so no run's transcript is built. Every run sends
+    the routes of protocol.run_routes, the opening alone if it aborted, so
+    secrecy is checked once per experiment on each and counted per run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
-    payload, _ = concat_secrets(scenario.secrets)
+    payload, layout = concat_secrets(scenario.secrets)
     truth, m = np.array(payload.bits()), len(payload)
     aborts = 0
     all_checks = all_errors = 0
     attacked_checks = attacked_errors = 0
     attacked_tuples = tuples_with_error = 0
     eve_correct = 0
-    secrecy_violations = 0
     rows: list[TrialRow] | None = [] if collect_rows else None
 
     # trial t runs at the t-th seed drawn from the scenario's own seed; seeds
@@ -408,8 +406,7 @@ def detection_experiment(
     seeds = (int(master.integers(0, 2**63)) for _ in range(trials))
     for stack in run_trials(scenario, seeds):
         report, passed = stack.validation, stack.passed
-        runs, passes = passed.size, int(np.count_nonzero(passed))
-        aborts += runs - passes
+        aborts += int(np.count_nonzero(~passed))
         all_checks += report.decoy_checks
         all_errors += report.errors
         if targets:
@@ -420,17 +417,12 @@ def detection_experiment(
             attacked_tuples += attacked.shape[0] * attacked.shape[1]
             tuples_with_error += int(np.count_nonzero(attacked.any(axis=2)))
 
-        opening = stack.opening[0]
-        for routes, senders in ((opening, runs - passes), (opening + stack.exchange[0], passes)):
-            if senders:
-                secrecy_violations += senders * len(check_route_secrecy(routes))
-
         correct = m - np.count_nonzero(stack.guesses != truth, axis=1)
         eve_correct += int(correct.sum())
 
         if rows is not None:
             errors = np.count_nonzero(report.wrong, axis=(1, 2)).tolist()
-            checks = report.decoy_checks // runs
+            checks = report.decoy_checks // passed.size
             for t, correct_bits in enumerate(correct.tolist()):
                 rows.append(
                     TrialRow(
@@ -442,6 +434,10 @@ def detection_experiment(
                     )
                 )
 
+    routes, _, opened = run_routes(layout, scenario.resolved_d)
+    opening_violations = len(check_route_secrecy(routes[:opened]))
+    run_violations = len(check_route_secrecy(routes))
+    secrecy_violations = aborts * opening_violations + (trials - aborts) * run_violations
     eve_bits = trials * m
     _, abort_radius = wilson_interval(aborts, trials)
     attacked_rate, attacked_radius = (

@@ -6,7 +6,9 @@ random, keeps qubit n-1 of every tuple and sends qubit i of every tuple to
 agent i. Decoy positions and preparations are recorded so the validation
 stage can compare reported outcomes against them.
 
-A plan is those draws alone: the interleaving and the decoy signs, with no
+A plan holds every draw of a run's protocol generator, made here and
+nowhere else (see build_plan for their order): the interleaving, the decoy
+signs, and the uniforms of validation and decryption. It holds no
 amplitudes. A decoy that nothing touches needs none: each agent measures its
 qubit in the Hadamard basis it was prepared in, so the outcome is the sign
 the broker recorded, and validation reads it from the plan (see
@@ -46,7 +48,9 @@ class DistributionPlan:
     outcome, so a plan holds no amplitudes; stream builds them for a stream
     an adversary acts on. A plan stacks the streams of its runs one after
     another, so every per-position field counts over the whole stack and
-    run t owns positions t*(m+d) .. (t+1)*(m+d)-1.
+    run t owns positions t*(m+d) .. (t+1)*(m+d)-1. draws holds one row per
+    run of the uniforms of validation and then of decryption (see
+    build_plan).
     """
 
     n: int
@@ -54,10 +58,7 @@ class DistributionPlan:
     d: int
     is_decoy: np.ndarray
     signs: np.ndarray
-
-    @property
-    def trials(self) -> int:
-        return self.is_decoy.size // (self.m + self.d)
+    draws: np.ndarray
 
     def stream(self, ghz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The prepared stream as (states, index), one entry of index per position.
@@ -77,9 +78,14 @@ class DistributionPlan:
 def build_plan(m: int, d: int, n: int, rngs: Sequence[np.random.Generator]) -> DistributionPlan:
     """Interleave m information tuples and d decoys uniformly at random.
 
-    Each decoy qubit is plus or minus with probability one half. There is
-    one generator per run: every run draws its own stream from its own
-    generator, the permutation then the signs, and the plan stacks them.
+    This is the one reader of the protocol generators, one per run. Each
+    run draws, in this order: permutation(m + d), whose values m and up mark
+    decoys; integers(0, 2, (d, n)), the decoy signs, each plus or minus with
+    probability one half; and random(d*n + m), for each decoy in stream
+    order its measurement's sample and one noise draw per agent slot (see
+    protocol.run_validation), then one sample per information tuple for
+    decryption. An aborted run draws them all and never reads the last m.
+    Eve draws from a generator of her own (see adversary).
     """
     if m < 1:
         raise ValueError("need at least one information tuple")
@@ -88,13 +94,11 @@ def build_plan(m: int, d: int, n: int, rngs: Sequence[np.random.Generator]) -> D
     if n < 2:
         raise ValueError("need at least two parties")
 
-    # per run: the interleaving permutation, of which the values m and up
-    # mark decoys, then the decoy signs
-    is_decoy = []
-    signs = []
+    is_decoy, signs, draws = [], [], []
     for r in rngs:
         is_decoy.append(r.permutation(m + d) >= m)
         signs.append(r.integers(0, 2, size=(d, n)))
+        draws.append(r.random(d * n + m))
     return DistributionPlan(
-        n=n, m=m, d=d, is_decoy=np.concatenate(is_decoy), signs=np.concatenate(signs)
+        n, m, d, np.concatenate(is_decoy), np.concatenate(signs), np.stack(draws)
     )

@@ -23,24 +23,27 @@ are one bit array per run, read as bit vectors only on request.
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams: every stage makes one kernel call per stack,
 and each run still draws from its own generators in the order a lone run
-would, so a stacked run is the run execute_run makes at the same seed. A
-stack's stream is its few distinct tuple states plus the index of each
-tuple's (see distribution), so every stage simulates each distinct state
-once however many runs share it: the GHZ row, or after embedding it and its
-phase-flipped twin, and the decoy sign patterns of an attacked stream.
-Decoys that nothing touches are never simulated: an agent measures each in
-the basis the broker prepared it in, so its outcome is the broker's sign
-record, and validation reads it from the plan (see run_validation). An
-honest stack's stream is therefore the GHZ row alone. A stack holds as many
-runs as fit a fixed bound on their arrays, counted per run (see
-Scenario.run_entries), so a stack of honest runs holds tens of them. The
-classical layer works per stack too: the decoy reports, the verdicts, the
-registers, the exchanged segments and Eve's guesses of all runs are
-arrays, held by the RunStack that run_trials yields, and statistics are
-counted from them. A lone run is a stack of one, from whose arrays
-execute_run builds its RunOutcome. Measured decoy tuples are not kept, and
-decryption keeps of each information tuple only the qubits an adversary
-holds, the part her late measurement needs.
+would, so a stacked run is the run execute_run makes at the same seed. Only
+distribution.build_plan reads the protocol generator; later stages take
+their uniforms from the plan. A stack's stream is its few distinct tuple
+states plus the index of each tuple's (see distribution), so every stage
+simulates each distinct state once however many runs share it: the GHZ row,
+or after embedding it and its phase-flipped twin, and the decoy sign
+patterns of an attacked stream. Decoys that nothing touches are never
+simulated: an agent measures each in the basis the broker prepared it in,
+so its outcome is the broker's sign record, and validation reads it from
+the plan (see run_validation). An honest stack's stream is therefore the
+GHZ row alone. A stack holds as many runs as fit a fixed bound on their
+arrays, counted per run (see Scenario.run_entries), so a stack of honest
+runs holds tens of them. The classical layer works per stack too: the decoy
+reports, the verdicts, the registers, the exchanged segments and Eve's
+guesses of all runs are arrays, held by the RunStack that run_trials
+yields, and statistics are counted from them. Routes are not: every run
+with the same verdict sends the same messages, which run_routes lists once,
+and a stack holds only their payloads. A lone run is a stack of one, from
+whose arrays execute_run builds its RunOutcome. Measured decoy tuples are
+not kept, and decryption keeps of each information tuple only the qubits an
+adversary holds, the part her late measurement needs.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ __all__ = [
     "embed_secret",
     "decrypt_and_measure",
     "run_validation",
-    "exchange_routes",
+    "run_routes",
+    "exchange_entries",
     "classical_exchange",
     "recover_secret",
     "run_trials",
@@ -321,13 +325,12 @@ class RunOutcome:
         positions = np.flatnonzero(stack.is_decoy[0])
         # the opening's payloads: segment lengths, decoy positions, decoy outcomes
         sent = np.concatenate((layout.lengths, positions, stack.reported[0].ravel()))
-        routes, ends = stack.opening
+        routes, ends, opened = run_routes(layout, positions.size)
         registers = recovered = None
-        if not aborted:
-            exchanged, exchange_ends, payload = stack.exchange
-            routes = routes + exchanged
-            ends = np.concatenate((ends, ends[-1] + exchange_ends))
-            sent = np.concatenate((sent, payload[0]))
+        if aborted:
+            routes, ends = routes[:opened], ends[:opened]
+        else:
+            sent = np.concatenate((sent, stack.exchange[0]))
             registers = stack.registers[0]
             recovered = split(recover_secret(registers), layout)
         self.transcript = Transcript(
@@ -356,22 +359,21 @@ class RunStack:
     holds every run's verdict. reported holds the decoy outcomes the agents
     sent, (runs, n - 1, d), and is_decoy marks every run's decoy positions,
     (runs, m + d). The runs that passed own, in order, one row each of
-    registers, their measured (P, n, m) registers, and of the payload of
-    exchange, what they sent in the closing exchange as classical_exchange
-    returns it. Every run sends the routes and payload ends of opening up
-    to its verdict, and the exchange's after it if it passed. eve is Eve's
+    registers, their measured (P, n, m) registers, and of exchange, the
+    (P, bits) payload entries they sent in the closing exchange (see
+    classical_exchange). A stack holds no routes: every run sends those
+    that run_routes lists, the exchange's only if it passed. eve is Eve's
     record of the stack, and guesses her (runs, m) guess of every run's
     payload (see eve_postprocess), drawn once when the stack is made.
     """
 
     layout: SegmentLayout
-    opening: tuple[tuple[Route, ...], np.ndarray]
     validation: ValidationReport
     reported: np.ndarray
     is_decoy: np.ndarray
     passed: np.ndarray
     registers: np.ndarray
-    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray]
+    exchange: np.ndarray
     eve: EveRecord
     guesses: np.ndarray
 
@@ -402,22 +404,20 @@ def embed_secret(
 
 
 def decrypt_and_measure(
-    states: np.ndarray, index: np.ndarray, n: int, rngs: Sequence[np.random.Generator]
+    states: np.ndarray, index: np.ndarray, n: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hadamard every protocol qubit of every tuple and measure.
 
-    The stream (states, index) holds the embedded information tuples of one
-    run per generator, run after run. Returns the registers as a
-    (runs, n, m) bit array, party p's register of run t in row [t, p] with
-    the broker's last, and the residual of every tuple as distinct states
-    and an index (see statevec.sample_rows): the qubits above n, which only
-    an adversary holds, or one amplitude per state when there are none.
+    The stream (states, index) holds the embedded information tuples of
+    one run per row of u, run after run, and u the plan's (runs, m)
+    decryption draws, one per tuple. Returns the registers as a (runs, n, m)
+    bit array, party p's register of run t in row [t, p] with the broker's
+    last, and the residual of every tuple as distinct states and an index
+    (see statevec.sample_rows): the qubits above n, which only an adversary
+    holds, or one amplitude per state when there are none.
     """
-    runs = len(rngs)
-    per_run = index.size // runs
-    u = np.concatenate([r.random(per_run) for r in rngs])
-    bits, residual, residual_index = sample_rows(states, index, range(n), True, u)
-    return bits.reshape(runs, per_run, n).transpose(0, 2, 1), residual, residual_index
+    bits, residual, residual_index = sample_rows(states, index, range(n), True, u.ravel())
+    return bits.reshape(*u.shape, n).transpose(0, 2, 1), residual, residual_index
 
 
 def run_validation(
@@ -425,17 +425,17 @@ def run_validation(
     decoys: tuple[np.ndarray, np.ndarray] | None,
     noise_p: float,
     threshold_fraction: float,
-    rngs: Sequence[np.random.Generator],
 ) -> tuple[ValidationReport, np.ndarray]:
     """Measure every transmitted decoy qubit and compare with the records.
 
     Agents measure their decoy qubits in the Hadamard basis and report the
     outcomes to the broker, which is the one stage where agent-to-broker
     traffic is part of the protocol. noise_p flips each reported outcome
-    independently. The plan stacks one or more runs, one generator each.
-    decoys is the stream (states, index) of the decoy tuples in flight, in
-    stream order, or None when nothing touched them. An untouched decoy
-    qubit is measured in the basis it was prepared in, so its outcome is
+    independently. The plan stacks one or more runs and holds their
+    uniforms (see distribution.build_plan). decoys is the stream (states,
+    index) of the decoy tuples in flight, in stream order, or None when
+    nothing touched them. An untouched decoy qubit needs no sample: it is
+    measured in the basis it was prepared in, so its outcome is
     certain and is the broker's sign record: every Hadamard pass takes a
     product row's amplitude pairs to 0 or to one shared value, which leaves
     the recorded outcome all the weight. Returns the comparison of the
@@ -443,11 +443,10 @@ def run_validation(
     i's outcome of the j-th decoy in [t, i, j]. Decoy tuples are never read
     again, so their post-measurement states are not kept.
     """
-    n, d, runs = plan.n, plan.d, plan.trials
-    # per decoy in stream order: the measurement's sample draw, then one
-    # noise draw per agent slot; an untouched decoy still draws its sample,
-    # so every later draw is the one a simulated measurement leaves
-    draws = np.concatenate([r.random((d, n)) for r in rngs])
+    n, d, runs = plan.n, plan.d, len(plan.draws)
+    # per decoy in stream order: the measurement's sample, then one noise
+    # draw per agent slot
+    draws = plan.draws[:, : d * n].reshape(runs * d, n)
     if decoys is None:
         bits = plan.signs[:, : n - 1]
     else:
@@ -461,44 +460,55 @@ def run_validation(
     return report, reported.transpose(0, 2, 1)
 
 
-def exchange_routes(layout: SegmentLayout) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
-    """The messages of the closing exchange, the same in every run that sends it.
+def run_routes(layout: SegmentLayout, d: int) -> tuple[tuple[Route, ...], np.ndarray, int]:
+    """The messages of a run that passes, the same in every such run.
 
-    The broker sends agent t her segment t; every agent i sends agent t the
-    segment t of their own register, for t != i, and keeps segment i
-    private. Nothing flows towards the broker. The broker's messages come
-    first, then agent 0's and up. Returns their routes, their payload ends
-    as in a MessageTable, and where each payload entry sits in a run's
-    flattened (n, m) registers.
+    In sending order: the opening, which every run sends up to its verdict,
+    is the broker's segment lengths and decoy positions and every agent's
+    decoy outcomes. The closing exchange follows: the broker sends agent t
+    her segment t; every agent i sends agent t the segment t of their own
+    register, for t != i, and keeps segment i private. Nothing flows
+    towards the broker. The broker's messages come first, then agent 0's
+    and up. Returns the routes, their payload ends as in a MessageTable,
+    and how many of them the opening sends.
     """
     n = layout.segments + 1
-    # every (sender, receiver) pair but an agent's to itself, the broker's first
-    senders = [BROKER, *range(n - 1)]
-    routes = tuple(
+    opening = (
+        Route(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths"),
+        Route(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions"),
+        *(Route(STAGE_VALIDATION, i, BROKER, "decoy_outcomes") for i in range(n - 1)),
+    )
+    exchange = tuple(
         Route(STAGE_EXCHANGE, i, t, "broker_segment" if i == BROKER else "register_segment", t)
-        for i in senders
+        for i in (BROKER, *range(n - 1))
         for t in range(n - 1)
         if i != t
     )
-    ends = np.cumsum([layout.lengths[r.receiver] for r in routes])
-    # in sending order, every sender's register but the segment it owns
+    lengths = [n - 1, *[d] * n, *(layout.lengths[r.receiver] for r in exchange)]
+    return opening + exchange, np.cumsum(lengths), len(opening)
+
+
+def exchange_entries(layout: SegmentLayout) -> np.ndarray:
+    """Where each payload entry of the closing exchange sits in a run's
+    flattened (n, m) registers, in the sending order of run_routes: the
+    broker's register, then agent 0's and up, each but the segment its
+    sender owns."""
+    n, m = layout.segments + 1, layout.total
     owner = np.repeat(np.arange(n - 1), layout.lengths)
-    rows = np.array([n - 1, *range(n - 1)])[:, None] * layout.total + np.arange(layout.total)
-    return routes, ends, rows[owner != np.array(senders)[:, None]]
+    # register rows in sending order; the broker's, row n - 1, owns no segment
+    rows = np.array([n - 1, *range(n - 1)])[:, None]
+    return (rows * m + np.arange(m))[owner != rows]
 
 
-def classical_exchange(
-    registers: np.ndarray, exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray]
-) -> tuple[tuple[Route, ...], np.ndarray, np.ndarray]:
+def classical_exchange(registers: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Send every register segment to the agent it belongs to, in every run.
 
     Takes the (runs, n, m) registers of one or more runs (see
-    decrypt_and_measure) and the exchange_routes of their layout, built
-    once per scenario. Returns the routes, their payload ends and a
-    (runs, bits) array with every run's payload entries in one row.
+    decrypt_and_measure) and the exchange_entries of their layout, built
+    once per scenario. Returns the payload as a (runs, bits) array, every
+    run's payload entries in one row.
     """
-    routes, ends, entries = exchange
-    return routes, ends, registers.reshape(registers.shape[0], -1)[:, entries]
+    return registers.reshape(registers.shape[0], -1)[:, entries]
 
 
 def recover_secret(registers: np.ndarray) -> BitVector:
@@ -526,24 +536,14 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     """
     size = max(1, STACK_ENTRIES // scenario.run_entries)
     payload, layout = concat_secrets(scenario.secrets)
-    n, d = scenario.n, scenario.resolved_d
     # the same in every stack: the GHZ row, looked up in distribution at
-    # call time like build_plan; the routes and payload ends of what every
-    # run sends up to its verdict, the segment lengths, the decoy positions
-    # and every agent's decoy outcomes; and the exchange a passing run sends
-    ghz = distribution.prepare_ghz(n)
-    opening = (
-        (
-            Route(STAGE_PREAMBLE, BROKER, ALL_AGENTS, "segment_lengths"),
-            Route(STAGE_VALIDATION, BROKER, ALL_AGENTS, "decoy_positions"),
-            *(Route(STAGE_VALIDATION, i, BROKER, "decoy_outcomes") for i in range(n - 1)),
-        ),
-        np.cumsum([n - 1, *[d] * n]),
-    )
-    exchange = exchange_routes(layout)
+    # call time like build_plan, and where the exchange's payload entries
+    # sit in a run's registers
+    ghz = distribution.prepare_ghz(scenario.n)
+    entries = exchange_entries(layout)
     seeds = iter(seeds)
     while stack := list(islice(seeds, size)):
-        yield _run_stack(scenario, stack, payload, layout, ghz, opening, exchange)
+        yield _run_stack(scenario, stack, payload, layout, ghz, entries)
 
 
 def _run_stack(
@@ -552,8 +552,7 @@ def _run_stack(
     payload: BitVector,
     layout: SegmentLayout,
     ghz: np.ndarray,
-    opening: tuple[tuple[Route, ...], np.ndarray],
-    exchange: tuple[tuple[Route, ...], np.ndarray, np.ndarray],
+    entries: np.ndarray,
 ) -> RunStack:
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
@@ -574,27 +573,26 @@ def _run_stack(
     check_rows(states)
 
     validation, reported = run_validation(
-        plan, decoys, scenario.noise_p, scenario.threshold_fraction, rngs
+        plan, decoys, scenario.noise_p, scenario.threshold_fraction
     )
     passed = validation.passed
     is_decoy = plan.is_decoy.reshape(runs, m + d)
     registers = np.zeros((0, n, m), dtype=np.intp)
-    sent = exchange[0], exchange[1], np.zeros((0, exchange[2].size), dtype=np.intp)
+    sent = np.zeros((0, entries.size), dtype=np.intp)
     if passed.any():
         # the information tuples of the runs that passed, run after run
         embedded, embedded_index = embed_secret(states, index[np.repeat(passed, m)], payload, n)
         registers, residual, residual_index = decrypt_and_measure(
-            embedded, embedded_index, n, [r for r, ok in zip(rngs, passed) if ok]
+            embedded, embedded_index, n, plan.draws[passed, d * n :]
         )
         check_rows(residual)
         if scenario.eve.active:
             eve_record.final_states, eve_record.final_index = residual, residual_index
-        sent = classical_exchange(registers, exchange)
+        sent = classical_exchange(registers, entries)
     # a lone run's transcript holds a view of this, read-only like its messages
     registers.flags.writeable = False
     return RunStack(
         layout=layout,
-        opening=opening,
         validation=validation,
         reported=reported,
         is_decoy=is_decoy,
@@ -602,7 +600,7 @@ def _run_stack(
         registers=registers,
         exchange=sent,
         eve=eve_record,
-        guesses=eve_postprocess(eve_record, layout, is_decoy, passed, sent, eve_rngs),
+        guesses=eve_postprocess(eve_record, layout, is_decoy, passed, sent, entries, eve_rngs),
     )
 
 

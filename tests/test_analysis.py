@@ -506,7 +506,7 @@ def stack_arrays(stack: RunStack) -> dict[str, np.ndarray | None]:
         "is_decoy": stack.is_decoy,
         "passed": stack.passed,
         "registers": stack.registers,
-        "payload": stack.exchange[2],
+        "payload": stack.exchange,
         "guesses": stack.guesses,
         "hadamard": eve.hadamard,
         "outcomes": eve.outcomes,

@@ -73,3 +73,28 @@ class TestBuildPlan:
         assert np.array_equal(stream[plan.is_decoy], hadamard_product_rows(plan.signs))
         ghz = np.tile(prepare_ghz(n), (m, 1))
         assert np.array_equal(stream[~plan.is_decoy], ghz)
+
+
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(2, 5), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_the_plan_holds_every_protocol_draw_in_order(m, d, n, seed):
+    # a run's protocol generator makes three draws, all of them here: the
+    # permutation, the decoy signs, then validation's and decryption's
+    # uniforms in one block
+    rng = np.random.default_rng(seed)
+    is_decoy = rng.permutation(m + d) >= m
+    signs = rng.integers(0, 2, (d, n))
+    draws = rng.random(d * n + m)
+    plan = build_plan(m, d, n, [np.random.default_rng(seed)])
+    assert np.array_equal(plan.is_decoy, is_decoy)
+    assert np.array_equal(plan.signs, signs)
+    assert np.array_equal(plan.draws, draws[None])
+
+    # a stack's plan is its runs' lone plans, run after run
+    seeds = [seed, seed + 1, seed + 2]
+    stack = build_plan(m, d, n, [np.random.default_rng(s) for s in seeds])
+    lone = [build_plan(m, d, n, [np.random.default_rng(s)]) for s in seeds]
+    assert len(stack.draws) == 3
+    for name in ("is_decoy", "signs", "draws"):
+        joined = np.concatenate([getattr(plan, name) for plan in lone])
+        assert np.array_equal(getattr(stack, name), joined)

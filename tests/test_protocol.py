@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzcast import distribution
-from ghzcast.adversary import ALWAYS_COMPUTATIONAL, MEASURE_RESEND, EveStrategy, attack_tuple
+from ghzcast.adversary import (
+    ALWAYS_COMPUTATIONAL,
+    MEASURE_RESEND,
+    RANDOM_BASIS,
+    EveRecord,
+    EveStrategy,
+    attack_tuple,
+    eve_postprocess,
+)
 from ghzcast.analysis import detection_experiment
-from ghzcast.bitvec import BitVector, bit_vectors, concat_secrets, split, xor_all
+from ghzcast.bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
 from ghzcast.messages import MessageTable, Route
 from ghzcast.protocol import (
@@ -24,9 +32,12 @@ from ghzcast.protocol import (
     Scenario,
     ValidationReport,
     check_transcript_secrecy,
+    classical_exchange,
+    exchange_entries,
     execute_run,
     recover_secret,
     run_protocol,
+    run_routes,
 )
 from ghzcast.statevec import prepare_ghz
 from test_acceptance import ATTACK_SCENARIOS
@@ -347,6 +358,62 @@ class TestRecoverSecret:
                 withheld = split(registers.agents[t], layout)[t]
                 held = xor_all([withheld, *bit_vectors(np.array([b for _, b in incoming]))])
                 assert transcript.recovered[t] == held == secrets[t]
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple).map(SegmentLayout),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_routes_entries_and_eves_fold_agree(layout, runs, d, seed):
+    # the sending order is stated twice, by the routes and by the register
+    # entries the payload is cut from, and Eve folds the payload by position
+    n, m = layout.segments + 1, layout.total
+    registers = np.random.default_rng(seed).integers(0, 2, (runs, n, m))
+    routes, ends, opened = run_routes(layout, d)
+    entries = exchange_entries(layout)
+    payload = classical_exchange(registers, entries)
+    # the opening carries the segment lengths, the decoy positions and every
+    # agent's decoy outcomes; the exchange's payload ends follow on from it
+    assert ends[opened - 1] == (n - 1) + n * d
+    exchange, cuts = routes[opened:], (ends[opened - 1 :] - ends[opened - 1]).tolist()
+    assert cuts[-1] == payload.shape[1]
+
+    # each message's payload is the segment its route names, of its sender's register
+    starts = np.cumsum((0, *layout.lengths))
+    row = {BROKER: n - 1, **{i: i for i in range(n - 1)}}
+    for r, start, end in zip(exchange, cuts, cuts[1:]):
+        assert r.stage == STAGE_EXCHANGE and r.receiver == r.segment_index
+        segment = registers[:, row[r.sender], starts[r.segment_index] : starts[r.segment_index + 1]]
+        assert np.array_equal(payload[:, start:end], segment)
+
+    # every payload position is sent by n - 1 parties: all but its owner
+    assert np.array_equal(np.bincount(entries % m, minlength=m), np.full(m, n - 1))
+
+    # the reference fold, one route at a time
+    known = np.zeros((runs, m), dtype=np.int64)
+    for r, start, end in zip(exchange, cuts, cuts[1:]):
+        known[:, starts[r.segment_index] : starts[r.segment_index + 1]] ^= payload[:, start:end]
+    # with the owner's withheld bit it is the fold of all registers
+    withheld = registers[:, np.repeat(np.arange(n - 1), layout.lengths), np.arange(m)]
+    assert np.array_equal(known ^ withheld, np.bitwise_xor.reduce(registers, axis=1))
+
+    # Eve's fold: she read every agent's qubit in the Hadamard basis and saw
+    # 0, so every bit leaks and her guess is the fold of the public shares
+    tuples = runs * (m + d)
+    record = EveRecord(
+        strategy=EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS, k=n - 1),
+        targets=tuple(range(n - 1)),
+        hadamard=np.ones((tuples, n - 1), dtype=bool),
+        outcomes=np.zeros((tuples, n - 1), dtype=np.int64),
+    )
+    is_decoy = np.tile(np.arange(m + d) >= m, (runs, 1))
+    passed = np.ones(runs, dtype=bool)
+    rngs = [np.random.default_rng(t) for t in range(runs)]
+    guesses = eve_postprocess(record, layout, is_decoy, passed, payload, entries, rngs)
+    assert np.array_equal(guesses, known)
 
 
 def with_row(transcript, route, entries):
