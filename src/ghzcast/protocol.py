@@ -15,10 +15,13 @@ Ordering is load bearing: an abort happens strictly before the embedding
 stage, so an aborted run contains no secret-dependent quantum operation at
 all.
 
-The transcript is typed data: its traffic is a MessageTable of routes,
-which name parties by index (see messages), and payload entries, bits and
-ints, so nothing parses it and only the CLI renders text. The registers
-are one bit array per run, read as bit vectors only on request.
+The transcript is typed data: its traffic is a MessageTable of routes and
+payload entries, so nothing parses it and only the CLI renders text.
+Parties are ints: agent i is i, and the broker and the broadcast address
+are the negative sentinels BROKER and ALL_AGENTS. Payloads are data, not
+text: decoy outcomes and register segments are bits, decoy positions and
+segment lengths are ints. The registers are one bit array per run, read as
+bit vectors only on request.
 
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams: every stage makes one kernel call per stack,
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,22 +68,20 @@ from .adversary import (
 from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split
 from . import distribution
 from .distribution import DistributionPlan, build_plan
-from .messages import (
-    ALL_AGENTS,
-    BROKER,
-    STAGE_DECRYPTION,
-    STAGE_DISTRIBUTION,
-    STAGE_EMBEDDING,
-    STAGE_EXCHANGE,
-    STAGE_PREAMBLE,
-    STAGE_RECOVERY,
-    STAGE_VALIDATION,
-    MessageTable,
-    Route,
-)
 from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, pick_rows, sample_rows
 
 __all__ = [
+    "BROKER",
+    "ALL_AGENTS",
+    "STAGE_PREAMBLE",
+    "STAGE_DISTRIBUTION",
+    "STAGE_VALIDATION",
+    "STAGE_EMBEDDING",
+    "STAGE_DECRYPTION",
+    "STAGE_EXCHANGE",
+    "STAGE_RECOVERY",
+    "Route",
+    "MessageTable",
     "Scenario",
     "ValidationReport",
     "Registers",
@@ -97,9 +98,19 @@ __all__ = [
     "run_trials",
     "execute_run",
     "run_protocol",
-    "check_transcript_secrecy",
     "check_route_secrecy",
 ]
+
+BROKER = -1
+ALL_AGENTS = -2
+
+STAGE_PREAMBLE = "preamble"
+STAGE_DISTRIBUTION = "distribution"
+STAGE_VALIDATION = "validation"
+STAGE_EMBEDDING = "embedding"
+STAGE_DECRYPTION = "decryption"
+STAGE_EXCHANGE = "exchange"
+STAGE_RECOVERY = "recovery"
 
 # Scenarios whose whole tuple stream, one state per tuple, would need more
 # than this many amplitudes are refused (2**25 float64 amplitudes are
@@ -217,6 +228,56 @@ class Scenario:
         return self.stream_length * per_tuple + 512
 
 
+def _fields_equal(a: object, b: object) -> bool:
+    """Whether two records of one dataclass hold equal fields, arrays by
+    value and shape (np.array_equal) and everything else by ==."""
+    for f in fields(a):
+        mine, theirs = getattr(a, f.name), getattr(b, f.name)
+        arrays = isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray)
+        if not (np.array_equal(mine, theirs) if arrays else mine == theirs):
+            return False
+    return True
+
+
+class Route(NamedTuple):
+    """A message's routing: everything but its payload."""
+
+    stage: str
+    sender: int
+    receiver: int
+    label: str
+    segment_index: int | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class MessageTable:
+    """Messages in sending order as columns.
+
+    routes holds one Route per message. Row i's payload is payload[ends[i
+    - 1]:ends[i]], from 0 for row 0: the bits of a bit vector, bit 0
+    first, or the ints of a segment length or decoy position list.
+    Iterating yields every row as its route and payload entries, in order.
+    The arrays may be shared with the tables of other runs, so a table
+    makes them read-only.
+    """
+
+    routes: tuple[Route, ...]
+    ends: np.ndarray
+    payload: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.ends.flags.writeable = False
+        self.payload.flags.writeable = False
+
+    def __iter__(self) -> Iterator[tuple[Route, np.ndarray]]:
+        ends = self.ends.tolist()
+        for r, start, end in zip(self.routes, [0, *ends], ends):
+            yield r, self.payload[start:end]
+
+    def __eq__(self, other: object) -> bool:
+        return _fields_equal(self, other) if isinstance(other, MessageTable) else NotImplemented
+
+
 @dataclass(eq=False)
 class ValidationReport:
     """Decoy comparison of a stack of runs, as run_validation returns it.
@@ -260,11 +321,7 @@ class ValidationReport:
         return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(-2, -1)) < self.threshold)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValidationReport):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+        return _fields_equal(self, other) if isinstance(other, ValidationReport) else NotImplemented
 
 
 @dataclass
@@ -303,14 +360,7 @@ class Transcript:
         return Registers(broker=broker, agents=tuple(agents))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            arrays = isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray)
-            if not (np.array_equal(mine, theirs) if arrays else mine == theirs):
-                return False
-        return True
+        return _fields_equal(self, other) if isinstance(other, Transcript) else NotImplemented
 
 
 class RunOutcome:
@@ -611,15 +661,6 @@ def execute_run(scenario: Scenario) -> RunOutcome:
 
 def run_protocol(scenario: Scenario) -> Transcript:
     return execute_run(scenario).transcript
-
-
-def check_transcript_secrecy(transcript: Transcript) -> list[str]:
-    """Structural secrecy checks on the classical traffic of a run.
-
-    Reads the routes of the transcript's own messages (see
-    check_route_secrecy).
-    """
-    return check_route_secrecy(transcript.messages.routes)
 
 
 def check_route_secrecy(routes: Sequence[Route]) -> list[str]:

@@ -37,14 +37,14 @@ from ghzcast.analysis import (
     wilson_interval,
 )
 from ghzcast.bitvec import BitVector, concat_secrets, xor_all
-from ghzcast.messages import STAGE_VALIDATION
 from ghzcast.protocol import (
     STACK_ENTRIES,
+    STAGE_VALIDATION,
     Registers,
     RunOutcome,
     RunStack,
     Scenario,
-    check_transcript_secrecy,
+    check_route_secrecy,
     execute_run,
     run_trials,
 )
@@ -628,7 +628,7 @@ def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:
             attacked_errors += int(attacked.sum())
             attacked_tuples += attacked.shape[0]
             tuples_with_error += int(attacked.any(axis=1).sum())
-        violations += len(check_transcript_secrecy(transcript))
+        violations += len(check_route_secrecy(transcript.messages.routes))
         bits = correct = 0
         for guess, truth in zip(outcome.eve_guesses(), scenario.secrets, strict=True):
             bits += len(truth)

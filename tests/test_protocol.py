@@ -18,7 +18,6 @@ from ghzcast.adversary import (
 from ghzcast.analysis import detection_experiment
 from ghzcast.bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split, xor_all
 from ghzcast.distribution import build_plan
-from ghzcast.messages import MessageTable, Route
 from ghzcast.protocol import (
     ALL_AGENTS,
     BROKER,
@@ -29,9 +28,11 @@ from ghzcast.protocol import (
     STAGE_PREAMBLE,
     STAGE_RECOVERY,
     STAGE_VALIDATION,
+    MessageTable,
+    Route,
     Scenario,
     ValidationReport,
-    check_transcript_secrecy,
+    check_route_secrecy,
     classical_exchange,
     exchange_entries,
     execute_run,
@@ -114,6 +115,37 @@ class TestHonestRun:
         a = run_protocol(sc)
         b = run_protocol(sc)
         assert a == b
+
+    def test_equality_sees_every_field(self, example_secrets):
+        transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
+        assert not transcript.aborted
+        table, report = transcript.messages, transcript.validation
+
+        def flipped(array, at):
+            out = array.copy()
+            out[at] ^= 1
+            return out
+
+        same = replace(
+            transcript,
+            messages=MessageTable(table.routes, table.ends.copy(), table.payload.copy()),
+            validation=ValidationReport(report.wrong.copy(), report.threshold),
+            register_bits=transcript.register_bits.copy(),
+        )
+        assert same == transcript
+        routes = (table.routes[0]._replace(label="decoy_positions"), *table.routes[1:])
+        changed = [
+            replace(transcript, messages=replace(table, payload=flipped(table.payload, -1))),
+            replace(transcript, messages=replace(table, routes=routes)),
+            replace(transcript, register_bits=None),
+            replace(transcript, register_bits=transcript.register_bits.ravel()),
+            replace(transcript, validation=replace(report, wrong=flipped(report.wrong, (0, 0)))),
+        ]
+        for other in changed:
+            assert other != transcript and transcript != other
+        assert replace(report, threshold=report.threshold + 1) != report
+        assert replace(table, ends=table.ends + 1) != table
+        assert transcript != transcript.validation
 
     def test_seed_changes_stream(self, example_secrets):
         a = run_protocol(Scenario(n=3, secrets=example_secrets, seed=1))
@@ -430,7 +462,7 @@ def with_row(transcript, route, entries):
 class TestSecrecyChecker:
     def test_clean_transcript(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
-        assert check_transcript_secrecy(transcript) == []
+        assert check_route_secrecy(transcript.messages.routes) == []
 
     def test_flags_agent_to_broker_leak(self, example_secrets):
         transcript = run_protocol(Scenario(n=3, secrets=example_secrets, seed=12))
@@ -442,7 +474,7 @@ class TestSecrecyChecker:
             segment_index=1,
         )
         tampered = with_row(transcript, bad, [0, 0, 0])
-        violations = check_transcript_secrecy(tampered)
+        violations = check_route_secrecy(tampered.messages.routes)
         assert len(violations) == 1
         assert "broker" in violations[0]
 
@@ -456,7 +488,7 @@ class TestSecrecyChecker:
             segment_index=1,
         )
         tampered = with_row(transcript, bad, [0, 0, 0])
-        violations = check_transcript_secrecy(tampered)
+        violations = check_route_secrecy(tampered.messages.routes)
         assert len(violations) == 1
         assert "own segment" in violations[0]
 
