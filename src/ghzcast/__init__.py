@@ -14,7 +14,7 @@ imported from its module.
 from .adversary import EveStrategy
 from .analysis import detection_experiment, joint_oracle
 from .bitvec import BitVector, concat_secrets
-from .protocol import Scenario, execute_run, run_protocol
+from .protocol import Scenario, run_protocol
 
 __all__ = [
     "BitVector",
@@ -22,7 +22,6 @@ __all__ = [
     "Scenario",
     "concat_secrets",
     "detection_experiment",
-    "execute_run",
     "joint_oracle",
     "run_protocol",
 ]

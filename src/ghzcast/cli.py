@@ -39,7 +39,7 @@ from .analysis import (
     support_violations,
 )
 from .bitvec import BitVector, concat_secrets
-from .protocol import Scenario, execute_run
+from .protocol import Scenario, run_protocol
 
 __all__ = ["main", "load_scenario_file", "ScenarioError"]
 
@@ -210,8 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario_file(resolve_scenario_path(args.scenario))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    outcome = execute_run(scenario)
-    transcript = outcome.transcript
+    transcript = run_protocol(scenario)
 
     doc = {
         "scenario": _scenario_doc(scenario),

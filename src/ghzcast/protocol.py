@@ -26,7 +26,7 @@ bit vectors only on request.
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams: every stage makes one kernel call per stack,
 and each run still draws from its own generators in the order a lone run
-would, so a stacked run is the run execute_run makes at the same seed. Only
+would, so a stacked run is the run run_protocol makes at the same seed. Only
 distribution.build_plan reads the protocol generator; later stages take
 their uniforms from the plan. A stack's stream is its few distinct tuple
 states plus the index of each tuple's (see distribution), so every stage
@@ -44,7 +44,7 @@ guesses of all runs are arrays, held by the RunStack that run_trials
 yields, and statistics are counted from them. Routes are not: every run
 with the same verdict sends the same messages, which run_routes lists once,
 and a stack holds only their payloads. A lone run is a stack of one, from
-whose arrays execute_run builds its RunOutcome. Measured decoy tuples are
+whose arrays run_protocol builds its Transcript. Measured decoy tuples are
 not kept, and decryption keeps of each information tuple only the qubits an
 adversary holds, the part her late measurement needs.
 """
@@ -86,7 +86,6 @@ __all__ = [
     "ValidationReport",
     "Registers",
     "Transcript",
-    "RunOutcome",
     "RunStack",
     "embed_secret",
     "decrypt_and_measure",
@@ -96,7 +95,6 @@ __all__ = [
     "classical_exchange",
     "recover_secret",
     "run_trials",
-    "execute_run",
     "run_protocol",
     "check_route_secrecy",
 ]
@@ -363,44 +361,6 @@ class Transcript:
         return _fields_equal(self, other) if isinstance(other, Transcript) else NotImplemented
 
 
-class RunOutcome:
-    """One run: its transcript plus the simulator-private adversary bookkeeping.
-
-    Built from the run's stack of one (see execute_run): the transcript
-    from its arrays, and eve_guesses() splits Eve's guess of its payload.
-    """
-
-    def __init__(self, stack: RunStack) -> None:
-        layout, aborted = stack.layout, not stack.passed[0]
-        positions = np.flatnonzero(stack.is_decoy[0])
-        # the opening's payloads: segment lengths, decoy positions, decoy outcomes
-        sent = np.concatenate((layout.lengths, positions, stack.reported[0].ravel()))
-        routes, ends, opened = run_routes(layout, positions.size)
-        registers = recovered = None
-        if aborted:
-            routes, ends = routes[:opened], ends[:opened]
-        else:
-            sent = np.concatenate((sent, stack.exchange[0]))
-            registers = stack.registers[0]
-            recovered = split(recover_secret(registers), layout)
-        self.transcript = Transcript(
-            layout=layout,
-            stream_length=stack.is_decoy.shape[1],
-            decoy_positions=tuple(positions.tolist()),
-            stages=ABORTED_STAGES if aborted else COMPLETED_STAGES,
-            messages=MessageTable(routes, ends, sent),
-            validation=ValidationReport(stack.validation.wrong[0], stack.validation.threshold),
-            aborted=aborted,
-            register_bits=registers,
-            recovered=recovered,
-        )
-        self.eve_record = stack.eve
-        self._guesses = split(bit_vectors(stack.guesses)[0], layout)
-
-    def eve_guesses(self) -> tuple[BitVector, ...]:
-        return self._guesses
-
-
 @dataclass(eq=False)
 class RunStack:
     """The outcome of a stack of runs as arrays, as run_trials yields it.
@@ -580,7 +540,7 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     any length. Yields each stack's RunStack in seed order, whose arrays
     hold the outcome of all its runs. Every run draws only from the two
     generators spawned from its own seed, in the order a lone run draws, so
-    it matches execute_run at that seed. A lone run is a stack of one.
+    it matches run_protocol at that seed. A lone run is a stack of one.
     Validation reports on the whole stack, and passed reads every run's
     verdict from it.
     """
@@ -654,13 +614,34 @@ def _run_stack(
     )
 
 
-def execute_run(scenario: Scenario) -> RunOutcome:
-    """Run the protocol once and return the transcript plus Eve's records."""
-    return RunOutcome(next(run_trials(scenario, [scenario.seed])))
-
-
 def run_protocol(scenario: Scenario) -> Transcript:
-    return execute_run(scenario).transcript
+    """Run the protocol once at the scenario's seed and return its transcript,
+    built from the arrays of the run's stack of one. Eve's record and
+    guesses stay on that RunStack, which run_trials yields for [seed]."""
+    stack = next(run_trials(scenario, [scenario.seed]))
+    layout, aborted = stack.layout, not stack.passed[0]
+    positions = np.flatnonzero(stack.is_decoy[0])
+    # the opening's payloads: segment lengths, decoy positions, decoy outcomes
+    sent = np.concatenate((layout.lengths, positions, stack.reported[0].ravel()))
+    routes, ends, opened = run_routes(layout, positions.size)
+    registers = recovered = None
+    if aborted:
+        routes, ends = routes[:opened], ends[:opened]
+    else:
+        sent = np.concatenate((sent, stack.exchange[0]))
+        registers = stack.registers[0]
+        recovered = split(recover_secret(registers), layout)
+    return Transcript(
+        layout=layout,
+        stream_length=stack.is_decoy.shape[1],
+        decoy_positions=tuple(positions.tolist()),
+        stages=ABORTED_STAGES if aborted else COMPLETED_STAGES,
+        messages=MessageTable(routes, ends, sent),
+        validation=ValidationReport(stack.validation.wrong[0], stack.validation.threshold),
+        aborted=aborted,
+        register_bits=registers,
+        recovered=recovered,
+    )
 
 
 def check_route_secrecy(routes: Sequence[Route]) -> list[str]:

@@ -14,8 +14,9 @@ from ghzcast.adversary import (
     attack_tuple,
 )
 from ghzcast.bitvec import BitVector
-from ghzcast.protocol import Scenario, execute_run
+from ghzcast.protocol import Scenario, run_protocol, run_trials
 from ghzcast.statevec import hadamard_product_rows, measure_rows, prepare_ghz
+from conftest import lone_run
 
 
 class TestStrategyValidation:
@@ -174,21 +175,20 @@ class TestPostprocess:
         ids=["honest", "measure_resend"],
     )
     def test_guesses_are_drawn_once(self, eve):
-        # a run's guess is part of its outcome: asking twice reads the same
-        # guess, not fresh coins
+        # a run's guess is part of its outcome: the stack holds it as one
+        # array, and a second stack at the same seed draws the same guess
         secrets = (BitVector.from_text("0101"), BitVector.from_text("110"))
-        outcome = execute_run(
-            Scenario(n=3, secrets=secrets, d=4, eve=eve, threshold_fraction=0.99, seed=5)
-        )
-        assert outcome.eve_guesses() == outcome.eve_guesses()
+        scenario = Scenario(n=3, secrets=secrets, d=4, eve=eve, threshold_fraction=0.99, seed=5)
+        stack, _ = lone_run(scenario)
+        assert stack.guesses is stack.guesses
+        assert np.array_equal(stack.guesses, next(run_trials(scenario, [scenario.seed])).guesses)
 
     def test_aborted_run_guesses_are_shaped(self, example_secrets):
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
-        outcome = execute_run(
+        stack, guesses = lone_run(
             Scenario(n=3, secrets=example_secrets, d=200, eve=eve, seed=1)
         )
-        assert outcome.transcript.aborted
-        guesses = outcome.eve_guesses()
+        assert not stack.passed[0]
         assert [len(g) for g in guesses] == [3, 3]
 
     def test_computational_measurement_learns_nothing(self, example_secrets):
@@ -197,11 +197,11 @@ class TestPostprocess:
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
         correct = bits = 0
         for seed in range(300):
-            outcome = execute_run(
+            stack, guesses = lone_run(
                 Scenario(n=3, secrets=example_secrets, d=0, eve=eve, seed=seed)
             )
-            assert not outcome.transcript.aborted
-            for guess, truth in zip(outcome.eve_guesses(), example_secrets):
+            assert stack.passed[0]
+            for guess, truth in zip(guesses, example_secrets):
                 bits += len(truth)
                 correct += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
         assert abs(correct / bits - 0.5) < 0.04
@@ -214,10 +214,10 @@ class TestPostprocess:
         correct = [0, 0]
         bits = [0, 0]
         for seed in range(600):
-            outcome = execute_run(
+            _, guesses = lone_run(
                 Scenario(n=3, secrets=example_secrets, d=0, eve=eve, seed=seed)
             )
-            for t, (guess, truth) in enumerate(zip(outcome.eve_guesses(), example_secrets)):
+            for t, (guess, truth) in enumerate(zip(guesses, example_secrets)):
                 bits[t] += len(truth)
                 correct[t] += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
         assert abs(correct[0] / bits[0] - 0.75) < 0.05   # attacked segment
@@ -234,7 +234,7 @@ class TestPostprocess:
         eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=RANDOM_BASIS, k=2, targets=(0, 2))
         passed = leaked = 0
         for seed in range(40):
-            outcome = execute_run(
+            stack, guesses = lone_run(
                 Scenario(
                     n=4,
                     secrets=secrets,
@@ -244,17 +244,14 @@ class TestPostprocess:
                     seed=seed,
                 )
             )
-            transcript = outcome.transcript
-            if transcript.aborted:
+            if not stack.passed[0]:
                 continue
             passed += 1
-            decoys = set(transcript.decoy_positions)
-            info = [p for p in range(transcript.stream_length) if p not in decoys]
-            guesses = outcome.eve_guesses()
+            info = np.flatnonzero(~stack.is_decoy[0])
             j = 0
             for owner, secret in enumerate(secrets):
                 for i in range(len(secret)):
-                    if owner in eve.targets and outcome.eve_record.hadamard[info[j]].all():
+                    if owner in eve.targets and stack.eve.hadamard[info[j]].all():
                         leaked += 1
                         assert guesses[owner].bit(i) == secret.bit(i)
                     j += 1
@@ -267,10 +264,10 @@ class TestPostprocess:
         eve = EveStrategy(tag=ENTANGLE_ANCILLA, k=1)
         correct = bits = 0
         for seed in range(300):
-            outcome = execute_run(
+            _, guesses = lone_run(
                 Scenario(n=3, secrets=example_secrets, d=0, eve=eve, seed=seed)
             )
-            for guess, truth in zip(outcome.eve_guesses(), example_secrets):
+            for guess, truth in zip(guesses, example_secrets):
                 bits += len(truth)
                 correct += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
         assert abs(correct / bits - 0.5) < 0.04
@@ -282,12 +279,12 @@ class TestPostprocess:
         perfect = 0
         correct = bits = 0
         for seed in range(200):
-            outcome = execute_run(
-                Scenario(n=3, secrets=example_secrets, d=0, eve=eve, seed=seed)
-            )
-            assert not outcome.transcript.aborted
-            perfect += outcome.transcript.recovered == example_secrets
-            for guess, truth in zip(outcome.eve_guesses(), example_secrets):
+            scenario = Scenario(n=3, secrets=example_secrets, d=0, eve=eve, seed=seed)
+            transcript = run_protocol(scenario)
+            _, guesses = lone_run(scenario)
+            assert not transcript.aborted
+            perfect += transcript.recovered == example_secrets
+            for guess, truth in zip(guesses, example_secrets):
                 bits += len(truth)
                 correct += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
         assert perfect < 10

@@ -41,13 +41,13 @@ from ghzcast.protocol import (
     STACK_ENTRIES,
     STAGE_VALIDATION,
     Registers,
-    RunOutcome,
     RunStack,
     Scenario,
     check_route_secrecy,
-    execute_run,
+    run_protocol,
     run_trials,
 )
+from conftest import lone_run
 
 
 def fold(registers: Registers) -> BitVector:
@@ -365,7 +365,7 @@ class TestDetectionExperiment:
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} built")
 
-        for cls in (protocol.Transcript, protocol.RunOutcome, protocol.MessageTable):
+        for cls in (protocol.Transcript, protocol.MessageTable):
             monkeypatch.setattr(cls, "__init__", refuse)
         scenario = Scenario(
             n=3, secrets=example_secrets, d=4, eve=eve, noise_p=0.1, threshold_fraction=0.3, seed=3
@@ -545,27 +545,7 @@ class TestStackedRuns:
         assert_stacks_concatenate(stacks, lone)
 
         stats = detection_experiment(scenario, trials, collect_rows=True)
-        alone = [RunOutcome(stack) for stack in lone]
-        targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
-        reports = [o.transcript.validation for o in alone]
-        attacked = [r.wrong[:, targets] for r in reports]
-        guesses = [o.eve_guesses() for o in alone]
-        assert stats.aborts == sum(o.transcript.aborted for o in alone)
-        assert stats.all_checks == sum(r.decoy_checks for r in reports)
-        assert stats.all_errors == sum(r.errors for r in reports)
-        assert stats.attacked_checks == sum(w.size for w in attacked)
-        assert stats.attacked_errors == sum(int(w.sum()) for w in attacked)
-        assert stats.attacked_tuples == (scenario.resolved_d * trials if targets else 0)
-        assert stats.tuples_with_error == sum(int(w.any(axis=1).sum()) for w in attacked)
-        assert stats.eve_correct == sum(
-            g.bit(j) == s.bit(j)
-            for run in guesses
-            for g, s in zip(run, scenario.secrets)
-            for j in range(len(s))
-        )
-        assert [(row.errors, row.verdict) for row in stats.rows] == [
-            (r.errors, r.verdict) for r in reports
-        ]
+        assert stats == lone_aggregate(scenario, trials)
 
     def test_stack_sizes(self):
         # the benchmark's honest n=8 op of 10 trials is one stack; an honest
@@ -607,8 +587,8 @@ class TestStackedRuns:
 
 
 def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:
-    """What detection_experiment reports, counted from lone execute_runs at
-    its trial seeds, one run, one transcript and one guess at a time."""
+    """What detection_experiment reports, counted from lone runs at its
+    trial seeds, one run, one transcript and one guess at a time."""
     master = np.random.default_rng(scenario.seed)
     seeds = [int(master.integers(0, 2**63)) for _ in range(trials)]
     targets = list(scenario.eve.resolved_targets(scenario.n)) if scenario.eve.active else []
@@ -616,8 +596,9 @@ def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:
     attacked_checks = attacked_errors = attacked_tuples = tuples_with_error = 0
     rows = []
     for t, seed in enumerate(seeds):
-        outcome = execute_run(replace(scenario, seed=seed))
-        transcript = outcome.transcript
+        run = replace(scenario, seed=seed)
+        transcript = run_protocol(run)
+        _, guesses = lone_run(run)
         report = transcript.validation
         aborts += transcript.aborted
         checks += report.decoy_checks
@@ -630,7 +611,7 @@ def lone_aggregate(scenario: Scenario, trials: int) -> ExperimentStats:
             tuples_with_error += int(attacked.any(axis=1).sum())
         violations += len(check_route_secrecy(transcript.messages.routes))
         bits = correct = 0
-        for guess, truth in zip(outcome.eve_guesses(), scenario.secrets, strict=True):
+        for guess, truth in zip(guesses, scenario.secrets, strict=True):
             bits += len(truth)
             correct += sum(guess.bit(j) == truth.bit(j) for j in range(len(truth)))
         eve_bits += bits

@@ -23,7 +23,8 @@ from ghzcast.adversary import (
     EveStrategy,
 )
 from ghzcast.bitvec import BitVector
-from ghzcast.protocol import Scenario, execute_run
+from ghzcast.protocol import Scenario, run_protocol
+from conftest import lone_run
 from test_determinism import PROTOCOL_SEEDS, experiment_digest, protocol_digest
 
 EXAMPLE_SECRETS = (BitVector.from_text("010"), BitVector.from_text("101"))
@@ -79,14 +80,12 @@ SCENARIOS = {
 def run_digest(scenario: Scenario) -> str:
     runs = []
     for seed in PROTOCOL_SEEDS:
-        outcome = execute_run(replace(scenario, seed=seed))
-        transcript = outcome.transcript
-        bits = transcript.register_bits
+        stack, guesses = lone_run(replace(scenario, seed=seed))
         runs.append(
             (
-                transcript.validation.wrong.sum(axis=0).tolist(),
-                None if bits is None else bits.tolist(),
-                [str(g) for g in outcome.eve_guesses()],
+                stack.validation.wrong[0].sum(axis=0).tolist(),
+                stack.registers[0].tolist() if stack.passed[0] else None,
+                [str(g) for g in guesses],
             )
         )
     return hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
@@ -138,7 +137,7 @@ def test_the_pinned_runs_reach_the_exchange():
     # a pin that only ever sees aborted runs would not cover the stages
     # after validation; the noisy five-party scenario also aborts
     aborted = {
-        name: [execute_run(replace(scenario, seed=seed)).transcript.aborted for seed in PROTOCOL_SEEDS]
+        name: [run_protocol(replace(scenario, seed=seed)).aborted for seed in PROTOCOL_SEEDS]
         for name, scenario in SCENARIOS.items()
     }
     assert all(not all(runs) for runs in aborted.values())

@@ -35,12 +35,12 @@ from ghzcast.protocol import (
     check_route_secrecy,
     classical_exchange,
     exchange_entries,
-    execute_run,
     recover_secret,
     run_protocol,
     run_routes,
 )
 from ghzcast.statevec import prepare_ghz
+from conftest import lone_run
 from test_acceptance import ATTACK_SCENARIOS
 
 
@@ -510,14 +510,14 @@ def test_no_stage_upcasts_the_real_batch(name):
     states, index = plan.stream(prepare_ghz(scenario.n))
     assert states.dtype == np.float64
     # without decoys every run passes validation and decrypts
-    outcome = execute_run(replace(scenario, d=0))
-    assert not outcome.transcript.aborted
+    stack, _ = lone_run(replace(scenario, d=0))
+    assert stack.passed[0]
     if scenario.eve.active:
         attacked, _, _ = attack_tuple(scenario.eve, states, index, [rng])
         assert attacked.dtype == np.float64
-        assert outcome.eve_record.final_states.dtype == np.float64
+        assert stack.eve.final_states.dtype == np.float64
     else:
-        assert outcome.eve_record.final_states is None
+        assert stack.eve.final_states is None
 
 
 class DecoyAmplitudesBuilt(Exception):
@@ -536,7 +536,7 @@ def test_honest_stacks_build_no_decoy_amplitudes(monkeypatch):
     stats = detection_experiment(noisy, 40)
     assert stats.all_checks == 40 * noisy.resolved_d * (noisy.n - 1)
     assert 0 < stats.aborts < 40
-    assert not execute_run(honest).transcript.aborted
+    assert not run_protocol(honest).aborted
     for scenario in ATTACK_SCENARIOS.values():
         with pytest.raises(DecoyAmplitudesBuilt):
-            execute_run(scenario)
+            run_protocol(scenario)
