@@ -108,6 +108,25 @@ MUTANTS = (
         "shift = np.where(j % 2 == 1, 31, 63)",
         ("tests/test_adversary.py::test_random_basis_draws_match_a_per_tuple_loop",),
     ),
+    Mutant(
+        # a CNOT onto her GHZ member leaves every protocol qubit's outcomes
+        # distributed as the swap does, so only the attacked state tells
+        "intercept-replace entangles the targets instead of swapping them out",
+        "src/ghzcast/adversary.py",
+        "register, gate = prepare_ghz(n), swap_rows",
+        "register, gate = prepare_ghz(n), cnot_rows",
+        (
+            "tests/test_adversary.py::TestAttackStates"
+            "::test_intercept_replace_keeps_the_targeted_qubits",
+        ),
+    ),
+    Mutant(
+        "an attacked rate's Wilson radius read as its center",
+        "src/ghzcast/analysis.py",
+        "wilson_interval(hits, total)[1]",
+        "wilson_interval(hits, total)[0]",
+        (STACKED, "tests/test_determinism.py::test_experiment_stats_are_pinned"),
+    ),
 )
 
 

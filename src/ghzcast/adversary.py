@@ -197,19 +197,18 @@ def attack_tuple(
         )
         return states, index, record
 
+    # both other attacks append a fresh register of Eve's and apply one gate
+    # between target slot j and its qubit n + j: intercept_replace swaps the
+    # target out for a qubit of her own GHZ tuple, entangle_ancilla copies it
+    # onto a zero ancilla with a CNOT
     if strategy.tag == INTERCEPT_REPLACE:
-        joint = append_rows(states, prepare_ghz(n))
-        for j, slot in enumerate(targets):
-            joint = swap_rows(joint, slot, n + j)
-        return joint, index, record
-
-    if strategy.tag == ENTANGLE_ANCILLA:
-        joint = append_rows(states, prepare_basis(BitVector.zeros(k)))
-        for j, slot in enumerate(targets):
-            joint = cnot_rows(joint, slot, n + j)
-        return joint, index, record
-
-    raise AssertionError("unreachable")
+        register, gate = prepare_ghz(n), swap_rows
+    else:
+        register, gate = prepare_basis(BitVector.zeros(k)), cnot_rows
+    joint = append_rows(states, register)
+    for j, slot in enumerate(targets):
+        joint = gate(joint, slot, n + j)
+    return joint, index, record
 
 
 def _coins_then_uniform(

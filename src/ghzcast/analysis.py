@@ -96,13 +96,6 @@ class OutcomeDistribution:
     def probability(self, key: int) -> float:
         return self.entries.get(key, 0.0)
 
-    def probabilities(self, keys: np.ndarray) -> np.ndarray:
-        """Probabilities of the given keys, 0.0 off the support."""
-        order = np.argsort(self.keys, kind="stable")
-        ordered = self.keys[order]
-        at = np.searchsorted(ordered, keys).clip(max=ordered.size - 1)
-        return np.where(ordered[at] == keys, self.probs[order[at]], 0.0)
-
     def key_to_registers(self, key: int) -> Registers:
         mask = (1 << self.m) - 1
         blocks = [BitVector((key >> (p * self.m)) & mask, self.m) for p in range(self.n)]
@@ -377,6 +370,11 @@ class ExperimentStats:
     rows: list[TrialRow] | None = None
 
 
+def _rate(hits: int, total: int) -> tuple[float | None, float | None]:
+    """hits / total and its Wilson radius, or None for both without trials."""
+    return (hits / total, wilson_interval(hits, total)[1]) if total else (None, None)
+
+
 def detection_experiment(
     scenario: Scenario, trials: int, collect_rows: bool = False
 ) -> ExperimentStats:
@@ -440,16 +438,8 @@ def detection_experiment(
     secrecy_violations = aborts * opening_violations + (trials - aborts) * run_violations
     eve_bits = trials * m
     _, abort_radius = wilson_interval(aborts, trials)
-    attacked_rate, attacked_radius = (
-        (attacked_errors / attacked_checks, wilson_interval(attacked_errors, attacked_checks)[1])
-        if attacked_checks
-        else (None, None)
-    )
-    tuple_rate, tuple_radius = (
-        (tuples_with_error / attacked_tuples, wilson_interval(tuples_with_error, attacked_tuples)[1])
-        if attacked_tuples
-        else (None, None)
-    )
+    attacked_rate, attacked_radius = _rate(attacked_errors, attacked_checks)
+    tuple_rate, tuple_radius = _rate(tuples_with_error, attacked_tuples)
     _, eve_radius = wilson_interval(eve_correct, eve_bits)
 
     return ExperimentStats(

@@ -403,7 +403,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         keys = analytic_sample_keys(payload, n, np.random.default_rng(args.seed or 0), samples)
 
         same_support = joint.support() == factorized.support()
-        max_diff = np.abs(joint.probs - factorized.probabilities(joint.keys)).max()
+        max_diff = max(abs(p - factorized.probability(k)) for k, p in joint.entries.items())
         violations = support_violations(joint, keys)
         pvalue = sample_pvalue(joint, keys)
         ok = same_support and max_diff <= 1e-10 and violations == 0 and pvalue > 0.001

@@ -282,12 +282,12 @@ class ValidationReport:
 
     wrong is a (runs, d, n - 1) bit array: per run, one row per decoy in
     stream order and one column per agent slot, set where the agent's report
-    differs from the broker's record; a lone run's transcript holds its own
-    report, with a (d, n - 1) array. decoy_checks and errors total the
-    report. The threshold is threshold_fraction times one run's transmitted
-    decoy qubits, d * (n - 1). A run fails exactly when its errors reach the
+    differs from the broker's record; a lone run's transcript holds the
+    report of its stack of one. decoy_checks and errors total the report.
+    The threshold is threshold_fraction times one run's transmitted decoy
+    qubits, d * (n - 1). A run fails exactly when its errors reach the
     threshold, unless it has no checks; passed holds that verdict of every
-    run, and a lone run's report also reads it as failed and verdict.
+    run, and verdict reads it of a stack of one.
     """
 
     wrong: np.ndarray
@@ -302,21 +302,17 @@ class ValidationReport:
         return int(np.count_nonzero(self.wrong))
 
     @property
-    def failed(self) -> bool:
-        if self.wrong.ndim != 2:
-            raise ValueError("a stack of runs has no single verdict; read every run's from passed")
-        return not self.passed
-
-    @property
     def verdict(self) -> str:
-        return "fail" if self.failed else "pass"
+        if len(self.wrong) != 1:
+            raise ValueError("a stack of runs has no single verdict; read every run's from passed")
+        return "pass" if self.passed[0] else "fail"
 
     @property
     def passed(self) -> np.ndarray:
         """The verdict of every run of a stack, as a (runs,) mask of the runs
-        that passed; of a lone run's report, one numpy bool."""
-        d, slots = self.wrong.shape[-2:]
-        return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(-2, -1)) < self.threshold)
+        that passed."""
+        _runs, d, slots = self.wrong.shape
+        return (d * slots == 0) | (np.count_nonzero(self.wrong, axis=(1, 2)) < self.threshold)
 
     def __eq__(self, other: object) -> bool:
         return _fields_equal(self, other) if isinstance(other, ValidationReport) else NotImplemented
@@ -637,7 +633,7 @@ def run_protocol(scenario: Scenario) -> Transcript:
         decoy_positions=tuple(positions.tolist()),
         stages=ABORTED_STAGES if aborted else COMPLETED_STAGES,
         messages=MessageTable(routes, ends, sent),
-        validation=ValidationReport(stack.validation.wrong[0], stack.validation.threshold),
+        validation=stack.validation,
         aborted=aborted,
         register_bits=registers,
         recovered=recovered,

@@ -15,7 +15,7 @@ from ghzcast.adversary import (
 )
 from ghzcast.bitvec import BitVector
 from ghzcast.protocol import Scenario, run_protocol, run_trials
-from ghzcast.statevec import hadamard_product_rows, measure_rows, prepare_ghz
+from ghzcast.statevec import hadamard_product_rows, measure_rows, prepare_basis, prepare_ghz
 from conftest import lone_run
 
 
@@ -101,6 +101,17 @@ class TestAttackStates:
         states, index, _ = attack_tuple(eve, plus, np.zeros(trials, dtype=np.intp), [rng])
         bits, _, _ = measure_rows(states, index, (0,), True, rng.random(trials))
         assert abs(bits.mean() - 0.5) < 0.07
+
+    def test_intercept_replace_keeps_the_targeted_qubits(self, rng):
+        # slots 0 and 1 of |011> go to Eve's qubits 3 and 4, and members 0
+        # and 1 of her own GHZ tuple, whose member 2 she keeps as qubit 5,
+        # go on in their place
+        eve = EveStrategy(tag=INTERCEPT_REPLACE, k=2)
+        arrived = prepare_basis(BitVector.from_text("011"))
+        batch, _, _ = attack_tuple(eve, arrived, np.zeros(1, dtype=np.intp), [rng])
+        expect = np.zeros(64)
+        expect[0b011000] = expect[0b111011] = math.sqrt(0.5)
+        assert np.allclose(batch[0], expect)
 
     def test_entangle_ancilla_extends_ghz(self, rng):
         eve = EveStrategy(tag=ENTANGLE_ANCILLA, k=1)

@@ -139,7 +139,7 @@ class TestHonestRun:
             replace(transcript, messages=replace(table, routes=routes)),
             replace(transcript, register_bits=None),
             replace(transcript, register_bits=transcript.register_bits.ravel()),
-            replace(transcript, validation=replace(report, wrong=flipped(report.wrong, (0, 0)))),
+            replace(transcript, validation=replace(report, wrong=flipped(report.wrong, (0, 0, 0)))),
         ]
         for other in changed:
             assert other != transcript and transcript != other
@@ -222,7 +222,7 @@ class TestMessages:
         assert [r.sender for r, _ in reports] == [0, 1]
         # agent i reports the column of its slot, decoy j as bit j
         for r, bits in reports:
-            wrong = transcript.validation.wrong[:, r.sender]
+            wrong = transcript.validation.wrong[0][:, r.sender]
             expected = plan.signs[:, r.sender]
             assert bits.tolist() == (expected ^ wrong).tolist()
 
@@ -304,6 +304,19 @@ class TestAbort:
         transcript = run_protocol(sc)
         assert transcript.validation.threshold == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_lone_run_reports_as_its_stack_of_one(self, example_secrets, seed):
+        # seed 0 passes at 5 errors of 24 and seed 1 aborts at 10; both
+        # transcripts hold the report of the run's stack of one, run axis included
+        eve = EveStrategy(tag=MEASURE_RESEND, basis_policy=ALWAYS_COMPUTATIONAL)
+        scenario = Scenario(
+            n=3, secrets=example_secrets, d=12, eve=eve, threshold_fraction=0.25, seed=seed
+        )
+        stack, _ = lone_run(scenario)
+        report = run_protocol(scenario).validation
+        assert report == stack.validation and report.wrong.shape == (1, 12, 2)
+        assert report.verdict == ("pass" if stack.passed[0] else "fail")
+
     def test_stack_totals_and_per_run_verdicts(self):
         # two runs of 4 decoys on 3 agent slots: run 1 has 6 errors, run 0 none
         wrong = np.zeros((2, 4, 3), dtype=bool)
@@ -312,9 +325,9 @@ class TestAbort:
         assert (report.decoy_checks, report.errors) == (24, 6)
         assert report.passed.tolist() == [True, False]
         with pytest.raises(ValueError, match="from passed"):
-            report.failed
+            report.verdict
         # a lone run's report reads its verdict by the same rule
-        runs = [ValidationReport(w, threshold=1.5) for w in wrong]
+        runs = [ValidationReport(w[None], threshold=1.5) for w in wrong]
         assert [(r.decoy_checks, r.errors, r.verdict) for r in runs] == [
             (12, 0, "pass"),
             (12, 6, "fail"),
@@ -322,7 +335,7 @@ class TestAbort:
         # without decoys a run has nothing to fail
         empty = np.zeros((1, 0, 3), dtype=bool)
         assert ValidationReport(empty, threshold=0.0).passed.tolist() == [True]
-        assert ValidationReport(empty[0], threshold=0.0).verdict == "pass"
+        assert ValidationReport(empty, threshold=0.0).verdict == "pass"
 
     def test_heavy_noise_aborts(self, example_secrets):
         aborted = 0
