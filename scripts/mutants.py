@@ -102,6 +102,20 @@ MUTANTS = (
         (STACKED,),
     ),
     Mutant(
+        "an honest tuple decrypted from the law row of the other payload bit",
+        "src/ghzcast/protocol.py",
+        "flips = np.tile(np.array(payload.bits(), dtype=np.intp), len(u))",
+        "flips = np.tile(1 - np.array(payload.bits(), dtype=np.intp), len(u))",
+        ("tests/test_protocol.py::test_honest_decryption_is_the_dense_pick",),
+    ),
+    Mutant(
+        "the closed-form GHZ row's second amplitude on the top qubit alone",
+        "src/ghzcast/statevec.py",
+        "row[0, [0, (1 << n) - 1]] = _SQRT_HALF",
+        "row[0, [0, 1 << (n - 1)]] = _SQRT_HALF",
+        ("tests/test_statevec.py::TestGhz::test_the_closed_form_row_is_prepare_ghz",),
+    ),
+    Mutant(
         "two basis coins swapped in _coins_then_uniform",
         "src/ghzcast/adversary.py",
         "shift = np.where(j % 2 == 1, 63, 31)",

@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import hadamard_product_rows, prepare_ghz
+from .statevec import hadamard_product_rows
 
-__all__ = ["DistributionPlan", "build_plan", "prepare_ghz"]
+__all__ = ["DistributionPlan", "build_plan"]
 
 
 @dataclass
@@ -64,7 +64,7 @@ class DistributionPlan:
         """The prepared stream as (states, index), one entry of index per position.
 
         states holds the distinct prepared tuples: row 0 the GHZ row ghz,
-        prepare_ghz(n), then the decoy sign patterns the stack holds, each
+        statevec.ghz_row(n), then the decoy sign patterns the stack holds, each
         once, in ascending order of their packed minus masks.
         """
         n = self.n

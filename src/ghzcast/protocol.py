@@ -32,13 +32,16 @@ their uniforms from the plan. A stack's stream is its few distinct tuple
 states plus the index of each tuple's (see distribution), so every stage
 simulates each distinct state once however many runs share it: the GHZ row,
 or after embedding it and its phase-flipped twin, and the decoy sign
-patterns of an attacked stream. Decoys that nothing touches are never
-simulated: an agent measures each in the basis the broker prepared it in,
-so its outcome is the broker's sign record, and validation reads it from
-the plan (see run_validation). An honest stack's stream is therefore the
-GHZ row alone. A stack holds as many runs as fit a fixed bound on their
-arrays, counted per run (see Scenario.run_entries), so a stack of honest
-runs holds tens of them. The classical layer works per stack too: the decoy
+patterns of an attacked stream. Tuples that nothing touches are never
+simulated. An agent measures an untouched decoy in the basis the broker
+prepared it in, so its outcome is the broker's sign record, and validation
+reads it from the plan (see run_validation). An untouched information
+tuple is one of the two GHZ-derived rows, so its decryption outcome is
+drawn from their outcome law, which run_trials computes once per
+experiment (see decrypt_honest). An honest stack therefore builds,
+rotates and checks no state at all. A stack holds as many runs as fit a
+fixed bound on their arrays, counted per run (see Scenario.run_entries),
+so a stack of honest runs holds tens of them. The classical layer works per stack too: the decoy
 reports, the verdicts, the registers, the exchanged segments and Eve's
 guesses of all runs are arrays, held by the RunStack that run_trials
 yields, and statistics are counted from them. Routes are not: every run
@@ -66,9 +69,9 @@ from .adversary import (
     eve_postprocess,
 )
 from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split
-from . import distribution
 from .distribution import DistributionPlan, build_plan
-from .statevec import MAX_QUBITS, check_rows, phase_flip_rows, pick_rows, sample_rows
+from .statevec import MAX_QUBITS, check_rows, ghz_row, phase_flip_rows, pick_from, pick_rows
+from .statevec import distribution as outcome_law, sample_rows
 
 __all__ = [
     "BROKER",
@@ -89,6 +92,7 @@ __all__ = [
     "RunStack",
     "embed_secret",
     "decrypt_and_measure",
+    "decrypt_honest",
     "run_validation",
     "run_routes",
     "exchange_entries",
@@ -209,10 +213,12 @@ class Scenario:
         other attacks map states one to one. Where an attacked stream can
         reach more distinct states than one run has tuples, they grow with
         the runs, so every tuple is charged a state. Otherwise they are
-        shared by the stack and bounded by the scenario: the two rows of an
-        honest stack, which builds no decoy states (see run_validation), or
-        at most one run's dense stream, which MAX_STREAM_AMPLITUDES admits
-        for a stack of one.
+        shared by the stack and bounded by the scenario: at most one run's
+        dense stream, which MAX_STREAM_AMPLITUDES admits for a stack of
+        one. An honest stack builds no state: its two rows and their outcome
+        law are built once per experiment (see run_trials). Its tuples are
+        still charged the residual entry above, which holds honest stacks
+        at the sizes the benchmark and the tests measure.
         """
         q = self.tuple_qubits
         per_tuple = 4 * q + (1 << (q - self.n))
@@ -426,6 +432,20 @@ def decrypt_and_measure(
     return bits.reshape(*u.shape, n).transpose(0, 2, 1), residual, residual_index
 
 
+def decrypt_honest(law: np.ndarray, payload: BitVector, u: np.ndarray) -> np.ndarray:
+    """The registers of decrypt_and_measure for information tuples nothing touched.
+
+    Such a tuple is the GHZ row, after embedding payload bit b its
+    phase-flipped twin when b is 1, so its outcome is drawn from row b of
+    law, the two rows' Hadamard-basis outcome law (see run_trials). u holds
+    the plan's (runs, m) decryption draws. The pick is the one
+    decrypt_and_measure makes on the embedded states, from the same
+    floats, so the registers are the same bits.
+    """
+    flips = np.tile(np.array(payload.bits(), dtype=np.intp), len(u))
+    return pick_from(law, flips, u.ravel()).reshape(*u.shape, -1).transpose(0, 2, 1)
+
+
 def run_validation(
     plan: DistributionPlan,
     decoys: tuple[np.ndarray, np.ndarray] | None,
@@ -538,18 +558,23 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     generators spawned from its own seed, in the order a lone run draws, so
     it matches run_protocol at that seed. A lone run is a stack of one.
     Validation reports on the whole stack, and passed reads every run's
-    verdict from it.
+    verdict from it. What every stack shares is built here, once per call:
+    the GHZ row (statevec.ghz_row) and, without an adversary, the outcome
+    law of it and its phase-flipped twin that decrypt_honest draws from.
     """
-    size = max(1, STACK_ENTRIES // scenario.run_entries)
+    n, size = scenario.n, max(1, STACK_ENTRIES // scenario.run_entries)
     payload, layout = concat_secrets(scenario.secrets)
-    # the same in every stack: the GHZ row, looked up in distribution at
-    # call time like build_plan, and where the exchange's payload entries
-    # sit in a run's registers
-    ghz = distribution.prepare_ghz(scenario.n)
+    # the same in every stack: the GHZ row, where the exchange's payload
+    # entries sit in a run's registers and, without an adversary, the
+    # decryption law of an information tuple, row b for payload bit b
+    ghz = ghz_row(n)
     entries = exchange_entries(layout)
+    law = None
+    if not scenario.eve.active:
+        law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), True)
     seeds = iter(seeds)
     while stack := list(islice(seeds, size)):
-        yield _run_stack(scenario, stack, payload, layout, ghz, entries)
+        yield _run_stack(scenario, stack, payload, layout, ghz, entries, law)
 
 
 def _run_stack(
@@ -559,6 +584,7 @@ def _run_stack(
     layout: SegmentLayout,
     ghz: np.ndarray,
     entries: np.ndarray,
+    law: np.ndarray | None,
 ) -> RunStack:
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
@@ -569,14 +595,13 @@ def _run_stack(
     plan = build_plan(m, d, n, rngs)
     if scenario.eve.active:
         states, index, eve_record = attack_tuple(scenario.eve, *plan.stream(ghz), eve_rngs)
+        check_rows(states)
         decoys = states, index[plan.is_decoy]
         index = index[~plan.is_decoy]
     else:
         # nothing touches the decoys, so validation reads their outcomes off
-        # the plan and the stream is the information tuples' GHZ row
-        states, index, decoys = ghz, np.zeros(runs * m, dtype=np.intp), None
-        eve_record = EveRecord(strategy=scenario.eve)
-    check_rows(states)
+        # the plan
+        decoys, eve_record = None, EveRecord(strategy=scenario.eve)
 
     validation, reported = run_validation(
         plan, decoys, scenario.noise_p, scenario.threshold_fraction
@@ -586,14 +611,17 @@ def _run_stack(
     registers = np.zeros((0, n, m), dtype=np.intp)
     sent = np.zeros((0, entries.size), dtype=np.intp)
     if passed.any():
-        # the information tuples of the runs that passed, run after run
-        embedded, embedded_index = embed_secret(states, index[np.repeat(passed, m)], payload, n)
-        registers, residual, residual_index = decrypt_and_measure(
-            embedded, embedded_index, n, plan.draws[passed, d * n :]
-        )
-        check_rows(residual)
+        # the decryption draws of the runs that passed, run after run
+        u = plan.draws[passed, d * n :]
         if scenario.eve.active:
+            embedded, embedded_index = embed_secret(states, index[np.repeat(passed, m)], payload, n)
+            registers, residual, residual_index = decrypt_and_measure(
+                embedded, embedded_index, n, u
+            )
+            check_rows(residual)
             eve_record.final_states, eve_record.final_index = residual, residual_index
+        else:
+            registers = decrypt_honest(law, payload, u)
         sent = classical_exchange(registers, entries)
     # a lone run's transcript holds a view of this, read-only like its messages
     registers.flags.writeable = False

@@ -39,7 +39,10 @@ the physical frame, for gates that act after the measurement. All of them
 rotate, square and sum each distinct state once, in one outcome-major copy,
 an axis permutation that puts each outcome's amplitudes in one block, and
 return their states in the stream form: one per distinct pair of a state
-and an outcome, with each tuple's index (see sample_rows).
+and an outcome, with each tuple's index (see sample_rows). pick_from is
+pick_rows' draw alone, from a law that distribution computed beforehand:
+tuples whose few distinct states and bases are known in advance are then
+measured with no state built, and get the same bits.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "phase_flip_rows",
     "swap_rows",
     "append_rows",
+    "pick_from",
     "pick_rows",
     "project_rows",
     "sample_rows",
@@ -67,6 +71,7 @@ __all__ = [
     "prepare_basis",
     "ghz_layers",
     "prepare_ghz",
+    "ghz_row",
     "distribution",
 ]
 
@@ -274,6 +279,18 @@ def _project(
     return weights, residual, pair_index
 
 
+def pick_from(law: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (T, k) outcome bits of every tuple, drawn from a precomputed law.
+
+    law holds the (U, 2**k) outcome probabilities of U distinct states, as
+    distribution returns them, index names each tuple's row and u holds its
+    uniform draw. The pick is sample_rows', so a tuple gets the bits it
+    would get from measuring its state there.
+    """
+    picked = _pick(law.T, np.asarray(index, dtype=np.intp), u)
+    return (picked[:, None] >> np.arange(width(law))) & 1
+
+
 def pick_rows(
     states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
 ) -> np.ndarray:
@@ -281,10 +298,8 @@ def pick_rows(
 
     Takes the arguments of sample_rows and returns the same bits.
     """
-    qubits = list(qubits)
-    view = _measured_view(states, qubits, hadamard)
-    picked = _pick(_marginal(view, keep=False), np.asarray(index, dtype=np.intp), u)
-    return (picked[:, None] >> np.arange(len(qubits))) & 1
+    view = _measured_view(states, list(qubits), hadamard)
+    return pick_from(_marginal(view, keep=False).T, index, u)
 
 
 def project_rows(
@@ -407,6 +422,16 @@ def prepare_ghz(n: int, topology: str = "linear") -> np.ndarray:
         for control, target in layer:
             batch = cnot_rows(batch, control, target)
     return batch
+
+
+def ghz_row(n: int) -> np.ndarray:
+    """prepare_ghz(n) in closed form, equal to it under np.array_equal."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    _check_width(n)
+    row = np.zeros((1, 1 << n))
+    row[0, [0, (1 << n) - 1]] = _SQRT_HALF
+    return row
 
 
 def distribution(batch: np.ndarray, hadamard) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcast import distribution
+from ghzcast import distribution, protocol
 from ghzcast.adversary import (
     ALWAYS_COMPUTATIONAL,
     MEASURE_RESEND,
@@ -34,12 +34,16 @@ from ghzcast.protocol import (
     ValidationReport,
     check_route_secrecy,
     classical_exchange,
+    decrypt_and_measure,
+    decrypt_honest,
+    embed_secret,
     exchange_entries,
     recover_secret,
     run_protocol,
     run_routes,
 )
-from ghzcast.statevec import prepare_ghz
+from ghzcast.statevec import distribution as outcome_law
+from ghzcast.statevec import ghz_row, phase_flip_rows, prepare_ghz
 from conftest import lone_run
 from test_acceptance import ATTACK_SCENARIOS
 
@@ -553,3 +557,68 @@ def test_honest_stacks_build_no_decoy_amplitudes(monkeypatch):
     for scenario in ATTACK_SCENARIOS.values():
         with pytest.raises(DecoyAmplitudesBuilt):
             run_protocol(scenario)
+
+
+class DenseDecryption(Exception):
+    pass
+
+
+def test_honest_stacks_measure_no_state(monkeypatch):
+    # an honest information tuple is the GHZ row or its phase-flipped twin,
+    # so its decryption is drawn from their outcome law, built once per
+    # experiment; only an attacked stream is embedded and measured
+    def refuse(*args):
+        raise DenseDecryption
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return outcome_law(*args)
+
+    monkeypatch.setattr(protocol, "embed_secret", refuse)
+    monkeypatch.setattr(protocol, "decrypt_and_measure", refuse)
+    monkeypatch.setattr(protocol, "outcome_law", counted)
+    honest = REAL_BATCH_CASES["honest"]
+    noisy = replace(honest, noise_p=0.1)
+    with monkeypatch.context() as small:
+        small.setattr(protocol, "STACK_ENTRIES", 10 * noisy.run_entries)
+        stats = detection_experiment(noisy, 40)
+    assert 0 < stats.aborts < 40
+    assert len(built) == 1
+    transcript = run_protocol(honest)
+    assert transcript.recovered == honest.secrets
+    assert len(built) == 2
+    passing = replace(ATTACK_SCENARIOS["measure_resend/random"], threshold_fraction=0.99)
+    with pytest.raises(DenseDecryption):
+        run_protocol(passing)
+    assert len(built) == 2
+
+
+def boundary_draws(law: np.ndarray, b: int, j: int) -> list[float]:
+    """Draws u whose product with row b's total lands on its j-th running
+    sum, or one float to either side of it."""
+    sums = np.cumsum(law[b])
+    u = sums[j] / sums[-1]
+    return [float(x) for x in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)) if x < 1.0]
+
+
+@given(n=st.integers(2, 12), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_honest_decryption_is_the_dense_pick(n, data):
+    m = data.draw(st.integers(1, 6), label="payload bits")
+    payload = BitVector(data.draw(st.integers(0, (1 << m) - 1), label="payload"), m)
+    runs = data.draw(st.integers(1, 3), label="runs")
+    ghz = ghz_row(n)
+    law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), True)
+    u = np.empty(runs * m)
+    for t in range(u.size):
+        if data.draw(st.booleans(), label="boundary"):
+            j = data.draw(st.integers(0, (1 << n) - 1), label="running sum")
+            u[t] = data.draw(st.sampled_from(boundary_draws(law, payload.bit(t % m), j)))
+        else:
+            u[t] = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="u")
+    u = u.reshape(runs, m)
+    index = np.zeros(runs * m, dtype=np.intp)
+    dense = decrypt_and_measure(*embed_secret(prepare_ghz(n), index, payload, n), n, u)[0]
+    assert np.array_equal(decrypt_honest(law, payload, u), dense)

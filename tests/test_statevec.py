@@ -14,6 +14,7 @@ from ghzcast.statevec import (
     cnot_rows,
     distribution,
     ghz_layers,
+    ghz_row,
     hadamard_product_rows,
     hadamard_rows,
     measure_rows,
@@ -146,6 +147,13 @@ class TestGhz:
         for n in range(2, 11):
             linear, log_depth = prepare_ghz(n, "linear"), prepare_ghz(n, "log_depth")
             assert np.allclose(linear, log_depth, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("topology", ["linear", "log_depth"])
+    def test_the_closed_form_row_is_prepare_ghz(self, topology):
+        # run_trials takes the GHZ row from its closed form, so every float
+        # must be the one the gates make
+        for n in range(1, 17):
+            assert np.array_equal(ghz_row(n), prepare_ghz(n, topology))
 
     def test_log_depth_layer_count(self):
         for n in range(2, 17):
