@@ -14,9 +14,12 @@ slots, noise_p 0 and 0.1, d = m, 0, 1-12, 40 or 200, and thresholds
 0.05-0.99, at which attacked runs pass validation and reach the closing
 exchange. Attacked n is capped per family so that a tuple keeps at most
 MAX_ATTACKED_QUBITS qubits, which keeps the whole corpus near 15 s. Each
-scenario's trial count exceeds the runs run_trials stacks together, so its
-experiment runs full stacks and, where a stack holds more than one run, a
-partial last one.
+scenario's trial count comes from the corpus seed and the scenario's shape
+alone (n, stream length and Eve's qubits), never from how run_trials sizes
+its stacks, so a change to the stack sizing leaves the cases, and so the
+digests, as they are: a stacked run is its lone run. Most cases still run
+more trials than one stack holds, so their experiments run several stacks,
+the last one partial.
 
 Per scenario it hashes, with repr and sha256 as tests/test_determinism.py
 does, the ExperimentStats of detection_experiment with its rows, every field
@@ -48,11 +51,14 @@ from ghzcast.adversary import (
     MEASURE_RESEND,
     RANDOM_BASIS,
 )
-from ghzcast.protocol import STACK_ENTRIES, run_trials
+from ghzcast.protocol import run_trials
 
 CORPUS_SEED = 20231104
 CORPUS_SIZE = 300
 MAX_ATTACKED_QUBITS = 14
+# the work of a case's trials, roughly, and the fixed share of a run (see _draw_case)
+CASE_WORK = 1 << 18
+RUN_WORK = 512
 
 # family name -> Eve's tag and basis policy, None for an honest run
 FAMILIES = {
@@ -64,11 +70,11 @@ FAMILIES = {
 }
 
 EXPECTED = {
-    "honest": "e873d6be3e2792d0",
-    "measure_resend/computational": "637676e1a03fefa6",
-    "measure_resend/random": "141725f3ded8098c",
-    "intercept_replace": "43c922ae65a9b7b0",
-    "entangle_ancilla": "c7674d4de3351fb6",
+    "honest": "37652fea8320d5e1",
+    "measure_resend/computational": "cf8dd4e65ffbbb38",
+    "measure_resend/random": "766aede6d451dd54",
+    "intercept_replace": "4bfe25c99c5cb735",
+    "entangle_ancilla": "ebcd1ca639e2c24e",
 }
 
 
@@ -110,9 +116,15 @@ def _draw_case(rng: np.random.Generator, family: str) -> Case:
         threshold_fraction=round(float(rng.uniform(0.05, 0.99)), 2),
         seed=int(rng.integers(0, 2**32)),
     )
-    stack = max(1, STACK_ENTRIES // scenario.run_entries)
-    # one or two full stacks, then a partial one where a stack holds more than one run
-    trials = stack * int(rng.integers(1, 3)) + int(rng.integers(1, max(stack, 2)))
+    # the trials follow the scenario's shape alone, never run_trials' stack
+    # sizing: they shrink with a run's work, a fixed share plus its stream's
+    # bits when honest (an honest stack builds no state) or its stream's
+    # amplitudes, Eve's qubits included, when attacked
+    per_tuple = n if tag is None else 1 << scenario.tuple_qubits
+    unit = max(1, CASE_WORK // (scenario.stream_length * per_tuple + RUN_WORK))
+    # one to three units, drawn with one fixed-size draw so that the next
+    # case's draws do not depend on the unit
+    trials = unit + int(rng.random() * 2 * unit)
     return Case(family, scenario, trials)
 
 

@@ -109,6 +109,16 @@ MUTANTS = (
         ("tests/test_protocol.py::test_honest_decryption_is_the_dense_pick",),
     ),
     Mutant(
+        "attacked decoys read by the agents in the computational basis",
+        "src/ghzcast/protocol.py",
+        "bits = pick_from(outcome_law(states, range(n - 1), True), index, draws[:, 0])",
+        "bits = pick_from(outcome_law(states, range(n - 1), False), index, draws[:, 0])",
+        (
+            "tests/test_adversary.py::TestDisturbanceRates::test_measure_resend_random_quarter",
+            "tests/test_acceptance.py::test_criterion_4_attack_error_rates",
+        ),
+    ),
+    Mutant(
         "the closed-form GHZ row's second amplitude on the top qubit alone",
         "src/ghzcast/statevec.py",
         "row[0, [0, (1 << n) - 1]] = _SQRT_HALF",
@@ -127,8 +137,8 @@ MUTANTS = (
         # distributed as the swap does, so only the attacked state tells
         "intercept-replace entangles the targets instead of swapping them out",
         "src/ghzcast/adversary.py",
-        "register, gate = prepare_ghz(n), swap_rows",
-        "register, gate = prepare_ghz(n), cnot_rows",
+        "register, gate = ghz_row(n), swap_rows",
+        "register, gate = ghz_row(n), cnot_rows",
         (
             "tests/test_adversary.py::TestAttackStates"
             "::test_intercept_replace_keeps_the_targeted_qubits",

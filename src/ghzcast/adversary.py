@@ -38,10 +38,11 @@ from .bitvec import BitVector, SegmentLayout
 from .statevec import (
     append_rows,
     cnot_rows,
+    ghz_row,
     measure_rows,
-    pick_rows,
+    outcome_law,
+    pick_from,
     prepare_basis,
-    prepare_ghz,
     swap_rows,
     width,
 )
@@ -202,7 +203,7 @@ def attack_tuple(
     # target out for a qubit of her own GHZ tuple, entangle_ancilla copies it
     # onto a zero ancilla with a CNOT
     if strategy.tag == INTERCEPT_REPLACE:
-        register, gate = prepare_ghz(n), swap_rows
+        register, gate = ghz_row(n), swap_rows
     else:
         register, gate = prepare_basis(BitVector.zeros(k)), cnot_rows
     joint = append_rows(states, register)
@@ -297,7 +298,8 @@ def eve_postprocess(
         # bit; the known fold still lacks the owner's withheld register bit.
         # One measurement serves every passing run, each with its own draws.
         u = np.concatenate([r.random(m) for r in readers])
-        bits = pick_rows(record.final_states, record.final_index, range(len(record.targets)), True, u)
+        law = outcome_law(record.final_states, range(len(record.targets)), True)
+        bits = pick_from(law, record.final_index, u)
         leaked = np.ones(known.shape, dtype=bool)
         eve_bits = (bits.sum(axis=1) & 1).reshape(known.shape)
     else:

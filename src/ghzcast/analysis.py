@@ -27,7 +27,7 @@ import numpy as np
 
 from .bitvec import BitVector, concat_secrets
 from .protocol import Registers, Scenario, check_route_secrecy, run_routes, run_trials
-from .statevec import distribution, phase_flip_rows, prepare_ghz
+from .statevec import outcome_law, phase_flip_rows, prepare_ghz
 
 __all__ = [
     "JOINT_ORACLE_QUBIT_CAP",
@@ -252,7 +252,7 @@ def factorized_oracle(payload: BitVector, n: int) -> OutcomeDistribution:
 
     # row b is the tuple distribution for payload bit b
     ghz = prepare_ghz(n)
-    per_bit = distribution(np.concatenate([ghz, phase_flip_rows(ghz, n - 1)]), True)
+    per_bit = outcome_law(np.concatenate([ghz, phase_flip_rows(ghz, n - 1)]), range(n), True)
     # spread[v] scatters tuple outcome bits to bit offset p*m per party
     v = np.arange(1 << n)
     spread = sum(((v >> p) & 1) << (p * m) for p in range(n))

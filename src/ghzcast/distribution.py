@@ -13,7 +13,8 @@ amplitudes. A decoy that nothing touches needs none: each agent measures its
 qubit in the Hadamard basis it was prepared in, so the outcome is the sign
 the broker recorded, and validation reads it from the plan (see
 protocol.run_validation). Only a stream an adversary acts on is built as
-states, by DistributionPlan.stream.
+states, by DistributionPlan.stream, which makes the GHZ row itself in
+closed form (statevec.ghz_row).
 
 Tuples are never entangled with each other, so they stay separate states
 rather than one joint register; the joint picture is recovered exactly by the
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import hadamard_product_rows
+from .statevec import ghz_row, hadamard_product_rows
 
 __all__ = ["DistributionPlan", "build_plan"]
 
@@ -60,10 +61,10 @@ class DistributionPlan:
     signs: np.ndarray
     draws: np.ndarray
 
-    def stream(self, ghz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def stream(self) -> tuple[np.ndarray, np.ndarray]:
         """The prepared stream as (states, index), one entry of index per position.
 
-        states holds the distinct prepared tuples: row 0 the GHZ row ghz,
+        states holds the distinct prepared tuples: row 0 the GHZ row,
         statevec.ghz_row(n), then the decoy sign patterns the stack holds, each
         once, in ascending order of their packed minus masks.
         """
@@ -72,7 +73,7 @@ class DistributionPlan:
         decoys = hadamard_product_rows((patterns[:, None] >> np.arange(n)) & 1)
         index = np.zeros(self.is_decoy.size, dtype=np.intp)
         index[self.is_decoy] = 1 + pattern
-        return np.concatenate((ghz, decoys)), index
+        return np.concatenate((ghz_row(n), decoys)), index
 
 
 def build_plan(m: int, d: int, n: int, rngs: Sequence[np.random.Generator]) -> DistributionPlan:

@@ -39,12 +39,15 @@ reads it from the plan (see run_validation). An untouched information
 tuple is one of the two GHZ-derived rows, so its decryption outcome is
 drawn from their outcome law, which run_trials computes once per
 experiment (see decrypt_honest). An honest stack therefore builds,
-rotates and checks no state at all. A stack holds as many runs as fit a
-fixed bound on their arrays, counted per run (see Scenario.run_entries),
-so a stack of honest runs holds tens of them. The classical layer works per stack too: the decoy
-reports, the verdicts, the registers, the exchanged segments and Eve's
-guesses of all runs are arrays, held by the RunStack that run_trials
-yields, and statistics are counted from them. Routes are not: every run
+rotates and checks no state at all. Where no later stage reads the
+measured state, as for an attacked decoy at validation, the outcome is
+one statevec.pick_from from the outcome law of the distinct states. A
+stack holds as many runs as fit a fixed bound on their arrays, counted
+per run (see Scenario.run_entries), so a stack of honest runs holds tens
+of them. The classical layer works per stack too: the decoy reports, the
+verdicts, the registers, the exchanged segments and Eve's guesses of all
+runs are arrays, held by the RunStack that run_trials yields, and
+statistics are counted from them. Routes are not: every run
 with the same verdict sends the same messages, which run_routes lists once,
 and a stack holds only their payloads. A lone run is a stack of one, from
 whose arrays run_protocol builds its Transcript. Measured decoy tuples are
@@ -70,8 +73,8 @@ from .adversary import (
 )
 from .bitvec import BitVector, SegmentLayout, bit_vectors, concat_secrets, split
 from .distribution import DistributionPlan, build_plan
-from .statevec import MAX_QUBITS, check_rows, ghz_row, phase_flip_rows, pick_from, pick_rows
-from .statevec import distribution as outcome_law, sample_rows
+from .statevec import MAX_QUBITS, check_rows, ghz_row, outcome_law, phase_flip_rows, pick_from
+from .statevec import sample_rows
 
 __all__ = [
     "BROKER",
@@ -476,7 +479,8 @@ def run_validation(
     if decoys is None:
         bits = plan.signs[:, : n - 1]
     else:
-        bits = pick_rows(*decoys, range(n - 1), True, draws[:, 0])
+        states, index = decoys
+        bits = pick_from(outcome_law(states, range(n - 1), True), index, draws[:, 0])
     shape = (runs, d, n - 1)
     reported = (bits ^ (draws[:, 1:] < noise_p)).reshape(shape)
     report = ValidationReport(
@@ -559,22 +563,21 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
     it matches run_protocol at that seed. A lone run is a stack of one.
     Validation reports on the whole stack, and passed reads every run's
     verdict from it. What every stack shares is built here, once per call:
-    the GHZ row (statevec.ghz_row) and, without an adversary, the outcome
-    law of it and its phase-flipped twin that decrypt_honest draws from.
+    where the exchange's payload entries sit in a run's registers and,
+    without an adversary, the outcome law that decrypt_honest draws from.
     """
     n, size = scenario.n, max(1, STACK_ENTRIES // scenario.run_entries)
     payload, layout = concat_secrets(scenario.secrets)
-    # the same in every stack: the GHZ row, where the exchange's payload
-    # entries sit in a run's registers and, without an adversary, the
-    # decryption law of an information tuple, row b for payload bit b
-    ghz = ghz_row(n)
     entries = exchange_entries(layout)
     law = None
     if not scenario.eve.active:
-        law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), True)
+        # the Hadamard-basis law of the GHZ row and its phase-flipped twin:
+        # row b decrypts an information tuple that carries payload bit b
+        ghz = ghz_row(n)
+        law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), range(n), True)
     seeds = iter(seeds)
     while stack := list(islice(seeds, size)):
-        yield _run_stack(scenario, stack, payload, layout, ghz, entries, law)
+        yield _run_stack(scenario, stack, payload, layout, entries, law)
 
 
 def _run_stack(
@@ -582,7 +585,6 @@ def _run_stack(
     seeds: Sequence[int],
     payload: BitVector,
     layout: SegmentLayout,
-    ghz: np.ndarray,
     entries: np.ndarray,
     law: np.ndarray | None,
 ) -> RunStack:
@@ -594,7 +596,7 @@ def _run_stack(
 
     plan = build_plan(m, d, n, rngs)
     if scenario.eve.active:
-        states, index, eve_record = attack_tuple(scenario.eve, *plan.stream(ghz), eve_rngs)
+        states, index, eve_record = attack_tuple(scenario.eve, *plan.stream(), eve_rngs)
         check_rows(states)
         decoys = states, index[plan.is_decoy]
         index = index[~plan.is_decoy]

@@ -28,21 +28,21 @@ Conventions used throughout the package:
 
 The *_rows kernels act on every row of a batch at once and never mutate
 their input; they do not check norms, so callers check a batch with
-check_rows between stages. There are no single-state gate wrappers:
-the preparations return one-row batches and distribution takes a batch.
-Measurement takes a stream. pick_rows draws each tuple's outcome bits;
+check_rows between stages. There are no single-state gate wrappers: the
+preparations return one-row batches. Measurement takes a stream.
+outcome_law gives each distinct state's probability of every outcome of
+the measured qubits, and pick_from draws each tuple's outcome bits from
+such a law, so a pick from a law known in advance builds no state;
 project_rows projects every tuple onto given outcomes, returning each
 branch's weight and the normalised residual state of the unmeasured
-qubits; sample_rows is the two in one, bits and residuals, which is all the
-protocol reads; measure_rows also rebuilds every whole collapsed state in
-the physical frame, for gates that act after the measurement. All of them
-rotate, square and sum each distinct state once, in one outcome-major copy,
-an axis permutation that puts each outcome's amplitudes in one block, and
+qubits; sample_rows is a pick and a projection in one, bits and
+residuals, which is all the protocol reads of a state it keeps;
+measure_rows also rebuilds every whole collapsed state in the physical
+frame, for gates that act after the measurement. All of them rotate,
+square and sum each distinct state once, in one outcome-major copy, an
+axis permutation that puts each outcome's amplitudes in one block, and
 return their states in the stream form: one per distinct pair of a state
-and an outcome, with each tuple's index (see sample_rows). pick_from is
-pick_rows' draw alone, from a law that distribution computed beforehand:
-tuples whose few distinct states and bases are known in advance are then
-measured with no state built, and get the same bits.
+and an outcome, with each tuple's index (see sample_rows).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ __all__ = [
     "phase_flip_rows",
     "swap_rows",
     "append_rows",
+    "outcome_law",
     "pick_from",
-    "pick_rows",
     "project_rows",
     "sample_rows",
     "measure_rows",
@@ -72,7 +72,6 @@ __all__ = [
     "ghz_layers",
     "prepare_ghz",
     "ghz_row",
-    "distribution",
 ]
 
 MAX_QUBITS = 24
@@ -279,27 +278,26 @@ def _project(
     return weights, residual, pair_index
 
 
+def outcome_law(states: np.ndarray, qubits: Sequence[int], hadamard) -> np.ndarray:
+    """(U, 2**k) probability of every outcome of the measured qubits of each distinct state.
+
+    Takes the states, qubits and bases of sample_rows; bit i of outcome j
+    is the outcome of qubits[i]. The probabilities are the marginal that
+    sample_rows picks from, the same floats.
+    """
+    return _marginal(_measured_view(states, list(qubits), hadamard), keep=False).T
+
+
 def pick_from(law: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The (T, k) outcome bits of every tuple, drawn from a precomputed law.
+    """The (T, k) outcome bits of every tuple, drawn from an outcome law.
 
     law holds the (U, 2**k) outcome probabilities of U distinct states, as
-    distribution returns them, index names each tuple's row and u holds its
+    outcome_law returns them, index names each tuple's row and u holds its
     uniform draw. The pick is sample_rows', so a tuple gets the bits it
     would get from measuring its state there.
     """
     picked = _pick(law.T, np.asarray(index, dtype=np.intp), u)
     return (picked[:, None] >> np.arange(width(law))) & 1
-
-
-def pick_rows(
-    states: np.ndarray, index: np.ndarray, qubits: Sequence[int], hadamard, u: np.ndarray
-) -> np.ndarray:
-    """The (T, k) outcome bits of sample_rows alone, with no residual built.
-
-    Takes the arguments of sample_rows and returns the same bits.
-    """
-    view = _measured_view(states, list(qubits), hadamard)
-    return pick_from(_marginal(view, keep=False).T, index, u)
 
 
 def project_rows(
@@ -340,7 +338,7 @@ def sample_rows(
     measured. The measured qubits are simply gone from it, so no
     measurement frame has to be undone.
 
-    It is the outcome pick of pick_rows followed by the projection of
+    It is pick_from on outcome_law followed by the projection of
     project_rows onto the picked outcomes, on one outcome-major view of
     the rotated states (see _measured_view): the marginal is a sum over
     its axis 1 and the residual of a pair is view[outcome, :, state].
@@ -432,10 +430,3 @@ def ghz_row(n: int) -> np.ndarray:
     row = np.zeros((1, 1 << n))
     row[0, [0, (1 << n) - 1]] = _SQRT_HALF
     return row
-
-
-def distribution(batch: np.ndarray, hadamard) -> np.ndarray:
-    """Exact Born probabilities of each row, every qubit measured in the bases of the mask."""
-    _check_real(batch)
-    view = _measured_view(batch, list(range(width(batch))), hadamard)
-    return _marginal(view, keep=False).T

@@ -8,7 +8,7 @@ from ghzcast.statevec import hadamard_product_rows, prepare_ghz
 
 def test_decoy_tuple_records_preparation(rng):
     plan = build_plan(2, 6, 3, [rng])
-    states, index = plan.stream(prepare_ghz(3))
+    states, index = plan.stream()
     # the i-th decoy row in stream order holds the preparation of signs row i
     for signs, state in zip(plan.signs, states[index[plan.is_decoy]]):
         assert np.array_equal(state, hadamard_product_rows([signs])[0])
@@ -34,7 +34,7 @@ class TestBuildPlan:
 
     def test_counts(self, rng):
         plan = build_plan(6, 4, 3, [rng])
-        states, index = plan.stream(prepare_ghz(3))
+        states, index = plan.stream()
         assert index.shape == (10,)
         # the GHZ row, then each decoy sign pattern once
         assert states.shape == (1 + len(set(map(tuple, plan.signs.tolist()))), 8)
@@ -44,7 +44,7 @@ class TestBuildPlan:
     def test_information_tuples_share_ghz(self, rng):
         plan = build_plan(4, 2, 3, [rng])
         ghz = prepare_ghz(3)
-        states, index = plan.stream(ghz)
+        states, index = plan.stream()
         assert not index[~plan.is_decoy].any()
         for state in states[index[~plan.is_decoy]]:
             assert np.array_equal(state, ghz[0])
@@ -62,7 +62,7 @@ class TestBuildPlan:
     @settings(max_examples=60, deadline=None)
     def test_plan_invariants(self, m, d, n, seed):
         plan = build_plan(m, d, n, [np.random.default_rng(seed)])
-        states, index = plan.stream(prepare_ghz(n))
+        states, index = plan.stream()
         assert plan.is_decoy.shape == (m + d,) and np.count_nonzero(plan.is_decoy) == d
         assert index.shape == (m + d,)
         # every distinct state once: no two rows alike, and every row used

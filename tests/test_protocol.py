@@ -42,8 +42,7 @@ from ghzcast.protocol import (
     run_protocol,
     run_routes,
 )
-from ghzcast.statevec import distribution as outcome_law
-from ghzcast.statevec import ghz_row, phase_flip_rows, prepare_ghz
+from ghzcast.statevec import ghz_row, outcome_law, phase_flip_rows, prepare_ghz, width
 from conftest import lone_run
 from test_acceptance import ATTACK_SCENARIOS
 
@@ -524,7 +523,7 @@ def test_no_stage_upcasts_the_real_batch(name):
     payload, _ = concat_secrets(scenario.secrets)
     rng = np.random.default_rng(scenario.seed)
     plan = build_plan(payload.length, scenario.resolved_d, scenario.n, [rng])
-    states, index = plan.stream(prepare_ghz(scenario.n))
+    states, index = plan.stream()
     assert states.dtype == np.float64
     # without decoys every run passes validation and decrypts
     stack, _ = lone_run(replace(scenario, d=0))
@@ -572,9 +571,11 @@ def test_honest_stacks_measure_no_state(monkeypatch):
 
     built = []
 
-    def counted(*args):
-        built.append(args)
-        return outcome_law(*args)
+    def counted(states, qubits, hadamard):
+        # attacked validation reads a law over the agents' qubits alone
+        if len(qubits) == width(states):
+            built.append(states)
+        return outcome_law(states, qubits, hadamard)
 
     monkeypatch.setattr(protocol, "embed_secret", refuse)
     monkeypatch.setattr(protocol, "decrypt_and_measure", refuse)
@@ -610,7 +611,7 @@ def test_honest_decryption_is_the_dense_pick(n, data):
     payload = BitVector(data.draw(st.integers(0, (1 << m) - 1), label="payload"), m)
     runs = data.draw(st.integers(1, 3), label="runs")
     ghz = ghz_row(n)
-    law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), True)
+    law = outcome_law(np.concatenate((ghz, phase_flip_rows(ghz, n - 1))), range(n), True)
     u = np.empty(runs * m)
     for t in range(u.size):
         if data.draw(st.booleans(), label="boundary"):

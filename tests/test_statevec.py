@@ -12,14 +12,14 @@ from ghzcast.statevec import (
     append_rows,
     check_rows,
     cnot_rows,
-    distribution,
     ghz_layers,
     ghz_row,
     hadamard_product_rows,
     hadamard_rows,
     measure_rows,
+    outcome_law,
     phase_flip_rows,
-    pick_rows,
+    pick_from,
     prepare_basis,
     prepare_ghz,
     project_rows,
@@ -169,46 +169,46 @@ class TestGhz:
 
 class TestDistribution:
     def test_ghz_computational(self):
-        probs = distribution(prepare_ghz(3), False)
+        probs = outcome_law(prepare_ghz(3), range(3), False)
         expect = np.zeros((1, 8))
         expect[0, [0, 7]] = 0.5
         assert np.allclose(probs, expect)
 
     def test_ghz_hadamard_even_parity(self):
-        probs = distribution(prepare_ghz(3), True)
+        probs = outcome_law(prepare_ghz(3), range(3), True)
         expect = np.zeros((1, 8))
         expect[0, [0, 3, 5, 6]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_flipped_ghz_hadamard_odd_parity(self):
-        probs = distribution(phase_flip_rows(prepare_ghz(3), 2), [True] * 3)
+        probs = outcome_law(phase_flip_rows(prepare_ghz(3), 2), range(3), [True] * 3)
         expect = np.zeros((1, 8))
         expect[0, [1, 2, 4, 7]] = 0.25
         assert np.allclose(probs, expect)
 
     def test_minus_computational(self):
-        probs = distribution(plus_minus((1,)), [False])
+        probs = outcome_law(plus_minus((1,)), [0], [False])
         assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_zero_computational(self):
-        probs = distribution(prepare_basis(BitVector.from_text("0")), False)
+        probs = outcome_law(prepare_basis(BitVector.from_text("0")), [0], False)
         assert np.allclose(probs, [[1.0, 0.0]])
 
     def test_rows_are_independent(self):
         ghz = prepare_ghz(3)
         batch = np.concatenate([ghz, phase_flip_rows(ghz, 2)])
-        probs = distribution(batch, True)
+        probs = outcome_law(batch, range(3), True)
         assert probs.shape == (2, 8)
-        assert np.array_equal(probs[0], distribution(ghz, True)[0])
-        assert np.array_equal(probs[1], distribution(batch[1:], np.ones((1, 3), bool))[0])
+        assert np.array_equal(probs[0], outcome_law(ghz, range(3), True)[0])
+        assert np.array_equal(probs[1], outcome_law(batch[1:], range(3), np.ones((1, 3), bool))[0])
 
     def test_basis_validation(self):
         ghz = prepare_ghz(3)
         with pytest.raises(ValueError):
-            distribution(ghz, [True] * 2)
+            outcome_law(ghz, range(3), [True] * 2)
         # a basis name would convert to True, so any non-boolean mask is refused
         with pytest.raises(ValueError, match="boolean"):
-            distribution(ghz, ["computational"] * 3)
+            outcome_law(ghz, range(3), ["computational"] * 3)
 
 
 class TestMeasurement:
@@ -236,7 +236,7 @@ class TestMeasurement:
         states, index = hadamard_product_rows(signs), np.arange(len(signs))
         for u in (0.0, np.nextafter(1.0, 0.0), rng.random(len(signs))):
             u = np.broadcast_to(u, index.shape)
-            bits = pick_rows(states, index, range(n - 1), True, u)
+            bits = pick_from(outcome_law(states, range(n - 1), True), index, u)
             assert np.array_equal(bits, signs[:, : n - 1])
 
     def test_partial_measurement_collapses_ghz(self, rng):
@@ -404,9 +404,9 @@ class TestBatchKernels:
         check_rows,
         lambda batch: sample_rows(batch, [0], (0,), True, np.zeros(1)),
         lambda batch: measure_rows(batch, [0], (0,), True, np.zeros(1)),
-        lambda batch: distribution(batch, False),
+        lambda batch: outcome_law(batch, [0, 1], False),
     ],
-    ids=["check_rows", "sample_rows", "measure_rows", "distribution"],
+    ids=["check_rows", "sample_rows", "measure_rows", "outcome_law"],
 )
 def test_a_complex_batch_is_refused(call):
     # amplitudes are real by convention; a complex batch is an upcast somewhere
@@ -422,7 +422,7 @@ def test_measurement_statistics_match_distribution(n, data):
     seed = data.draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     ghz = prepare_ghz(n)
-    probs = distribution(ghz, False)[0]
+    probs = outcome_law(ghz, range(n), False)[0]
     bits, _, _ = sample_rows(ghz, np.zeros(200, dtype=int), range(n), [False] * n, rng.random(200))
     counts = np.bincount(bits @ (1 << np.arange(n)), minlength=1 << n)
     assert counts[0] + counts[(1 << n) - 1] == 200
@@ -563,9 +563,9 @@ def test_index_form_equals_the_expanded_batch(shape, distinct, picks, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_sampling_is_a_pick_then_a_projection(shape, distinct, picks, seed):
-    """pick_rows draws the bits sample_rows draws, and project_rows at those
-    bits returns its residuals, with each branch's Born weight; neither
-    touches the states."""
+    """pick_from on outcome_law draws the bits sample_rows draws, and
+    project_rows at those bits returns its residuals, with each branch's
+    Born weight; neither touches the states."""
     q, qubits = shape
     rng = np.random.default_rng(seed)
     states = random_batch(rng, distinct, q)
@@ -575,7 +575,7 @@ def test_sampling_is_a_pick_then_a_projection(shape, distinct, picks, seed):
     u = rng.random(index.size)
 
     bits, residual, residual_index = sample_rows(states, index, qubits, hadamard, u)
-    assert np.array_equal(pick_rows(states, index, qubits, hadamard, u), bits)
+    assert np.array_equal(pick_from(outcome_law(states, qubits, hadamard), index, u), bits)
     weights, projected, projected_index = project_rows(states, index, qubits, hadamard, bits)
     assert np.array_equal(projected, residual)
     assert np.array_equal(projected_index, residual_index)
@@ -584,7 +584,7 @@ def test_sampling_is_a_pick_then_a_projection(shape, distinct, picks, seed):
     # a branch's weight sums the Born probabilities of its basis states
     mask = np.zeros((distinct, q), dtype=bool)
     mask[:, qubits] = hadamard
-    probs = distribution(states, mask)
+    probs = outcome_law(states, range(q), mask)
     basis = np.arange(1 << q)
     outcome = sum((((basis >> qubit) & 1) << j for j, qubit in enumerate(qubits)), 0 * basis)
     for t, pair in enumerate(projected_index):
