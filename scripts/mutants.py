@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 STACKED = "tests/test_analysis.py::TestStackedRuns::test_experiment_is_the_aggregate_of_lone_runs"
+SPAWNED = "tests/test_protocol.py::test_spawned_words_are_numpys"
 
 
 class Mutant(NamedTuple):
@@ -143,6 +144,20 @@ MUTANTS = (
             "tests/test_adversary.py::TestAttackStates"
             "::test_intercept_replace_keeps_the_targeted_qubits",
         ),
+    ),
+    Mutant(
+        "the two spawn keys swapped",
+        "src/ghzcast/protocol.py",
+        "keys = _hashed(np.arange(2, dtype=np.uint32)[:, None], hashes, k, 4)",
+        "keys = _hashed(np.array([1, 0], dtype=np.uint32)[:, None], hashes, k, 4)",
+        (SPAWNED,),
+    ),
+    Mutant(
+        "a seed's high 32-bit word dropped",
+        "src/ghzcast/protocol.py",
+        'b"".join(seeds[t].to_bytes(4 * size, "little") for t in rows)',
+        'b"".join((seeds[t] & 0xFFFFFFFF).to_bytes(4 * size, "little") for t in rows)',
+        (SPAWNED,),
     ),
     Mutant(
         "an attacked rate's Wilson radius read as its center",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -51,6 +52,8 @@ FACTORIZED_FREE_BIT_CAP = 20
 SUPPORT_CUTOFF = 1e-12
 CHI_SQUARE_BUCKET_BITS = 12
 HADAMARD_BLOCK_BITS = 5
+# detection_experiment draws its trial seeds this many at a time
+SEED_BLOCK = 1024
 
 
 @dataclass(eq=False)
@@ -399,9 +402,13 @@ def detection_experiment(
     rows: list[TrialRow] | None = [] if collect_rows else None
 
     # trial t runs at the t-th seed drawn from the scenario's own seed; seeds
-    # are drawn as the stacks need them, so no trial count has to fit in memory
+    # are drawn a block at a time as the stacks need them, so no trial count
+    # has to fit in memory, and a block's draws are the one-at-a-time draws
     master = np.random.default_rng(scenario.seed)
-    seeds = (int(master.integers(0, 2**63)) for _ in range(trials))
+    seeds = chain.from_iterable(
+        master.integers(0, 2**63, size=min(SEED_BLOCK, trials - start)).tolist()
+        for start in range(0, trials, SEED_BLOCK)
+    )
     for stack in run_trials(scenario, seeds):
         report, passed = stack.validation, stack.passed
         aborts += int(np.count_nonzero(~passed))

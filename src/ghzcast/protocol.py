@@ -26,7 +26,12 @@ bit vectors only on request.
 run_trials simulates many runs of one scenario, each from its own seed, by
 stacking their tuple streams: every stage makes one kernel call per stack,
 and each run still draws from its own generators in the order a lone run
-would, so a stacked run is the run run_protocol makes at the same seed. Only
+would, so a stacked run is the run run_protocol makes at the same seed. A
+run's two generators, the protocol's and Eve's, are the PCG64 generators of
+the two children of numpy's SeedSequence(seed).spawn(2). They are derived in
+one pass per stack without building a SeedSequence: numpy's seed mixing is
+restated as array arithmetic over the stack's seeds, the pool the two
+children share mixed once per seed (see _spawned_words). Only
 distribution.build_plan reads the protocol generator; later stages take
 their uniforms from the plan. A stack's stream is its few distinct tuple
 states plus the index of each tuple's (see distribution), so every stage
@@ -57,11 +62,13 @@ adversary holds, the part her late measurement needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import (
     MEASURE_RESEND,
@@ -207,8 +214,8 @@ class Scenario:
 
         Per tuple: its index, draws, bits and reports, a few entries per
         qubit, and the residual of the qubits Eve keeps. Per run: a fixed
-        512 entries (4 KiB), which hold its two generators and their seed
-        sequences, about 2.6 KB; no per-run transcript is built. A stage
+        512 entries (4 KiB), which hold its two generators and their state
+        words, about 1.6 KB; no seed sequence or transcript is built. A stage
         simulates each distinct tuple state once. Information tuples share
         the GHZ row, after embedding it and its phase-flipped twin, and an
         attacked decoy is one of 2**n sign patterns; measure-resend splits a
@@ -557,10 +564,13 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
 
     A stack holds STACK_ENTRIES // scenario.run_entries runs, and at least
     one; seeds is read one stack at a time, so it may be a lazy stream of
-    any length. Yields each stack's RunStack in seed order, whose arrays
-    hold the outcome of all its runs. Every run draws only from the two
-    generators spawned from its own seed, in the order a lone run draws, so
-    it matches run_protocol at that seed. A lone run is a stack of one.
+    any length; a seed is any int >= 0. Yields each stack's RunStack in
+    seed order, whose arrays hold the outcome of all its runs. Every run
+    draws only from the two generators of its own seed, in the order a lone
+    run draws, so it matches run_protocol at that seed. They are the
+    generators numpy seeds from SeedSequence(seed).spawn(2), protocol first
+    and Eve's second, derived for the whole stack in one pass (see
+    _spawned_words). A lone run is a stack of one.
     Validation reports on the whole stack, and passed reads every run's
     verdict from it. What every stack shares is built here, once per call:
     where the exchange's payload entries sit in a run's registers and,
@@ -580,6 +590,89 @@ def run_trials(scenario: Scenario, seeds: Iterable[int]) -> Iterator[RunStack]:
         yield _run_stack(scenario, stack, payload, layout, entries, law)
 
 
+# numpy's SeedSequence mixes with hashes whose constants run through fixed
+# sequences: the k-th hash of the pool's mixing uses the k-th and (k+1)-th
+# powers of MULT_A times INIT_A, and generate_state's j-th output word the
+# j-th and (j+1)-th of MULT_B times INIT_B, all mod 2**32
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(count)], np.uint32)
+
+
+# the hashes of a pool of four words plus a spawn key: 4 to fill the pool,
+# 12 to cross-mix it and 4 to mix in the key; and of 8 uint32 output words
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 21)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
+def _hashed(values: np.ndarray, hashes: np.ndarray, k: int, count: int) -> np.ndarray:
+    """The k-th to (k + count - 1)-th hashes of SeedSequence's mixing,
+    applied along the last axis of values, which broadcasts to count."""
+    x = (values ^ hashes[k : k + count]) * hashes[k + 1 : k + count + 1]
+    return x ^ (x >> 16)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _spawned_words(seeds: Sequence[int]) -> np.ndarray:
+    """SeedSequence(seed).spawn(2)[i].generate_state(4, np.uint64) for every
+    seed, as a (2, runs, 4) array, child i's of run t in [i, t].
+
+    Child i is SeedSequence(seed, spawn_key=(i,)), so no parent is built. Its
+    entropy is the seed's uint32 words, low first and zero-padded to the pool
+    size of 4, then the key word: both children mix the same pool up to the
+    key, so it is mixed once per seed, over all seeds of a word count at
+    once. The key's hashes, 0 or 1 under known constants, are constants, and
+    so are generate_state's. Words past the fourth, from seeds of 2**128 up,
+    are mixed into the pool before the key, as numpy mixes them.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    words = np.empty((2, len(seeds), 4), np.uint64)
+    sizes = [max(4, -(-seed.bit_length() // 32)) for seed in seeds]
+    for size in set(sizes):
+        rows = [t for t, s in enumerate(sizes) if s == size]
+        entropy = b"".join(seeds[t].to_bytes(4 * size, "little") for t in rows)
+        entropy = np.frombuffer(entropy, "<u4").reshape(len(rows), size)
+        hashes = _POOL_HASHES
+        if size > 4:
+            hashes = _hash_constants(_INIT_A, _MULT_A, len(_POOL_HASHES) + 4 * (size - 4))
+        pool = _hashed(entropy[:, :4], hashes, 0, 4)
+        k = 4
+        # each word mixes into the three others, the latest ones read
+        for src in range(4):
+            dst = [i for i in range(4) if i != src]
+            pool[:, dst] = _mixed(pool[:, dst], _hashed(pool[:, src, None], hashes, k, 3))
+            k += 3
+        # then every later word, the key last, into all four
+        for src in range(4, size):
+            pool = _mixed(pool, _hashed(entropy[:, src, None], hashes, k, 4))
+            k += 4
+        keys = _hashed(np.arange(2, dtype=np.uint32)[:, None], hashes, k, 4)
+        pools = _mixed(pool, keys[:, None])
+        # generate_state reads the pool twice round, then pairs the 32-bit
+        # words little-endian into 64-bit ones
+        state = _hashed(np.concatenate((pools, pools), axis=-1), _STATE_HASHES, 0, 8)
+        words[:, rows] = state.astype("<u4").view("<u8")
+    return words
+
+
+class _SpawnedState(ISeedSequence):
+    """A spawned child's state words, in place of its SeedSequence: all a
+    PCG64 reads of one is generate_state(4, np.uint64)."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def _run_stack(
     scenario: Scenario,
     seeds: Sequence[int],
@@ -588,9 +681,10 @@ def _run_stack(
     entries: np.ndarray,
     law: np.ndarray | None,
 ) -> RunStack:
-    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
-    rngs = [np.random.default_rng(protocol) for protocol, _eve in streams]
-    eve_rngs = [np.random.default_rng(eve) for _protocol, eve in streams]
+    rngs, eve_rngs = (
+        [np.random.Generator(np.random.PCG64(_SpawnedState(w))) for w in child]
+        for child in _spawned_words(seeds)
+    )
     n, runs = scenario.n, len(seeds)
     m, d = payload.length, scenario.resolved_d
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcast import protocol
+from ghzcast import analysis, protocol
 from ghzcast.adversary import (
     ALWAYS_COMPUTATIONAL,
     ENTANGLE_ANCILLA,
@@ -571,6 +571,14 @@ class TestStackedRuns:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * STACK_ENTRIES * 8
+
+    def test_trial_seeds_do_not_depend_on_their_block(self):
+        # seeds drawn a block at a time are the seeds drawn one at a time,
+        # across block boundaries and a last partial block
+        scenario = STACKED_SCENARIOS["measure_resend/random"]
+        whole = detection_experiment(scenario, 10, collect_rows=True)
+        with patch.object(analysis, "SEED_BLOCK", 3):
+            assert detection_experiment(scenario, 10, collect_rows=True) == whole
 
     @given(scenario=small_scenarios(), data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzcast import distribution, protocol
@@ -623,3 +625,101 @@ def test_honest_decryption_is_the_dense_pick(n, data):
     index = np.zeros(runs * m, dtype=np.intp)
     dense = decrypt_and_measure(*embed_secret(prepare_ghz(n), index, payload, n), n, u)[0]
     assert np.array_equal(decrypt_honest(law, payload, u), dense)
+
+
+# seeds at the edges of numpy's uint32 word split: one word, two, and the
+# widest seed detection_experiment draws
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+@given(
+    seeds=st.lists(
+        st.one_of(
+            st.sampled_from(SEED_EDGES), st.integers(0, 2**63 - 1), st.integers(2**63, 2**200)
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(seeds=[*SEED_EDGES, 2**64, 2**96, 2**128 - 1, 2**128, 2**160 + 3, 2**200])
+@settings(max_examples=150, deadline=None)
+def test_spawned_words_are_numpys(seeds):
+    # the words a stack's generators are built from are those numpy's own
+    # SeedSequence gives both spawned children, over seeds of any word count
+    words = protocol._spawned_words(seeds)
+    assert words.shape == (2, len(seeds), 4) and words.dtype == np.uint64
+    for t, seed in enumerate(seeds):
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(2)):
+            assert np.array_equal(words[i, t], child.generate_state(4, np.uint64)), (seed, i)
+            built = np.random.Generator(np.random.PCG64(protocol._SpawnedState(words[i, t])))
+            numpys = np.random.default_rng(child)
+            assert built.bit_generator.state == numpys.bit_generator.state
+            assert np.array_equal(built.random(3), numpys.random(3))
+            assert np.array_equal(built.integers(0, 2, size=5), numpys.integers(0, 2, size=5))
+
+
+def transcript_digest(scenario: Scenario) -> str:
+    transcript = run_protocol(scenario)
+    stack, _ = lone_run(scenario)
+    registers = transcript.register_bits
+    return hashlib.sha256(
+        repr(
+            (
+                transcript.decoy_positions,
+                transcript.stages,
+                transcript.aborted,
+                transcript.messages.payload.tolist(),
+                transcript.messages.ends.tolist(),
+                None if registers is None else registers.ravel().tolist(),
+                transcript.recovered,
+                transcript.validation.wrong.ravel().tolist(),
+                stack.guesses.ravel().tolist(),
+            )
+        ).encode()
+    ).hexdigest()[:16]
+
+
+# computed with SeedSequence(seed).spawn(2) and default_rng, before the
+# stack's generators were derived in one pass
+WIDE_SEED_DIGESTS = {
+    ("honest", 2**64 + 5): "a328d9cc46f20328",
+    ("honest", 2**128 + 7): "12d8703432e960d5",
+    ("honest", 2**200): "a0c6cfe85e478904",
+    ("passing", 2**64 + 5): "0fec27bedc944102",
+    ("passing", 2**128 + 7): "a2d7fe081a50b608",
+    ("passing", 2**200): "0cf9bc4ef594d08b",
+}
+
+
+@pytest.mark.parametrize("name, seed", WIDE_SEED_DIGESTS)
+def test_seeds_past_64_bits_keep_their_runs(name, seed):
+    scenario = REAL_BATCH_CASES["honest"]
+    if name == "passing":
+        scenario = replace(ATTACK_SCENARIOS["measure_resend/random"], threshold_fraction=0.99)
+    scenario = replace(scenario, seed=seed)
+    assert not run_protocol(scenario).aborted
+    assert transcript_digest(scenario) == WIDE_SEED_DIGESTS[name, seed]
+
+
+class SeedSequenceBuilt(Exception):
+    pass
+
+
+def test_stacks_build_no_seed_sequence(monkeypatch):
+    # a stack's generators are built from the words of its seeds' children,
+    # so neither a SeedSequence nor default_rng is called per run
+    def refuse(*args, **kwargs):
+        raise SeedSequenceBuilt
+
+    honest = replace(REAL_BATCH_CASES["honest"], noise_p=0.1)
+    attacked = ATTACK_SCENARIOS["intercept_replace"]
+    expected = [detection_experiment(honest, 40), detection_experiment(attacked, 10)]
+    random = SimpleNamespace(**{**vars(np.random), "SeedSequence": refuse, "default_rng": refuse})
+    monkeypatch.setattr(protocol, "np", SimpleNamespace(**{**vars(np), "random": random}))
+    with monkeypatch.context() as small:
+        small.setattr(protocol, "STACK_ENTRIES", 10 * honest.run_entries)
+        stats = detection_experiment(honest, 40)
+    assert 0 < stats.aborts < 40
+    assert [stats, detection_experiment(attacked, 10)] == expected
+    with pytest.raises(SeedSequenceBuilt):
+        protocol.np.random.default_rng(0)
